@@ -255,6 +255,9 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
         flow = flows[flow_id]
         exp = ctx.config.experiment
         fe = model.frontend
+        if fe is None:
+            raise FlowcastError(f"{model_path}: model has no spectral frontend "
+                                f"(learned from frames, not flows)")
         hop = fe.chunk_cfg.hop_samples
         start = start_step
         if start is None:

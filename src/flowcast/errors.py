@@ -72,6 +72,11 @@ class SubspaceTooLarge(FlowcastError):
     """Requested more inducing samples than training pairs exist."""
 
 
+class ModelFileError(FlowcastError):
+    """A model file is not a readable flowcast model of the supported
+    format version."""
+
+
 class NumericalFailure(FlowcastError):
     """A regularized linear solve failed despite jitter escalation.
     Carries the name of the offending matrix."""

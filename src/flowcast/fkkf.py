@@ -11,15 +11,23 @@ the feature maps of n <= m inducing pairs:
 Updates are linear in these coordinates:
 
     prediction:  n-_{t+1} = T n_t,            P-_{t+1} = T P_t T' + V
-    gain:        Q_t = P- O' (G_yy O P- O' + kappa I_m)^-1
-    innovation:  n_t = n-_t + Q_t (k_y - G_yy O n-_t)
-                 P_t = P-_t - Q_t G_yy O P-_t
-    readout:     mu_x = X O n_t,               Sigma_x = X O P_t O' X'
+    gain:        W_t = (P-_t M + kappa I_n)^-1 P-_t,    M = O' G_yy O
+    innovation:  n_t = n-_t + W_t (O' k_y - M n-_t)
+                 P_t = P-_t - W_t M P-_t = kappa W_t
+    readout:     mu_x = X O n_t,               var_x = diag(X O P_t O' X')
 
 where G_yy is the m x m Gram of the training observations, k_y the
 kernel responses of the incoming observation against them, X the d x m
 matrix of training state vectors, T the n x n transition model and O
-the m x n observation model.
+the m x n observation model.  The Kalman gain of the m-dimensional
+innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1, equals W_t O'
+by the push-through identity, so every per-step quantity is n x n and
+G_yy enters only through M, formed once at learning time.  W_t is
+computed as L (L' M L + kappa I_n)^-1 L' from a factor P-_t = L L'
+whose negative roundoff eigenvalues are clamped to zero, which keeps W_t
+and the posterior kappa W_t positive semi-definite by construction.
+The forecast reads out only the variance diagonal of the observation
+block (the first q state coordinates), never the full d x d covariance.
 
 T and O are ridge regressions restricted to the inducing subspace but
 estimated from all m pairs.  The subspace solve uses the Gram of the
@@ -38,6 +46,8 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +55,14 @@ import scipy.linalg
 
 from . import reduction, spectral
 from .errors import (BadDimension, FlowTooShort, InsufficientData,
-                     NumericalFailure, SubspaceTooLarge)
+                     ModelFileError, NumericalFailure, SubspaceTooLarge)
 from .kernelcore import (DEFAULT_SUBSET_SIZE, KernelSpec, gram, kernel_vector,
                          median_heuristic)
 from .reduction import PcaBasis, Standardizer
 from .spectral import ChunkConfig
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
-_JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _COV_JITTER = 1e-8
 _EIG_FLOOR = 1e-14  # relative floor when whitening the inducing Gram
 
@@ -123,13 +132,13 @@ class FilterState:
 class ProjectedGains:
     """Observation-independent gain/covariance sequences, cached offline."""
 
-    q_seq: list          # n x m Kalman gains per innovation step
-    qgo_seq: list        # cached Q_t @ (G_yy O), n x n
+    w_seq: list          # n x n gain factors W_t; the Kalman gain is W_t O'
+    qgo_seq: list        # cached W_t @ (O' G_yy O), n x n
     p_post_seq: list     # posterior covariance per step
     p_prior_seq: list    # prior covariance per step (entry 0 = learned prior)
 
     def __len__(self):
-        return len(self.q_seq)
+        return len(self.w_seq)
 
 
 @dataclass
@@ -265,17 +274,6 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _solve_square(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
-    """LU solve with escalating diagonal jitter (1e-10 .. 1e-6, x10 per retry)."""
-    eye = np.eye(a.shape[0])
-    for jitter in _JITTERS:
-        try:
-            return scipy.linalg.solve(a + jitter * eye, b)
-        except (scipy.linalg.LinAlgError, ValueError):
-            continue
-    raise NumericalFailure(name, "singular despite jitter escalation")
-
-
 def _clip_unstable_modes(t_sub: np.ndarray) -> np.ndarray:
     """Rescale eigenvalues of the transition model onto the unit disk.
 
@@ -337,12 +335,9 @@ class FkkfModel:
     x_succ: np.ndarray            # (m, d) successor state vectors
     y_train: np.ndarray           # (m, q) observations aligned with x_pred
     subspace_indices: np.ndarray  # (n,) inducing pair indices
-    kbar_xx: np.ndarray           # (m, n) Gram(states, inducing states)
-    kbar_xx_prime: np.ndarray     # (m, n) Gram(states, inducing successors)
-    g_yy: np.ndarray              # (m, m) observation Gram
     t_sub: np.ndarray             # (n, n) transition model
     o_sub: np.ndarray             # (m, n) observation model (G_yy O = response map)
-    go: np.ndarray                # (m, n) cached G_yy @ O
+    ogo: np.ndarray               # (n, n) cached O' G_yy O
     xo: np.ndarray                # (d, n) cached X @ O readout
     v: np.ndarray                 # (n, n) transition noise covariance
     n1_prior: np.ndarray          # (n,) initial a-priori mean coordinates
@@ -379,8 +374,6 @@ def _subspace_stride_indices(m: int, requested: int) -> np.ndarray:
     """Every ceil(m/n)-th time-ordered pair; covers all flows, deterministic."""
     stride = max(1, math.ceil(m / requested))
     return np.arange(0, m, stride)
-
-
 
 
 def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
@@ -431,7 +424,7 @@ def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
     if stabilize_transition:
         t_sub = _clip_unstable_modes(t_sub)
     o_sub = solver.dual(hyper.lambda_o).T @ bnn
-    go = g_yy @ o_sub
+    ogo = _sym(o_sub.T @ (g_yy @ o_sub))
     xo = x_pred.T @ o_sub
 
     # Coordinates of training states in the inducing successor basis, via
@@ -448,8 +441,8 @@ def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
     p1 = _sym(np.cov(coords_pred)) + _COV_JITTER * np.eye(n)
 
     return FkkfModel(x_pred=x_pred, x_succ=x_succ, y_train=y_train,
-                     subspace_indices=idx, kbar_xx=kbar, kbar_xx_prime=kbar_prime,
-                     g_yy=g_yy, t_sub=t_sub, o_sub=o_sub, go=go, xo=xo, v=v,
+                     subspace_indices=idx, t_sub=t_sub, o_sub=o_sub, ogo=ogo,
+                     xo=xo, v=v,
                      n1_prior=n1, p1_prior=p1, state_spec=state_spec,
                      obs_spec=obs_spec, hyper=hyper, bandwidth_seed=bandwidth_seed,
                      bandwidth_subset=bandwidth_subset, frontend=frontend)
@@ -513,12 +506,29 @@ def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
 
 
 def _innovation_cov(model: FkkfModel, p_prior: np.ndarray):
-    inner = model.go @ p_prior @ model.o_sub.T
+    """Gain factor W = L (L' M L + kappa I)^-1 L', posterior kappa W.
+
+    P- = L L' comes from an eigendecomposition with negative roundoff
+    eigenvalues clamped to zero.  B = L' M L + kappa I >= kappa I, so its
+    Cholesky factor C exists, and W = Z' Z with Z = C^-1 L' is a Gram
+    matrix: positive semi-definite however ill-conditioned P- is.  The
+    product W M is formed as L B^-1 (L' M): innovation_update subtracts
+    W M P from P, and W @ M carries W's roundoff, which is scaled by
+    1/kappa, into that difference.
+    """
+    evals, evecs = np.linalg.eigh(p_prior)
+    root = evecs * np.sqrt(np.maximum(evals, 0.0))
+    inner = _sym(root.T @ (model.ogo @ root))
     inner.flat[::inner.shape[0] + 1] += model.hyper.kappa
-    q = _solve_square(inner.T, model.o_sub @ p_prior, "innovation_gain").T
-    qgo = q @ model.go
-    p_post = _sym(p_prior - qgo @ p_prior)
-    return q, qgo, p_post
+    try:
+        chol = scipy.linalg.cholesky(inner, lower=True)
+    except scipy.linalg.LinAlgError:
+        raise NumericalFailure("innovation_gain",
+                               "L' M L + kappa I is not positive definite") from None
+    z = scipy.linalg.solve_triangular(chol, root.T, lower=True)
+    w = _sym(z.T @ z)
+    qgo = root @ scipy.linalg.cho_solve((chol, True), root.T @ model.ogo)
+    return w, qgo, model.hyper.kappa * w
 
 
 def _prediction_cov(model: FkkfModel, p_post: np.ndarray) -> np.ndarray:
@@ -533,28 +543,38 @@ def project(model: FkkfModel, steps: int) -> ProjectedGains:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    q_seq, qgo_seq, post_seq, prior_seq = [], [], [], []
+    w_seq, qgo_seq, post_seq, prior_seq = [], [], [], []
     p_prior = model.p1_prior
     n = model.subspace_size
     eye = np.eye(n)
     for _ in range(steps):
-        q, qgo, p_post = _innovation_cov(model, p_prior)
+        w, qgo, p_post = _innovation_cov(model, p_prior)
         # Cholesky of P + tol*I certifies min eigenvalue >= -tol; the
-        # tolerance is relative to the covariance scale (cancellation in
-        # P - Q G O P leaves roundoff of order eps * ||P||).
+        # tolerance is relative to the covariance scale (the factorized
+        # gain leaves roundoff of order eps * ||P||).
         tol = 1e-6 * max(1.0, float(np.trace(p_post)))
         try:
             scipy.linalg.cho_factor(p_post + tol * eye, lower=True)
         except scipy.linalg.LinAlgError:
             raise NumericalFailure("posterior_covariance",
                                    "lost positive semi-definiteness") from None
-        q_seq.append(q)
+        w_seq.append(w)
         qgo_seq.append(qgo)
         post_seq.append(p_post)
         prior_seq.append(p_prior)
         p_prior = _prediction_cov(model, p_post)
-    return ProjectedGains(q_seq=q_seq, qgo_seq=qgo_seq, p_post_seq=post_seq,
+    return ProjectedGains(w_seq=w_seq, qgo_seq=qgo_seq, p_post_seq=post_seq,
                           p_prior_seq=prior_seq)
+
+
+def _innovated_mean(n_prior: np.ndarray, y_frame: np.ndarray, w: np.ndarray,
+                    model: FkkfModel) -> np.ndarray:
+    """n + W (O' k_y - M n) for one observation frame."""
+    y_frame = np.asarray(y_frame, dtype=float).ravel()
+    if y_frame.size != model.obs_dim:
+        raise BadDimension(f"observation dim {y_frame.size} != {model.obs_dim}")
+    k_y = kernel_vector(model.y_train, y_frame, model.obs_spec)
+    return n_prior + w @ (model.o_sub.T @ k_y - model.ogo @ n_prior)
 
 
 def innovation_update(state: FilterState, y_frame: np.ndarray,
@@ -564,12 +584,7 @@ def innovation_update(state: FilterState, y_frame: np.ndarray,
         raise ValueError("innovation_update expects an a-priori state")
     if state.step >= len(gains):
         raise ValueError(f"no projected gain for step {state.step}")
-    y_frame = np.asarray(y_frame, dtype=float).ravel()
-    if y_frame.size != model.obs_dim:
-        raise BadDimension(f"observation dim {y_frame.size} != {model.obs_dim}")
-    k_y = kernel_vector(model.y_train, y_frame, model.obs_spec)
-    residual = k_y - model.go @ state.n_t
-    n_post = state.n_t + gains.q_seq[state.step] @ residual
+    n_post = _innovated_mean(state.n_t, y_frame, gains.w_seq[state.step], model)
     p_post = _sym(state.p_t - gains.qgo_seq[state.step] @ state.p_t)
     return FilterState(n_t=n_post, p_t=p_post, is_posterior=True, step=state.step)
 
@@ -615,11 +630,17 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
         raise ValueError("observed_frames must be non-empty")
     if gains is None or len(gains) < observed.shape[0]:
         gains = project(model, observed.shape[0])
-    state = model.initial_state()
+    # Only the mean depends on the observations.  The filtered covariance is
+    # the projected posterior, PSD by construction; recomputing it here as
+    # P - W M P would cancel catastrophically on ill-conditioned priors.
+    n_t = model.n1_prior
     for i, frame in enumerate(observed):
-        state = innovation_update(state, frame, gains, model)
-        if i + 1 < observed.shape[0]:
-            state = prediction_update(state, model)
+        if i:
+            n_t = model.t_sub @ n_t
+        n_t = _innovated_mean(n_t, frame, gains.w_seq[i], model)
+    last = observed.shape[0] - 1
+    state = FilterState(n_t=n_t, p_t=gains.p_post_seq[last].copy(),
+                        is_posterior=True, step=last)
 
     obs_dim = model.obs_dim
     frontend = model.frontend
@@ -627,10 +648,11 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
         priors = predict_p_steps(state, predict_horizon_steps, model)
         mean_frames = np.empty((len(priors), obs_dim))
         cov_diag = np.empty((len(priors), obs_dim))
+        # only the observation block's mean and variance diagonal are kept
+        xo_obs = model.xo[:obs_dim]
         for i, prior in enumerate(priors):
-            mu, sigma = reconstruct(prior, model)
-            mean_frames[i] = mu[:obs_dim]
-            cov_diag[i] = np.diag(sigma)[:obs_dim]
+            mean_frames[i] = xo_obs @ prior.n_t
+            cov_diag[i] = np.einsum("ij,ij->i", xo_obs @ prior.p_t, xo_obs)
     else:
         mean_frames = np.empty((0, obs_dim))
         cov_diag = np.empty((0, obs_dim))
@@ -653,9 +675,13 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
 # serialization
 # ---------------------------------------------------------------------------
 
-_ARRAY_FIELDS = ("x_pred", "x_succ", "y_train", "subspace_indices", "kbar_xx",
-                 "kbar_xx_prime", "g_yy", "t_sub", "o_sub", "go", "xo", "v",
-                 "n1_prior", "p1_prior")
+# Array fields with their shapes over the model sizes: m training pairs,
+# n inducing pairs, d state and q observation dimensions.
+_ARRAY_SHAPES = {"x_pred": "md", "x_succ": "md", "y_train": "mq",
+                 "subspace_indices": "n", "t_sub": "nn", "o_sub": "mn",
+                 "ogo": "nn", "xo": "dn", "v": "nn", "n1_prior": "n",
+                 "p1_prior": "nn"}
+_ARRAY_FIELDS = tuple(_ARRAY_SHAPES)
 
 
 def save_model(model: FkkfModel, path) -> None:
@@ -696,30 +722,76 @@ def save_model(model: FkkfModel, path) -> None:
 
 
 def load_model(path) -> FkkfModel:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta_json"].tobytes()).decode())
-        if meta["format_version"] != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format {meta['format_version']}")
-        arrays = {name: data[name] for name in _ARRAY_FIELDS}
-        frontend = None
-        if meta["has_frontend"]:
-            t_s, t_c, w = meta["chunk_cfg"]
-            chunk_cfg = ChunkConfig(sample_interval_s=t_s, chunk_interval_s=t_c,
-                                    chunk_length_s=w)
-            window_cfg = StateWindowConfig(
-                horizons_s=tuple(meta["window_cfg"]["horizons_s"]),
-                observation_horizon_s=meta["window_cfg"]["observation_horizon_s"])
-            reducers = []
-            for i in range(meta["n_blocks"]):
-                std = Standardizer(means=data[f"block{i}_means"],
-                                   stds=data[f"block{i}_stds"])
-                comp = data[f"block{i}_components"]
-                basis = PcaBasis(components=comp,
-                                 explained_variance_ratio=data[f"block{i}_evr"],
-                                 original_dim=comp.shape[0], kept_dim=comp.shape[1])
-                reducers.append((std, basis))
-            frontend = SpectralFrontend(chunk_cfg=chunk_cfg, window_cfg=window_cfg,
-                                        reducers=reducers)
+    """Read a model written by save_model.
+
+    A missing file raises FileNotFoundError.  Anything else that is not a
+    readable model of this format version -- an older version, a file
+    that is not a flowcast archive, arrays whose shapes disagree --
+    raises ModelFileError with a one-line message.
+    """
+    try:
+        data = np.load(path)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ModelFileError(f"{path}: not a flowcast model archive "
+                             f"({_first_line(exc)})") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ModelFileError(f"{path}: not a flowcast model archive (a bare array)")
+    with data:
+        try:
+            return _model_from_archive(data, path)
+        except (KeyError, ValueError, TypeError, IndexError, AttributeError,
+                EOFError, OSError, zipfile.BadZipFile, zlib.error) as exc:
+            raise ModelFileError(f"{path}: not a flowcast model archive "
+                                 f"({type(exc).__name__}: {_first_line(exc)})") from None
+
+
+def _first_line(exc: Exception) -> str:
+    lines = str(exc).strip().splitlines()
+    return lines[0] if lines else type(exc).__name__
+
+
+def _check_shapes(arrays: dict, path) -> None:
+    sizes = {}
+    for name, axes in _ARRAY_SHAPES.items():
+        shape = arrays[name].shape
+        if len(shape) != len(axes) or any(sizes.setdefault(axis, size) != size
+                                          for axis, size in zip(axes, shape)):
+            raise ModelFileError(f"{path}: array {name} has shape {shape}, which "
+                                 f"disagrees with the other model arrays")
+
+
+def _model_from_archive(data, path) -> FkkfModel:
+    meta = json.loads(bytes(data["meta_json"].tobytes()).decode())
+    version = meta.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelFileError(f"{path}: model format version {version} is not supported "
+                             f"(expected {MODEL_FORMAT_VERSION}); learn the model again")
+    arrays = {name: data[name] for name in _ARRAY_FIELDS}
+    _check_shapes(arrays, path)
+    frontend = None
+    if meta["has_frontend"]:
+        t_s, t_c, w = meta["chunk_cfg"]
+        chunk_cfg = ChunkConfig(sample_interval_s=t_s, chunk_interval_s=t_c,
+                                chunk_length_s=w)
+        window_cfg = StateWindowConfig(
+            horizons_s=tuple(meta["window_cfg"]["horizons_s"]),
+            observation_horizon_s=meta["window_cfg"]["observation_horizon_s"])
+        reducers = []
+        for i in range(meta["n_blocks"]):
+            std = Standardizer(means=data[f"block{i}_means"],
+                               stds=data[f"block{i}_stds"])
+            comp = data[f"block{i}_components"]
+            basis = PcaBasis(components=comp,
+                             explained_variance_ratio=data[f"block{i}_evr"],
+                             original_dim=comp.shape[0], kept_dim=comp.shape[1])
+            reducers.append((std, basis))
+        frontend = SpectralFrontend(chunk_cfg=chunk_cfg, window_cfg=window_cfg,
+                                    reducers=reducers)
+        if (frontend.obs_dim, frontend.state_dim) != (arrays["y_train"].shape[1],
+                                                      arrays["x_pred"].shape[1]):
+            raise ModelFileError(f"{path}: PCA blocks disagree with the model arrays")
     lam_t, lam_o, sbw, obw, kappa = meta["hyper"]
     hyper = FkkfHyperparams(lambda_t=lam_t, lambda_o=lam_o, state_bw_scale=sbw,
                             obs_bw_scale=obw, kappa=kappa)

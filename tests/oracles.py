@@ -41,6 +41,12 @@ def exhaustive_median_bandwidth(samples):
     return float(np.sqrt(np.median(sq)))
 
 
+def mxm_kalman_gain(p_prior, o_mat, g_yy, kappa):
+    """Textbook m x m form of the gain: P O' (G O P O' + kappa I_m)^-1."""
+    inner = g_yy @ o_mat @ p_prior @ o_mat.T + kappa * np.eye(g_yy.shape[0])
+    return np.linalg.solve(inner.T, o_mat @ p_prior).T
+
+
 class FullSpaceFilter:
     """Direct full-sample finite recursion, no inducing-point machinery.
 
@@ -75,10 +81,8 @@ class FullSpaceFilter:
         mt = model.n1_prior.copy()
         st = model.p1_prior.copy()
         means, covs, gains = [], [], []
-        eye = np.eye(self.m)
         for i, y in enumerate(np.atleast_2d(observed)):
-            inner = self.go @ st @ self.o_mat.T + self.kappa * eye
-            q = np.linalg.solve(inner.T, self.o_mat @ st).T
+            q = mxm_kalman_gain(st, self.o_mat, self.g_yy, self.kappa)
             k_y = kernel_vector(model.y_train, y, model.obs_spec)
             mt = mt + q @ (k_y - self.go @ mt)
             st = st - q @ self.go @ st

@@ -66,7 +66,8 @@ def test_criterion_2_subspace_equals_full_space():
         worst = max(worst,
                     float(np.max(np.abs(state.n_t - o_means[i]))),
                     float(np.max(np.abs(state.p_t - o_covs[i]))),
-                    float(np.max(np.abs(gains.q_seq[i] - o_gains[i]))))
+                    float(np.max(np.abs(gains.w_seq[i] @ model.o_sub.T
+                                        - o_gains[i]))))
         if i + 1 < len(observed):
             state = fkkf.prediction_update(state, model)
     elapsed = time.time() - start

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from flowcast import fkkf
 from flowcast.cli import main
 from flowcast.config import load_config
 from flowcast.errors import ParseError
@@ -185,6 +186,55 @@ def test_predict_missing_model_exit_3(workspace, runner):
                                   "--model", str(out / "missing.npz"),
                                   "--flow-id", "0"])
     assert result.exit_code == 3
+
+
+def _predict_with_model(runner, cfg, out, model_path):
+    return runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                "predict", str(out / "traces.csv"),
+                                "--model", str(model_path), "--flow-id", "0"])
+
+
+def _assert_one_line_exit_1(result, text):
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    lines = result.output.strip().splitlines()
+    assert lines[-1].startswith("error: ") and text in lines[-1]
+
+
+def test_predict_v1_model_exit_1(workspace, runner, tmp_path):
+    cfg, out = workspace
+    model_path = tmp_path / "model_v1.npz"
+    meta = {"format_version": 1, "has_frontend": False}
+    np.savez_compressed(model_path, g_yy=np.eye(4), kbar_xx=np.ones((4, 2)),
+                        meta_json=np.frombuffer(json.dumps(meta).encode(),
+                                                dtype=np.uint8))
+    result = _predict_with_model(runner, cfg, out, model_path)
+    _assert_one_line_exit_1(result, "model format version 1 is not supported")
+
+
+@pytest.mark.parametrize("content", [b"\x80\x04garbage, not an archive" * 4, None],
+                         ids=["garbage_bytes", "npz_without_meta"])
+def test_predict_corrupt_model_exit_1(workspace, runner, tmp_path, content):
+    cfg, out = workspace
+    model_path = tmp_path / "corrupt.npz"
+    if content is None:
+        np.savez(model_path, weights=np.ones(3))
+    else:
+        model_path.write_bytes(content)
+    result = _predict_with_model(runner, cfg, out, model_path)
+    _assert_one_line_exit_1(result, "not a flowcast model archive")
+
+
+def test_predict_model_without_frontend_exit_1(workspace, runner, tmp_path):
+    cfg, out = workspace
+    rng = np.random.default_rng(0)
+    states = np.cumsum(rng.normal(size=(31, 3)), axis=0)
+    model = fkkf.learn_core(states[:-1], states[1:], states[:-1, :2],
+                            fkkf.FkkfHyperparams(), subspace_size=10)
+    model_path = tmp_path / "core.npz"
+    fkkf.save_model(model, model_path)
+    result = _predict_with_model(runner, cfg, out, model_path)
+    _assert_one_line_exit_1(result, "model has no spectral frontend")
 
 
 def test_numerical_failure_exit_4(workspace, runner, monkeypatch):

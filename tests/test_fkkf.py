@@ -1,17 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
 from flowcast import fkkf
 from flowcast.errors import (BadDimension, FlowTooShort, InsufficientData,
-                             SubspaceTooLarge)
+                             ModelFileError, SubspaceTooLarge)
+from flowcast.evaluation import (ExperimentConfig, leave_one_out_splits,
+                                 locate_peak_rise)
 from flowcast.fkkf import (FilterState, FkkfHyperparams, StateWindowConfig,
                            build_state_windows, innovation_update, learn,
                            learn_core, load_model, observation_frames,
                            predict_p_steps, prediction_update, project,
                            reconstruct, run_filter, save_model, window_frames)
 from flowcast.spectral import ChunkConfig
-from flowcast.synth import BurstTemplate, generate_group
-from oracles import FullSpaceFilter
+from flowcast.synth import BurstTemplate, default_templates, generate_group
+from oracles import FullSpaceFilter, mxm_kalman_gain
 
 CHUNK = ChunkConfig(sample_interval_s=0.01, chunk_interval_s=0.05, chunk_length_s=0.2)
 WINDOW = StateWindowConfig(horizons_s=(0.2, 0.4, 0.6), observation_horizon_s=0.2)
@@ -21,6 +25,11 @@ HYPER = FkkfHyperparams(lambda_t=1e-2, lambda_o=1e-2, state_bw_scale=0.5,
 TEMPLATE = BurstTemplate(rise_duration_s=0.4, body_duration_s=0.5, peak_kbit=100.0,
                          impulse_period_s=0.03, impulse_jitter=0.15,
                          amplitude_jitter=0.15, inter_burst_gap_s=0.5)
+
+
+def _gain(gains, model, i):
+    """The n x m Kalman gain of step i, Q_i = W_i O'."""
+    return gains.w_seq[i] @ model.o_sub.T
 
 
 def _chain_data(m=120, dim=3, noise=0.5, seed=7):
@@ -102,9 +111,12 @@ class TestLearnCore:
     def test_shapes(self, core_model):
         m = core_model.n_pairs
         n = core_model.subspace_size
-        assert core_model.kbar_xx.shape == (m, n)
-        assert core_model.kbar_xx_prime.shape == (m, n)
-        assert core_model.g_yy.shape == (m, m)
+        assert core_model.ogo.shape == (n, n)
+        o_sub = core_model.o_sub
+        np.testing.assert_allclose(
+            core_model.ogo, o_sub.T @ FullSpaceFilter(core_model).g_yy @ o_sub,
+            rtol=1e-9, atol=1e-9 * np.abs(core_model.ogo).max())
+        assert core_model.xo.shape == (core_model.state_dim, n)
         assert core_model.t_sub.shape == (n, n)
         assert core_model.o_sub.shape == (m, n)
         assert core_model.v.shape == (n, n)
@@ -141,7 +153,8 @@ class TestLearnCore:
         from flowcast.spectral import transform
         assert transform(flow.samples, cfg).frames.shape[0] == 200
         model = learn([flow], HYPER, 50, cfg, window, kept_dim=20)
-        assert model.g_yy.shape == (139, 139)
+        assert model.n_pairs == 139
+        assert model.o_sub.shape == (139, model.subspace_size)
 
     def test_training_flow_one_step_prediction(self):
         # single noiseless periodic signal: one-step self-prediction is sharp.
@@ -199,7 +212,7 @@ class TestSubspaceFullSpaceEquivalence:
             state = innovation_update(state, frame, gains, exact_model)
             assert np.max(np.abs(state.n_t - o_means[i])) <= 1e-8
             assert np.max(np.abs(state.p_t - o_covs[i])) <= 1e-8
-            assert np.max(np.abs(gains.q_seq[i] - o_gains[i])) <= 1e-8
+            assert np.max(np.abs(_gain(gains, exact_model, i) - o_gains[i])) <= 1e-8
             if i + 1 < len(observed):
                 state = prediction_update(state, exact_model)
 
@@ -222,13 +235,15 @@ class TestProject:
     def test_gains_observation_independent(self, core_model):
         a = project(core_model, 5)
         b = project(core_model, 5)
-        for qa, qb in zip(a.q_seq, b.q_seq):
-            np.testing.assert_array_equal(qa, qb)
+        for i in range(5):
+            np.testing.assert_array_equal(_gain(a, core_model, i),
+                                          _gain(b, core_model, i))
 
     def test_prefix_property(self, core_model):
         one = project(core_model, 1)
         many = project(core_model, 6)
-        np.testing.assert_array_equal(one.q_seq[0], many.q_seq[0])
+        np.testing.assert_array_equal(_gain(one, core_model, 0),
+                                      _gain(many, core_model, 0))
         np.testing.assert_array_equal(one.p_post_seq[0], many.p_post_seq[0])
 
     def test_huge_kappa_kills_gain(self):
@@ -237,13 +252,14 @@ class TestProject:
                                 obs_bw_scale=0.5, kappa=1e12)
         model = learn_core(x_pred, x_succ, y, hyper, subspace_size=60)
         gains = project(model, 3)
-        assert max(np.abs(q).max() for q in gains.q_seq) < 1e-6
+        assert max(np.abs(_gain(gains, model, i)).max() for i in range(3)) < 1e-6
 
     def test_gain_sequence_converges(self, core_model):
         # oracle: long-run iteration approaches a fixed point, so consecutive
         # gain differences shrink after burn-in
         gains = project(core_model, 40)
-        diffs = [np.linalg.norm(gains.q_seq[i + 1] - gains.q_seq[i])
+        diffs = [np.linalg.norm(_gain(gains, core_model, i + 1)
+                                - _gain(gains, core_model, i))
                  for i in range(39)]
         assert diffs[-1] < diffs[2]
         assert diffs[-1] < 1e-3 * max(diffs)
@@ -255,6 +271,57 @@ class TestProject:
             np.testing.assert_allclose(p, p.T, atol=1e-8)
 
 
+@pytest.fixture(scope="module")
+def ill_conditioned_fold():
+    """Fold 0 of group 7 in the criterion-6 config at 0.4 s chunks."""
+    hyper = FkkfHyperparams(lambda_t=0.05, lambda_o=1e-3, state_bw_scale=1.0,
+                            obs_bw_scale=1.0, kappa=1e-3)
+    cfg = ExperimentConfig(observe_steps=4, chunk_lengths_s=(0.4,),
+                           subspace_size=250, kept_dim=50, peak_window_s=0.15)
+    flows = generate_group(default_templates(10)[7], 8, 10.0, 0.01, seed=107,
+                           group_id=7)
+    train, test = next(iter(leave_one_out_splits(flows)))
+    model = learn(train, hyper, cfg.subspace_size, cfg.chunk_config(0.4),
+                  cfg.window_config(0.4), kept_dim=cfg.kept_dim,
+                  bandwidth_seed=cfg.bandwidth_seed)
+    raw = observation_frames(test.samples, cfg.chunk_config(0.4), 0.4)
+    start = locate_peak_rise(test.samples, cfg.chunk_interval_s,
+                             cfg.sample_interval_s, cfg.peak_window_s,
+                             cfg.peak_factor)
+    return model, model.frontend.reduce_observations(raw[start:start + 4])
+
+
+class TestPsdByConstruction:
+    """The factorized gain keeps posteriors PSD on an ill-conditioned prior.
+
+    The m x m gain solve lost PSD on this fold at one BLAS thread and the
+    fold was skipped; the n x n factorized form needs no luck from BLAS.
+    """
+
+    def test_prior_spans_fifteen_decades(self, ill_conditioned_fold):
+        model, _ = ill_conditioned_fold
+        magnitudes = np.abs(np.linalg.eigvalsh(model.p1_prior))
+        assert magnitudes.max() >= 1e15 * magnitudes.min()
+
+    def test_posteriors_psd(self, ill_conditioned_fold):
+        model, observed = ill_conditioned_fold
+        gains = project(model, 4)
+        filtered = run_filter(model, observed, 0, gains=gains).filtered_state.p_t
+        for p in gains.p_post_seq + [filtered]:
+            assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
+
+    def test_gain_matches_mxm_form_when_well_conditioned(self):
+        x_pred, x_succ, y = _chain_data()
+        model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
+        assert model.subspace_size < model.n_pairs
+        g_yy = FullSpaceFilter(model).g_yy
+        gains = project(model, 6)
+        for i in range(6):
+            expected = mxm_kalman_gain(gains.p_prior_seq[i], model.o_sub, g_yy,
+                                       model.hyper.kappa)
+            assert np.max(np.abs(_gain(gains, model, i) - expected)) <= 1e-8
+
+
 class TestUpdates:
     def test_innovation_with_expected_observation_keeps_mean(self, core_model):
         gains = project(core_model, 3)
@@ -264,7 +331,7 @@ class TestUpdates:
         mu_prior, _ = reconstruct(state, core_model)
         # feed the belief's own predicted observation: reconstruct the obs
         # embedding's nearest training observation via the response map
-        response = core_model.go @ state.n_t
+        response = FullSpaceFilter(core_model).g_yy @ core_model.o_sub @ state.n_t
         best = int(np.argmax(response))
         posterior = innovation_update(state, core_model.y_train[best], gains,
                                       core_model)
@@ -392,6 +459,21 @@ class TestRunFilter:
         pred = run_filter(core_model, y[:3], 2)
         assert pred.mean_frames.shape == (2, core_model.obs_dim)
 
+    def test_readout_matches_full_reconstruction(self, traffic_model):
+        # oracle: the observation block of the full d x d reconstruction
+        flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
+        raw = observation_frames(flows[0].samples, CHUNK, 0.2)
+        observed = traffic_model.frontend.reduce_observations(raw[:4])
+        pred = run_filter(traffic_model, observed, 6)
+        q = traffic_model.obs_dim
+        priors = predict_p_steps(pred.filtered_state, 6, traffic_model)
+        for i, prior in enumerate(priors):
+            mu, sigma = reconstruct(prior, traffic_model)
+            np.testing.assert_allclose(pred.mean_frames[i], mu[:q], rtol=1e-12,
+                                       atol=1e-12 * np.abs(mu).max())
+            np.testing.assert_allclose(pred.cov_diag[i], np.diag(sigma)[:q],
+                                       rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
+
     def test_innovation_beats_open_loop(self):
         # filtering the flow's own prefix must beat the prior-only rollout
         # (1-step RMSE over many positions) on >= 90% of the seeded cases
@@ -433,9 +515,8 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_model(traffic_model, path)
         loaded = load_model(path)
-        for name in ("x_pred", "x_succ", "y_train", "kbar_xx", "kbar_xx_prime",
-                     "g_yy", "t_sub", "o_sub", "go", "xo", "v", "n1_prior",
-                     "p1_prior", "subspace_indices"):
+        for name in ("x_pred", "x_succ", "y_train", "t_sub", "o_sub", "ogo",
+                     "xo", "v", "n1_prior", "p1_prior", "subspace_indices"):
             np.testing.assert_array_equal(getattr(loaded, name),
                                           getattr(traffic_model, name),
                                           err_msg=name)
@@ -465,3 +546,45 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.frontend is None
         np.testing.assert_array_equal(loaded.t_sub, core_model.t_sub)
+
+    def test_no_mxm_array_in_file(self, tmp_path):
+        x_pred, x_succ, y = _chain_data()
+        model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
+        path = tmp_path / "core.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            shapes = {name: data[name].shape for name in data.files}
+        assert all(shape.count(model.n_pairs) < 2 for shape in shapes.values()), shapes
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 1)),
+         "format version 1"),
+        (lambda arrays: arrays.update(ogo=arrays["ogo"][:-1]), "array ogo"),
+        (lambda arrays: arrays.update(xo=arrays["xo"].T), "array xo"),
+    ])
+    def test_refused_with_one_line(self, core_model, tmp_path, edit, message):
+        path = tmp_path / "core.npz"
+        save_model(core_model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        edit(arrays)
+        np.savez(path, **arrays)
+        with pytest.raises(ModelFileError, match=message) as info:
+            load_model(path)
+        assert "\n" not in str(info.value)
+
+    def test_pca_blocks_disagreeing_with_arrays_refused(self, traffic_model, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(traffic_model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["block0_components"] = arrays["block0_components"][:, :-1]
+        np.savez(path, **arrays)
+        with pytest.raises(ModelFileError, match="PCA blocks disagree"):
+            load_model(path)
+
+
+def _meta_with_version(arrays, version):
+    meta = json.loads(arrays["meta_json"].tobytes().decode())
+    meta["format_version"] = version
+    return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
