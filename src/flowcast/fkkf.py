@@ -24,8 +24,9 @@ innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1, equals W_t O'
 by the push-through identity, so every per-step quantity is n x n and
 G_yy enters only through M, formed once at learning time.  W_t is
 computed as L (L' M L + kappa I_n)^-1 L' from a factor P-_t = L L'
-whose negative roundoff eigenvalues are clamped to zero, which keeps W_t
-and the posterior kappa W_t positive semi-definite by construction.
+(Cholesky, or an eigendecomposition with negative roundoff eigenvalues
+clamped to zero where Cholesky fails), which keeps W_t and the posterior
+kappa W_t positive semi-definite by construction.
 The forecast reads out only the variance diagonal of the observation
 block (the first q state coordinates), never the full d x d covariance.
 
@@ -505,34 +506,71 @@ def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
 # ---------------------------------------------------------------------------
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through scipy's BLAS.
+
+    numpy and scipy each link their own OpenBLAS, each with its own thread
+    pool.  A loop that alternates numpy products with scipy factorizations
+    keeps both pools busy-waiting, and on a two-core machine each call then
+    waits about a scheduler tick: the 200 gain steps of criterion 3 (n = 180)
+    took 12 s that way and 1 s with every product here.  project's loop
+    uses it; the per-step filter functions call no scipy and stay on numpy.
+    The result is in Fortran order; a C-ordered operand goes in as its
+    transpose, no copy.
+    """
+    a_arg, trans_a = (a, 0) if a.flags.f_contiguous else (a.T, 1)
+    b_arg, trans_b = (b, 0) if b.flags.f_contiguous else (b.T, 1)
+    return scipy.linalg.blas.dgemm(1.0, a_arg, b_arg,
+                                   trans_a=trans_a, trans_b=trans_b)
+
+
+def _covariance_root(cov: np.ndarray) -> np.ndarray:
+    """A factor L with L L' = cov.
+
+    Cholesky when cov is numerically positive definite, the usual case for
+    a prior (the prediction adds V >= jitter I); otherwise U sqrt(Lambda)
+    from an eigendecomposition with negative roundoff eigenvalues clamped
+    to zero.  The gain does not depend on which factor is used.
+    """
+    try:
+        return scipy.linalg.cholesky(cov, lower=True)
+    except scipy.linalg.LinAlgError:
+        evals, evecs = scipy.linalg.eigh(cov, driver="evd")
+        return evecs * np.sqrt(np.maximum(evals, 0.0))
+
+
 def _innovation_cov(model: FkkfModel, p_prior: np.ndarray):
     """Gain factor W = L (L' M L + kappa I)^-1 L', posterior kappa W.
 
-    P- = L L' comes from an eigendecomposition with negative roundoff
-    eigenvalues clamped to zero.  B = L' M L + kappa I >= kappa I, so its
-    Cholesky factor C exists, and W = Z' Z with Z = C^-1 L' is a Gram
+    P- = L L' (see _covariance_root).  B = L' M L + kappa I >= kappa I, so
+    its Cholesky factor C exists, and W = Z' Z with Z = C^-1 L' is a Gram
     matrix: positive semi-definite however ill-conditioned P- is.  The
-    product W M is formed as L B^-1 (L' M): innovation_update subtracts
-    W M P from P, and W @ M carries W's roundoff, which is scaled by
-    1/kappa, into that difference.
+    product W M is formed as Z' (C^-1 L' M), not as W @ M: innovation_update
+    subtracts W M P from P, and W @ M carries W's roundoff, which is scaled
+    by 1/kappa, into that difference.  Z and C^-1 L' M come from one
+    triangular solve, W and W M from one product.
     """
-    evals, evecs = np.linalg.eigh(p_prior)
-    root = evecs * np.sqrt(np.maximum(evals, 0.0))
-    inner = _sym(root.T @ (model.ogo @ root))
+    root = _covariance_root(p_prior)
+    m_root = _matmul(model.ogo, root)
+    inner = _sym(_matmul(root.T, m_root))
     inner.flat[::inner.shape[0] + 1] += model.hyper.kappa
     try:
         chol = scipy.linalg.cholesky(inner, lower=True)
     except scipy.linalg.LinAlgError:
         raise NumericalFailure("innovation_gain",
                                "L' M L + kappa I is not positive definite") from None
-    z = scipy.linalg.solve_triangular(chol, root.T, lower=True)
-    w = _sym(z.T @ z)
-    qgo = root @ scipy.linalg.cho_solve((chol, True), root.T @ model.ogo)
-    return w, qgo, model.hyper.kappa * w
+    # M is symmetric, so L' M = (M L)'
+    n = root.shape[1]
+    solved = scipy.linalg.solve_triangular(chol, np.hstack([root.T, m_root.T]),
+                                           lower=True)
+    products = _matmul(solved[:, :n].T, solved)
+    w = _sym(products[:, :n])
+    return w, products[:, n:].copy(), model.hyper.kappa * w
 
 
-def _prediction_cov(model: FkkfModel, p_post: np.ndarray) -> np.ndarray:
-    return _sym(model.t_sub @ p_post @ model.t_sub.T + model.v)
+def _prediction_cov(model: FkkfModel, p_post: np.ndarray,
+                    matmul=np.matmul) -> np.ndarray:
+    return _sym(matmul(matmul(model.t_sub, p_post), model.t_sub.T) + model.v)
 
 
 def project(model: FkkfModel, steps: int) -> ProjectedGains:
@@ -562,7 +600,7 @@ def project(model: FkkfModel, steps: int) -> ProjectedGains:
         qgo_seq.append(qgo)
         post_seq.append(p_post)
         prior_seq.append(p_prior)
-        p_prior = _prediction_cov(model, p_post)
+        p_prior = _prediction_cov(model, p_post, _matmul)
     return ProjectedGains(w_seq=w_seq, qgo_seq=qgo_seq, p_post_seq=post_seq,
                           p_prior_seq=prior_seq)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -320,6 +321,22 @@ class TestPsdByConstruction:
             expected = mxm_kalman_gain(gains.p_prior_seq[i], model.o_sub, g_yy,
                                        model.hyper.kappa)
             assert np.max(np.abs(_gain(gains, model, i) - expected)) <= 1e-8
+
+    def test_singular_prior_factored_by_eigendecomposition(self):
+        # a rank-5 prior has no Cholesky factor; the clamped eigenvalue
+        # factor stands in and the gain keeps the m x m form
+        x_pred, x_succ, y = _chain_data()
+        model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
+        factor = np.random.default_rng(3).normal(size=(40, 5))
+        model = dataclasses.replace(model, p1_prior=factor @ factor.T)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(model.p1_prior)
+        gains = project(model, 2)
+        expected = mxm_kalman_gain(model.p1_prior, model.o_sub,
+                                   FullSpaceFilter(model).g_yy, model.hyper.kappa)
+        assert np.max(np.abs(_gain(gains, model, 0) - expected)) <= 1e-8
+        p = gains.p_post_seq[0]
+        assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
 
 
 class TestUpdates:
