@@ -193,14 +193,32 @@ def cluster(ctx, traces_path):
 
 
 def _read_groups(path):
+    """group id -> member flow ids from a cluster assignment CSV.
+
+    A row that is not three fields with integer flow and group ids raises
+    ParseError; blank lines are skipped.
+    """
     groups: dict[int, list] = {}
     with open(path) as fh:
-        next(fh)
-        for line in fh:
-            flow_id, group_id, _ = line.strip().split(",")
-            groups.setdefault(int(group_id), []).append(int(flow_id))
+        for line_no, line in enumerate(fh, 1):
+            if line_no == 1 or not line.strip():
+                continue
+            try:
+                flow_id, group_id, _ = line.strip().split(",")
+                groups.setdefault(int(group_id), []).append(int(flow_id))
+            except ValueError:
+                raise ParseError(f"malformed group row {line.strip()!r} in {path}",
+                                 line=line_no) from None
     groups.pop(-1, None)
     return groups
+
+
+def _store_flow(flows, flow_id: int, source):
+    """flows[flow_id], refusing ids outside the store (negative ones too)."""
+    if not 0 <= flow_id < len(flows):
+        raise FlowcastError(f"flow {flow_id} from {source} not in store "
+                            f"({len(flows)} flows)")
+    return flows[flow_id]
 
 
 @main.command()
@@ -219,7 +237,7 @@ def learn(ctx, traces_path, groups_path, group_id, chunk_length):
         members = _read_groups(groups_path).get(group_id)
         if not members:
             raise FlowcastError(f"group {group_id} not found in {groups_path}")
-        group_flows = [flows[i] for i in members]
+        group_flows = [_store_flow(flows, i, groups_path) for i in members]
         exp = ctx.config.experiment
         length = chunk_length if chunk_length is not None else exp.chunk_lengths_s[0]
         hyper = _resolve_hyper(ctx, group_flows, length)
@@ -250,9 +268,7 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
             raise FileNotFoundError(model_path)
         model = fkkf.load_model(model_path)
         flows = _load_store(traces_path)
-        if flow_id >= len(flows):
-            raise FlowcastError(f"flow {flow_id} not in store ({len(flows)} flows)")
-        flow = flows[flow_id]
+        flow = _store_flow(flows, flow_id, "--flow-id")
         exp = ctx.config.experiment
         fe = model.frontend
         if fe is None:
@@ -338,7 +354,7 @@ def evaluate(ctx, traces_path, groups_path):
         reports = []
         optimal_lengths = []
         for group_id in sorted(group_map):
-            members = [flows[i] for i in group_map[group_id]]
+            members = [_store_flow(flows, i, groups_path) for i in group_map[group_id]]
             if len(members) < 2:
                 continue
             hyper = _resolve_hyper(ctx, members, exp.chunk_lengths_s[0])
@@ -374,7 +390,7 @@ def sweep(ctx, traces_path, groups_path, group_id):
         members = _read_groups(groups_path).get(group_id)
         if not members:
             raise FlowcastError(f"group {group_id} not found")
-        group_flows = [flows[i] for i in members]
+        group_flows = [_store_flow(flows, i, groups_path) for i in members]
         exp = ctx.config.experiment
         hyper = _resolve_hyper(ctx, group_flows, exp.chunk_lengths_s[0])
         optimal, per_length = evaluation.chunk_length_sweep(group_flows, hyper, exp)

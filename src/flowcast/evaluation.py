@@ -203,18 +203,35 @@ def ar_baseline(observed_kbit: np.ndarray, horizon_steps: int,
 # ---------------------------------------------------------------------------
 
 
+def split_learner(train_flows, cfg: ExperimentConfig,
+                  chunk_length_s: float) -> fkkf.StagedLearner:
+    """The staged form of evaluate_split's learning step for one training set."""
+    return fkkf.StagedLearner(train_flows, cfg.subspace_size,
+                              cfg.chunk_config(chunk_length_s),
+                              cfg.window_config(chunk_length_s), kept_dim=cfg.kept_dim,
+                              bandwidth_seed=cfg.bandwidth_seed)
+
+
 def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
-                   cfg: ExperimentConfig, chunk_length_s: float) -> SplitResult:
+                   cfg: ExperimentConfig, chunk_length_s: float, *,
+                   learner: fkkf.StagedLearner | None = None) -> SplitResult:
     """Learn on the training flows and score one held-out peak rise.
+
+    With `learner`, split_learner(train_flows, cfg, chunk_length_s), the
+    model comes from stages shared with earlier calls on the same fold;
+    the stages this hyper needs and nobody built yet are built here.
+    Without it the model is learned afresh.  Both give the same model.
 
     Raises UndefinedError when the test flow has no locatable peak or its
     horizon carries no traffic.
     """
     chunk_cfg = cfg.chunk_config(chunk_length_s)
-    window_cfg = cfg.window_config(chunk_length_s)
-    model = fkkf.learn(train_flows, hyper, cfg.subspace_size, chunk_cfg,
-                       window_cfg, kept_dim=cfg.kept_dim,
-                       bandwidth_seed=cfg.bandwidth_seed)
+    if learner is None:
+        model = fkkf.learn(train_flows, hyper, cfg.subspace_size, chunk_cfg,
+                           cfg.window_config(chunk_length_s), kept_dim=cfg.kept_dim,
+                           bandwidth_seed=cfg.bandwidth_seed)
+    else:
+        model = learner.model(hyper)
     samples = test_flow.samples
     hop = chunk_cfg.hop_samples
     start_idx = locate_peak_rise(samples, cfg.chunk_interval_s,

@@ -41,6 +41,23 @@ recursion with T = (K_xx + lam I_m)^-1 K_xx' (and likewise O); the
 restriction is therefore exact when no subsampling happens.  Gain and
 covariance sequences never depend on observed values, so they are
 projected once per model ahead of filtering.
+
+Learning runs in stages, each depending only on the hyperparameters
+named with it:
+
+    1. frontend      framing, standardize + PCA, the reduced training
+                     pairs and both median-heuristic bandwidths (no
+                     hyperparameter)
+    2. state kernel  the state Grams and both subspace solvers
+                     (state_bw_scale)
+    3. obs kernel    G_yy (obs_bw_scale)
+    4. ridge         T, V and the prior per lambda_t; O, M and X O per
+                     lambda_o (both from the kept SVDs)
+    5. gains         project and run_filter (kappa)
+
+learn and learn_core run them once; StagedLearner keeps each stage while
+its inputs stay the same, so a hyperparameter search over one training
+set rebuilds only what the changed hyperparameter invalidates.
 """
 
 from __future__ import annotations
@@ -49,7 +66,7 @@ import json
 import math
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -66,6 +83,7 @@ MODEL_FORMAT_VERSION = 2
 
 _COV_JITTER = 1e-8
 _EIG_FLOOR = 1e-14  # relative floor when whitening the inducing Gram
+_PRIOR_MATCH_RTOL = 1e-8  # see _is_projected
 
 
 @dataclass(frozen=True)
@@ -131,12 +149,19 @@ class FilterState:
 
 @dataclass
 class ProjectedGains:
-    """Observation-independent gain/covariance sequences, cached offline."""
+    """Observation-independent gain/covariance sequences, cached offline.
+
+    They belong to the model they were projected from.  run_filter also
+    keeps here, per (last observed step, horizon), the forecast variance
+    it reads out, which depends on no observation either.
+    """
 
     w_seq: list          # n x n gain factors W_t; the Kalman gain is W_t O'
     qgo_seq: list        # cached W_t @ (O' G_yy O), n x n
     p_post_seq: list     # posterior covariance per step
     p_prior_seq: list    # prior covariance per step (entry 0 = learned prior)
+    forecast_var: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __len__(self):
         return len(self.w_seq)
@@ -176,13 +201,7 @@ class SpectralFrontend:
 
     def horizon_samples(self) -> list:
         t_s = self.chunk_cfg.sample_interval_s
-        out = []
-        for h in self.window_cfg.horizons_s:
-            n = h / t_s
-            if abs(n - round(n)) > 1e-9:
-                raise ValueError(f"horizon {h} not a multiple of the sample interval")
-            out.append(int(round(n)))
-        return out
+        return [_horizon_width(h, t_s) for h in self.window_cfg.horizons_s]
 
     def reduce_observations(self, raw_frames: np.ndarray) -> np.ndarray:
         std, basis = self.reducers[0]
@@ -199,6 +218,30 @@ class SpectralFrontend:
         return spectral.overlap_average(chunks, hop, n_steps * hop)
 
 
+def _horizon_width(horizon_s: float, sample_interval_s: float) -> int:
+    """A horizon in whole samples; ValueError unless it is a whole multiple."""
+    n = horizon_s / sample_interval_s
+    if abs(n - round(n)) > 1e-9:
+        raise ValueError(f"horizon {horizon_s}s is not a multiple of "
+                         f"T_S={sample_interval_s}s")
+    return int(round(n))
+
+
+def _spectral_frames(series: np.ndarray, width: int, hop: int,
+                     count: int) -> np.ndarray:
+    """rfft of `count` windows of `width` samples, one every `hop` samples.
+
+    Row t holds the spectrum of samples [t*hop, t*hop + width) with real
+    and imaginary parts interleaved.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(series, width)[0:count * hop:hop]
+    spec = np.fft.rfft(windows, axis=1)
+    frames = np.empty((count, 2 * spec.shape[1]))
+    frames[:, 0::2] = spec.real
+    frames[:, 1::2] = spec.imag
+    return frames
+
+
 def window_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
                   window_cfg: StateWindowConfig) -> list:
     """Raw lookahead spectra, one matrix per horizon, aligned by chunk index.
@@ -209,27 +252,14 @@ def window_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
     """
     series = np.asarray(series, dtype=float).ravel()
     hop = chunk_cfg.hop_samples
-    t_s = chunk_cfg.sample_interval_s
-    widths = []
-    for h in window_cfg.horizons_s:
-        n = h / t_s
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError(f"horizon {h}s is not a multiple of T_S={t_s}s")
-        widths.append(int(round(n)))
+    widths = [_horizon_width(h, chunk_cfg.sample_interval_s)
+              for h in window_cfg.horizons_s]
     h_max = max(widths)
     count = (series.size - h_max) // hop
     if count < 1:
         raise FlowTooShort(
             f"series of {series.size} samples cannot cover a {h_max}-sample lookahead")
-    out = []
-    for width in widths:
-        windows = np.lib.stride_tricks.sliding_window_view(series, width)[0:count * hop:hop]
-        spec = np.fft.rfft(windows, axis=1)
-        frames = np.empty((count, 2 * spec.shape[1]))
-        frames[:, 0::2] = spec.real
-        frames[:, 1::2] = spec.imag
-        out.append(frames)
-    return out
+    return [_spectral_frames(series, width, hop, count) for width in widths]
 
 
 def build_state_windows(series: np.ndarray, window_cfg: StateWindowConfig,
@@ -258,12 +288,7 @@ def observation_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
     if series.size < width:
         raise FlowTooShort(f"series of {series.size} samples shorter than one window")
     count = (series.size - width) // hop + 1
-    windows = np.lib.stride_tricks.sliding_window_view(series, width)[0:count * hop:hop]
-    spec = np.fft.rfft(windows, axis=1)
-    frames = np.empty((count, 2 * spec.shape[1]))
-    frames[:, 0::2] = spec.real
-    frames[:, 1::2] = spec.imag
-    return frames
+    return _spectral_frames(series, width, hop, count)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +402,140 @@ def _subspace_stride_indices(m: int, requested: int) -> np.ndarray:
     return np.arange(0, m, stride)
 
 
+@dataclass
+class _StateKernel:
+    """Everything learning needs from the state kernel at one bandwidth scale."""
+
+    spec: KernelSpec
+    kbar_prime: np.ndarray      # (m, n) K(x_pred, inducing successors)
+    solver: _SubspaceSolver     # factorization of K(x_pred, inducing predecessors)
+    succ_solver: _SubspaceSolver
+    k_succ_pred: np.ndarray     # (m, m) K(x_succ, x_pred)
+    k_succ_succ: np.ndarray     # (m, m) K(x_succ, x_succ)
+
+
+class _CoreStages:
+    """learn_core's work, split by the hyperparameters each part depends on.
+
+    Construction validates the training rows and computes what no
+    hyperparameter changes: both median-heuristic bandwidths and the
+    inducing indices.  The rest is built on first use and kept while its
+    inputs stay the same:
+
+        state kernel   Grams, both subspace solvers     state_bw_scale
+        obs kernel     G_yy                             obs_bw_scale
+        transition     T (mode-clipped), V, prior      state kernel, lambda_t
+        observation    O, M = O' G_yy O, X O           both kernels, lambda_o
+
+    One kernel of each kind is kept.  Asking for another bandwidth scale
+    drops the kept kernel and every ridge solution built on it before the
+    new one is built, so what is held grows with the number of ridge
+    weights, never with the number of bandwidth scales.  The SVD in
+    _SubspaceSolver gives D(lam) for every lam, so a new ridge weight
+    costs products, not a factorization.
+    """
+
+    def __init__(self, x_pred, x_succ, y_train, subspace_size: int,
+                 bandwidth_subset: int = DEFAULT_SUBSET_SIZE, bandwidth_seed: int = 0,
+                 frontend: SpectralFrontend | None = None,
+                 stabilize_transition: bool = True):
+        x_pred = np.atleast_2d(np.asarray(x_pred, dtype=float))
+        x_succ = np.atleast_2d(np.asarray(x_succ, dtype=float))
+        y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
+        m = x_pred.shape[0]
+        if x_succ.shape != x_pred.shape:
+            raise BadDimension("x_pred and x_succ must have identical shape")
+        if y_train.shape[0] != m:
+            raise BadDimension("y_train must align with x_pred rows")
+        if m < 2:
+            raise InsufficientData(f"need >= 2 training pairs, got {m}")
+        if subspace_size < 1:
+            raise ValueError("subspace_size must be >= 1")
+        if subspace_size > m:
+            raise SubspaceTooLarge(f"subspace {subspace_size} > {m} training pairs")
+        self.x_pred, self.x_succ, self.y_train = x_pred, x_succ, y_train
+        self.state_bw = median_heuristic(x_pred, bandwidth_subset, bandwidth_seed)
+        self.obs_bw = median_heuristic(y_train, bandwidth_subset, bandwidth_seed)
+        self.idx = _subspace_stride_indices(m, subspace_size)
+        self.bandwidth_subset = bandwidth_subset
+        self.bandwidth_seed = bandwidth_seed
+        self.frontend = frontend
+        self.stabilize_transition = stabilize_transition
+        self._state: _StateKernel | None = None
+        self._obs: tuple | None = None          # (obs KernelSpec, G_yy)
+        self._transition: dict = {}             # lambda_t -> (T, V, n1, P1)
+        self._observation: dict = {}            # lambda_o -> (O, M, X O)
+
+    def model(self, hyper: FkkfHyperparams) -> FkkfModel:
+        state = self._state_kernel(hyper.state_bw_scale)
+        obs_spec, g_yy = self._obs_kernel(hyper.obs_bw_scale)
+        t_sub, v, n1, p1 = self._transition_ridge(state, hyper.lambda_t)
+        o_sub, ogo, xo = self._observation_ridge(state, g_yy, hyper.lambda_o)
+        return FkkfModel(x_pred=self.x_pred, x_succ=self.x_succ, y_train=self.y_train,
+                         subspace_indices=self.idx, t_sub=t_sub, o_sub=o_sub, ogo=ogo,
+                         xo=xo, v=v, n1_prior=n1, p1_prior=p1, state_spec=state.spec,
+                         obs_spec=obs_spec, hyper=hyper,
+                         bandwidth_seed=self.bandwidth_seed,
+                         bandwidth_subset=self.bandwidth_subset, frontend=self.frontend)
+
+    def _state_kernel(self, scale: float) -> _StateKernel:
+        if self._state is not None and self._state.spec.scale_factor == scale:
+            return self._state
+        self._state = None
+        self._transition.clear()
+        self._observation.clear()
+        spec = KernelSpec(bandwidth=self.state_bw, scale_factor=scale)
+        x_pred, x_succ, idx = self.x_pred, self.x_succ, self.idx
+        full = idx.size == x_pred.shape[0]
+        sub_pred = x_pred if full else x_pred[idx]
+        sub_succ = x_succ if full else x_succ[idx]
+        kbar = gram(x_pred, sub_pred, spec)
+        kbar_prime = gram(x_pred, sub_succ, spec)
+        # Coordinates of training states in the inducing successor basis use
+        # the same SoR solve as the models: bounded even on near-singular Grams.
+        k_succ = gram(x_succ, sub_succ, spec)
+        self._state = _StateKernel(
+            spec=spec, kbar_prime=kbar_prime,
+            solver=_SubspaceSolver(kbar, kbar[idx]),
+            succ_solver=_SubspaceSolver(k_succ, k_succ[idx]),
+            k_succ_pred=gram(x_succ, x_pred, spec),
+            k_succ_succ=k_succ if full else gram(x_succ, x_succ, spec))
+        return self._state
+
+    def _obs_kernel(self, scale: float) -> tuple:
+        if self._obs is not None and self._obs[0].scale_factor == scale:
+            return self._obs
+        self._obs = None
+        self._observation.clear()
+        spec = KernelSpec(bandwidth=self.obs_bw, scale_factor=scale)
+        self._obs = (spec, gram(self.y_train, self.y_train, spec))
+        return self._obs
+
+    def _transition_ridge(self, state: _StateKernel, lam: float) -> tuple:
+        if lam not in self._transition:
+            t_sub = state.solver.dual(lam) @ state.kbar_prime
+            if self.stabilize_transition:
+                t_sub = _clip_unstable_modes(t_sub)
+            coord_map = state.succ_solver.dual(lam)
+            coords_pred = coord_map @ state.k_succ_pred
+            coords_succ = coord_map @ state.k_succ_succ
+            resid = coords_succ - t_sub @ coords_pred
+            n = self.idx.size
+            v = _sym(np.cov(resid)) + _COV_JITTER * np.eye(n)
+            n1 = coords_pred.mean(axis=1)
+            p1 = _sym(np.cov(coords_pred)) + _COV_JITTER * np.eye(n)
+            self._transition[lam] = (t_sub, v, n1, p1)
+        return self._transition[lam]
+
+    def _observation_ridge(self, state: _StateKernel, g_yy: np.ndarray,
+                           lam: float) -> tuple:
+        if lam not in self._observation:
+            o_sub = state.solver.dual(lam).T @ state.kbar_prime[self.idx]
+            ogo = _sym(o_sub.T @ (g_yy @ o_sub))
+            self._observation[lam] = (o_sub, ogo, self.x_pred.T @ o_sub)
+        return self._observation[lam]
+
+
 def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
                hyper: FkkfHyperparams, subspace_size: int,
                bandwidth_subset: int = DEFAULT_SUBSET_SIZE, bandwidth_seed: int = 0,
@@ -389,64 +548,10 @@ def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
     systems share one factorization; V and the initial belief are taken
     from the empirical statistics of the training coordinates.
     """
-    x_pred = np.atleast_2d(np.asarray(x_pred, dtype=float))
-    x_succ = np.atleast_2d(np.asarray(x_succ, dtype=float))
-    y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
-    m = x_pred.shape[0]
-    if x_succ.shape != x_pred.shape:
-        raise BadDimension("x_pred and x_succ must have identical shape")
-    if y_train.shape[0] != m:
-        raise BadDimension("y_train must align with x_pred rows")
-    if m < 2:
-        raise InsufficientData(f"need >= 2 training pairs, got {m}")
-    if subspace_size < 1:
-        raise ValueError("subspace_size must be >= 1")
-    if subspace_size > m:
-        raise SubspaceTooLarge(f"subspace {subspace_size} > {m} training pairs")
-
-    state_bw = median_heuristic(x_pred, bandwidth_subset, bandwidth_seed)
-    obs_bw = median_heuristic(y_train, bandwidth_subset, bandwidth_seed)
-    state_spec = KernelSpec(bandwidth=state_bw, scale_factor=hyper.state_bw_scale)
-    obs_spec = KernelSpec(bandwidth=obs_bw, scale_factor=hyper.obs_bw_scale)
-
-    idx = _subspace_stride_indices(m, subspace_size)
-    full = idx.size == m
-    sub_pred = x_pred if full else x_pred[idx]
-    sub_succ = x_succ if full else x_succ[idx]
-
-    kbar = gram(x_pred, sub_pred, state_spec)
-    knn = kbar[idx]
-    kbar_prime = gram(x_pred, sub_succ, state_spec)
-    bnn = kbar_prime[idx]
-    g_yy = gram(y_train, y_train, obs_spec)
-
-    solver = _SubspaceSolver(kbar, knn)
-    t_sub = solver.dual(hyper.lambda_t) @ kbar_prime
-    if stabilize_transition:
-        t_sub = _clip_unstable_modes(t_sub)
-    o_sub = solver.dual(hyper.lambda_o).T @ bnn
-    ogo = _sym(o_sub.T @ (g_yy @ o_sub))
-    xo = x_pred.T @ o_sub
-
-    # Coordinates of training states in the inducing successor basis, via
-    # the same SoR solve as the models: bounded even on near-singular Grams.
-    k_succ = gram(x_succ, sub_succ, state_spec)
-    succ_solver = _SubspaceSolver(k_succ, k_succ[idx])
-    coord_map = succ_solver.dual(hyper.lambda_t)
-    coords_pred = coord_map @ gram(x_succ, x_pred, state_spec)
-    coords_succ = coord_map @ (k_succ if full else gram(x_succ, x_succ, state_spec))
-    resid = coords_succ - t_sub @ coords_pred
-    n = idx.size
-    v = _sym(np.cov(resid)) + _COV_JITTER * np.eye(n)
-    n1 = coords_pred.mean(axis=1)
-    p1 = _sym(np.cov(coords_pred)) + _COV_JITTER * np.eye(n)
-
-    return FkkfModel(x_pred=x_pred, x_succ=x_succ, y_train=y_train,
-                     subspace_indices=idx, t_sub=t_sub, o_sub=o_sub, ogo=ogo,
-                     xo=xo, v=v,
-                     n1_prior=n1, p1_prior=p1, state_spec=state_spec,
-                     obs_spec=obs_spec, hyper=hyper, bandwidth_seed=bandwidth_seed,
-                     bandwidth_subset=bandwidth_subset, frontend=frontend)
+    return _CoreStages(x_pred, x_succ, y_train, subspace_size,
+                       bandwidth_subset=bandwidth_subset, bandwidth_seed=bandwidth_seed,
+                       frontend=frontend,
+                       stabilize_transition=stabilize_transition).model(hyper)
 
 
 def _pairs_from_chains(state_rows: list, obs_rows: list):
@@ -462,17 +567,13 @@ def _pairs_from_chains(state_rows: list, obs_rows: list):
     return np.vstack(preds), np.vstack(succs), np.vstack(obs)
 
 
-def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
-          chunk_cfg: ChunkConfig, window_cfg: StateWindowConfig,
-          kept_dim: int = 80, bandwidth_subset: int = DEFAULT_SUBSET_SIZE,
-          bandwidth_seed: int = 0, stabilize_transition: bool = True) -> FkkfModel:
-    """Learn a traffic model from whole flows.
+def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
+                  window_cfg: StateWindowConfig, kept_dim: int):
+    """Frame the flows, fit per-horizon reducers, reduce and pair the rows.
 
-    Per-horizon standardizers and PCA bases are fitted on the training
-    frames only; held-out flows must be transformed with this model's
-    frontend.
+    Returns (frontend, x_pred, x_succ, y_train).  Depends on no filter
+    hyperparameter.
     """
-    train_flows = list(train_flows)
     if not train_flows:
         raise InsufficientData("no training flows")
     per_flow_blocks = [window_frames(f.samples, chunk_cfg, window_cfg)
@@ -493,12 +594,56 @@ def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
                    for (std, basis), block in zip(reducers, blocks)]
         state_rows.append(np.hstack(reduced))
         obs_rows.append(reduced[0])
-    x_pred, x_succ, y_train = _pairs_from_chains(state_rows, obs_rows)
-    subspace = min(subspace_size, x_pred.shape[0])
-    return learn_core(x_pred, x_succ, y_train, hyper, subspace,
-                      bandwidth_subset=bandwidth_subset,
-                      bandwidth_seed=bandwidth_seed, frontend=frontend,
-                      stabilize_transition=stabilize_transition)
+    return (frontend, *_pairs_from_chains(state_rows, obs_rows))
+
+
+def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
+          chunk_cfg: ChunkConfig, window_cfg: StateWindowConfig,
+          kept_dim: int = 80, bandwidth_subset: int = DEFAULT_SUBSET_SIZE,
+          bandwidth_seed: int = 0, stabilize_transition: bool = True) -> FkkfModel:
+    """Learn a traffic model from whole flows.
+
+    Per-horizon standardizers and PCA bases are fitted on the training
+    frames only; held-out flows must be transformed with this model's
+    frontend.  The subspace is capped at the number of training pairs.
+    """
+    frontend, x_pred, x_succ, y_train = _fit_frontend(list(train_flows), chunk_cfg,
+                                                      window_cfg, kept_dim)
+    return learn_core(x_pred, x_succ, y_train, hyper,
+                      min(subspace_size, x_pred.shape[0]),
+                      bandwidth_subset=bandwidth_subset, bandwidth_seed=bandwidth_seed,
+                      frontend=frontend, stabilize_transition=stabilize_transition)
+
+
+class StagedLearner:
+    """learn() on one set of training flows for many hyperparameter sets.
+
+    model(hyper) returns the model learn(train_flows, hyper, ...) returns,
+    array for array, but builds each stage only once for the inputs it
+    depends on: the frontend (framing, standardize + PCA, bandwidths) on
+    the first call, then the stages of _CoreStages.  Nothing is computed
+    before the first model() call, so a caller that times model() sees
+    every stage it triggers.
+    """
+
+    def __init__(self, train_flows, subspace_size: int, chunk_cfg: ChunkConfig,
+                 window_cfg: StateWindowConfig, kept_dim: int = 80,
+                 bandwidth_subset: int = DEFAULT_SUBSET_SIZE, bandwidth_seed: int = 0,
+                 stabilize_transition: bool = True):
+        self._frontend_args = (list(train_flows), chunk_cfg, window_cfg, kept_dim)
+        self._subspace_size = subspace_size
+        self._core_kwargs = dict(bandwidth_subset=bandwidth_subset,
+                                 bandwidth_seed=bandwidth_seed,
+                                 stabilize_transition=stabilize_transition)
+        self._core: _CoreStages | None = None
+
+    def model(self, hyper: FkkfHyperparams) -> FkkfModel:
+        if self._core is None:
+            frontend, x_pred, x_succ, y_train = _fit_frontend(*self._frontend_args)
+            self._core = _CoreStages(x_pred, x_succ, y_train,
+                                     min(self._subspace_size, x_pred.shape[0]),
+                                     frontend=frontend, **self._core_kwargs)
+        return self._core.model(hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +762,41 @@ def _innovated_mean(n_prior: np.ndarray, y_frame: np.ndarray, w: np.ndarray,
 
 def innovation_update(state: FilterState, y_frame: np.ndarray,
                       gains: ProjectedGains, model: FkkfModel) -> FilterState:
-    """Fold one observation into an a-priori belief."""
+    """Fold one observation into an a-priori belief.
+
+    When state.p_t is the projected prior of its step (see _is_projected)
+    the posterior is the projected one, PSD by construction; any other
+    prior gets P - W M P.
+    """
     if state.is_posterior:
         raise ValueError("innovation_update expects an a-priori state")
     if state.step >= len(gains):
         raise ValueError(f"no projected gain for step {state.step}")
     n_post = _innovated_mean(state.n_t, y_frame, gains.w_seq[state.step], model)
-    p_post = _sym(state.p_t - gains.qgo_seq[state.step] @ state.p_t)
+    if _is_projected(state.p_t, gains.p_prior_seq[state.step]):
+        p_post = gains.p_post_seq[state.step].copy()
+    else:
+        p_post = _sym(state.p_t - gains.qgo_seq[state.step] @ state.p_t)
     return FilterState(n_t=n_post, p_t=p_post, is_posterior=True, step=state.step)
+
+
+def _is_projected(p_t: np.ndarray, projected: np.ndarray) -> bool:
+    """Whether p_t is the projected prior, up to one prediction's roundoff.
+
+    project forms its priors with scipy's BLAS and prediction_update with
+    numpy's, so a prior stepped by hand from a projected posterior differs
+    from the projected one by roundoff, which T P T' amplifies: up to
+    1.7e-10 of its largest entry on the criterion-6 folds.  For such a
+    prior the projected posterior, kappa W, is PSD by construction and at
+    least as accurate as P - W M P, which cancels catastrophically when P
+    spans many decades.
+    """
+    if p_t is projected:
+        return True
+    if p_t.shape != projected.shape:
+        return False
+    scale = np.max(np.abs(projected))
+    return bool(np.max(np.abs(p_t - projected)) <= _PRIOR_MATCH_RTOL * scale)
 
 
 def prediction_update(state: FilterState, model: FkkfModel) -> FilterState:
@@ -651,6 +823,27 @@ def reconstruct(state: FilterState, model: FkkfModel):
     mu = model.xo @ state.n_t
     sigma = _sym(model.xo @ state.p_t @ model.xo.T)
     return mu, sigma
+
+
+def _forecast_variance(model: FkkfModel, gains: ProjectedGains,
+                       filtered: FilterState, steps: int) -> np.ndarray:
+    """Observation-block variance diagonal of `steps` open-loop priors.
+
+    The rollout starts from the projected posterior of step filtered.step
+    and propagates the full n x n covariance, the bulk of a forecast's
+    cost; it depends on no observation, so it runs once per (step, steps)
+    and is kept on the gains.  Callers get a copy.
+    """
+    key = (filtered.step, steps)
+    if key not in gains.forecast_var:
+        xo_obs = model.xo[:model.obs_dim]
+        var = np.empty((steps, model.obs_dim))
+        p_t = filtered.p_t
+        for i in range(steps):
+            p_t = _prediction_cov(model, p_t)
+            var[i] = np.einsum("ij,ij->i", xo_obs @ p_t, xo_obs)
+        gains.forecast_var[key] = var
+    return gains.forecast_var[key].copy()
 
 
 def run_filter(model: FkkfModel, observed_frames: np.ndarray,
@@ -680,20 +873,17 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
     state = FilterState(n_t=n_t, p_t=gains.p_post_seq[last].copy(),
                         is_posterior=True, step=last)
 
+    # only the observation block's mean and variance diagonal are kept
     obs_dim = model.obs_dim
     frontend = model.frontend
-    if predict_horizon_steps > 0:
-        priors = predict_p_steps(state, predict_horizon_steps, model)
-        mean_frames = np.empty((len(priors), obs_dim))
-        cov_diag = np.empty((len(priors), obs_dim))
-        # only the observation block's mean and variance diagonal are kept
-        xo_obs = model.xo[:obs_dim]
-        for i, prior in enumerate(priors):
-            mean_frames[i] = xo_obs @ prior.n_t
-            cov_diag[i] = np.einsum("ij,ij->i", xo_obs @ prior.p_t, xo_obs)
-    else:
-        mean_frames = np.empty((0, obs_dim))
-        cov_diag = np.empty((0, obs_dim))
+    steps = max(predict_horizon_steps, 0)
+    xo_obs = model.xo[:obs_dim]
+    mean_frames = np.empty((steps, obs_dim))
+    n_ahead = n_t
+    for i in range(steps):
+        n_ahead = model.t_sub @ n_ahead
+        mean_frames[i] = xo_obs @ n_ahead
+    cov_diag = _forecast_variance(model, gains, state, steps)
 
     if frontend is not None:
         horizon_s = predict_horizon_steps * frontend.chunk_cfg.chunk_interval_s

@@ -3,6 +3,26 @@
 The grid is exhaustive, candidates are independent, and ties break to
 the lexicographically smallest parameter tuple, so the result never
 depends on enumeration order.
+
+Learning is staged (fkkf.StagedLearner), and each axis invalidates only
+the stages that depend on it:
+
+    validation fold        everything: framing, standardize + PCA,
+                           median-heuristic bandwidths
+    state_bw_scale         state Grams and both subspace factorizations
+    obs_bw_scale           observation Gram G_yy
+    lambda_t, lambda_o     ridge solutions (products on the kept SVDs)
+    kappa                  nothing learned; gains and filtering only
+
+so the search visits fold -> (state_bw_scale, obs_bw_scale) ->
+(lambda_t, lambda_o, kappa).  Per fold it builds the frontend once, the
+state kernel once per state_bw_scale, G_yy once per bandwidth pair and
+each ridge solution once per pair and weight; only gains and filtering
+run for every candidate.  Only the current fold's frontend and the
+current pair's kernels are kept.  Each candidate is still scored by one
+evaluation.evaluate_split call, and the stages it is first to need are
+built inside that call.  A caller-supplied error_fn gets no stages: it
+is called once per candidate and fold, as before.
 """
 
 from __future__ import annotations
@@ -43,16 +63,23 @@ class SearchSpace:
             yield FkkfHyperparams(*combo)
 
 
-def _default_error_fn():
+def _stage_order(hyper: FkkfHyperparams) -> tuple:
+    """Candidates sorted by this key share each kernel stage in one run."""
+    return (hyper.state_bw_scale, hyper.obs_bw_scale, hyper.lambda_t,
+            hyper.lambda_o, hyper.kappa)
+
+
+def _fold_scorer(train, test, error_fn, cfg, chunk_length_s):
+    """hyper -> validation error on one fold."""
+    if error_fn is not None:
+        return lambda hyper: error_fn(train, test, hyper, cfg, chunk_length_s)
     # evaluation imports hyperopt indirectly via the CLI; resolve lazily to
     # keep this module importable on its own.
     from . import evaluation
 
-    def error_fn(train, test, hyper, cfg, chunk_length_s):
-        split = evaluation.evaluate_split(train, test, hyper, cfg, chunk_length_s)
-        return abs(split.pred_error)
-
-    return error_fn
+    learner = evaluation.split_learner(train, cfg, chunk_length_s)
+    return lambda hyper: abs(evaluation.evaluate_split(
+        train, test, hyper, cfg, chunk_length_s, learner=learner).pred_error)
 
 
 def _validation_folds(flows, validation: str, holdout_fraction: float):
@@ -80,8 +107,6 @@ def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_ou
     prediction error.  Candidates that fail to learn score inf; if all
     fail, NoViableCandidate is raised.
     """
-    if error_fn is None:
-        error_fn = _default_error_fn()
     if cfg is None:
         from .evaluation import ExperimentConfig
         cfg = ExperimentConfig()
@@ -89,16 +114,23 @@ def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_ou
         chunk_length_s = cfg.chunk_lengths_s[0]
     folds = _validation_folds(train_flows, validation, holdout_fraction)
 
+    candidates = list(space.candidates())
+    order = sorted(range(len(candidates)), key=lambda i: _stage_order(candidates[i]))
+    fold_errors = [[] for _ in candidates]
+    for train, test in folds:
+        # rebinding score releases the previous fold's stages; this
+        # fold's are built on its first candidate
+        score = _fold_scorer(train, test, error_fn, cfg, chunk_length_s)
+        for i in order:
+            try:
+                fold_errors[i].append(score(candidates[i]))
+            except FlowcastError:
+                fold_errors[i].append(float("inf"))
+
     audit_rows = []
     best = None  # (error, tuple, hyper)
-    for hyper in space.candidates():
-        fold_errors = []
-        for train, test in folds:
-            try:
-                fold_errors.append(error_fn(train, test, hyper, cfg, chunk_length_s))
-            except FlowcastError:
-                fold_errors.append(float("inf"))
-        error = float(np.mean(fold_errors)) if fold_errors else float("inf")
+    for hyper, errors in zip(candidates, fold_errors):
+        error = float(np.mean(errors)) if errors else float("inf")
         audit_rows.append((hyper.as_tuple(), error))
         key = (error, hyper.as_tuple())
         if best is None or key < (best[0], best[1]):

@@ -256,6 +256,58 @@ def test_numerical_failure_exit_4(workspace, runner, monkeypatch):
     assert "innovation_gain" in result.output
 
 
+def _learned_model(runner, cfg, out):
+    runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                         "cluster", str(out / "traces.csv")])
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                  "learn", str(out / "traces.csv"),
+                                  "--groups", str(out / "groups.csv"),
+                                  "--group-id", "1"])
+    assert result.exit_code == 0, result.output
+    return out / "model_group1.npz"
+
+
+def test_predict_negative_flow_id_exit_1(workspace, runner):
+    cfg, out = workspace
+    model_path = _learned_model(runner, cfg, out)
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                  "predict", str(out / "traces.csv"),
+                                  "--model", str(model_path), "--flow-id", "-1"])
+    _assert_one_line_exit_1(result, "flow -1 from --flow-id not in store (8 flows)")
+    assert not list(out.glob("prediction_flow*.csv"))
+
+
+def _write_groups(path, rows):
+    path.write_text("flow_id,group_id,distance_to_centroid\n"
+                    + "".join(row + "\n" for row in rows))
+
+
+def test_malformed_group_row_exit_2(workspace, runner, tmp_path):
+    cfg, out = workspace
+    groups = tmp_path / "groups.csv"
+    _write_groups(groups, ["0,1,0.5", "1,one,0.5", "2,1,0.5"])
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                  "learn", str(out / "traces.csv"),
+                                  "--groups", str(groups), "--group-id", "1"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    lines = result.output.strip().splitlines()
+    assert lines[-1].startswith("parse error: line 3: malformed group row")
+
+
+@pytest.mark.parametrize("command", ["learn", "evaluate", "sweep"])
+def test_group_member_outside_store_exit_1(workspace, runner, tmp_path, command):
+    cfg, out = workspace
+    groups = tmp_path / "groups.csv"
+    _write_groups(groups, ["0,1,0.5", "99,1,0.5"])
+    args = ["--config", str(cfg), "--out", str(out), command,
+            str(out / "traces.csv"), "--groups", str(groups)]
+    if command != "evaluate":
+        args += ["--group-id", "1"]
+    result = runner.invoke(main, args)
+    _assert_one_line_exit_1(result, "flow 99 from")
+
+
 def test_bad_config_exit_2(runner, tmp_path):
     cfg = tmp_path / "config.yaml"
     cfg.write_text("unknown_section:\n  foo: 1\n")

@@ -311,6 +311,31 @@ class TestPsdByConstruction:
         for p in gains.p_post_seq + [filtered]:
             assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
 
+    def test_hand_stepped_posteriors_psd(self, ill_conditioned_fold):
+        # prediction_update's priors differ from the projected ones in the
+        # last bits; innovation_update still returns the projected posterior
+        model, observed = ill_conditioned_fold
+        gains = project(model, 4)
+        state = model.initial_state()
+        for i, frame in enumerate(observed):
+            state = innovation_update(state, frame, gains, model)
+            p = state.p_t
+            assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
+            if i + 1 < len(observed):
+                state = prediction_update(state, model)
+        assert i == 3
+
+    def test_other_prior_keeps_the_update_formula(self, core_model):
+        gains = project(core_model, 2)
+        state = core_model.initial_state()
+        state.p_t = 2.0 * state.p_t
+        post = innovation_update(state, core_model.y_train[3], gains, core_model)
+        expected = 0.5 * (state.p_t - gains.qgo_seq[0] @ state.p_t)
+        np.testing.assert_array_equal(post.p_t, expected + expected.T)
+        projected = innovation_update(core_model.initial_state(), core_model.y_train[3],
+                                      gains, core_model)
+        np.testing.assert_array_equal(projected.p_t, gains.p_post_seq[0])
+
     def test_gain_matches_mxm_form_when_well_conditioned(self):
         x_pred, x_succ, y = _chain_data()
         model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
@@ -491,6 +516,32 @@ class TestRunFilter:
             np.testing.assert_allclose(pred.cov_diag[i], np.diag(sigma)[:q],
                                        rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
 
+    def test_forecast_variance_computed_once_per_gains(self, traffic_model,
+                                                       monkeypatch):
+        flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
+        raw = observation_frames(flows[0].samples, CHUNK, 0.2)
+        observed = traffic_model.frontend.reduce_observations(raw[:4])
+        other = traffic_model.frontend.reduce_observations(raw[6:10])
+        fresh = run_filter(traffic_model, observed, 6)
+        gains = project(traffic_model, 4)
+        calls = []
+        propagate = fkkf._prediction_cov
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(fkkf, "_prediction_cov", counting)
+        first = run_filter(traffic_model, observed, 6, gains=gains)
+        assert len(calls) == 6
+        first.cov_diag[:] = -1.0   # the caller's copy, not the cached one
+        second = run_filter(traffic_model, other, 6, gains=gains)
+        assert len(calls) == 6
+        np.testing.assert_array_equal(second.cov_diag, fresh.cov_diag)
+        assert not np.array_equal(second.mean_frames, fresh.mean_frames)
+        run_filter(traffic_model, observed, 7, gains=gains)
+        assert len(calls) == 6 + 7
+
     def test_innovation_beats_open_loop(self):
         # filtering the flow's own prefix must beat the prior-only rollout
         # (1-step RMSE over many positions) on >= 90% of the seeded cases
@@ -525,6 +576,37 @@ class TestRunFilter:
         assert pred.mean_kbit.size == 100  # 20 steps * 0.05 s / 0.01 s
         assert pred.horizon_s == pytest.approx(1.0)
         assert pred.cov_diag.shape == (20, traffic_model.obs_dim)
+
+
+class TestStagedLearner:
+    def test_models_equal_fresh_learn(self):
+        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=20)
+        # revisits each axis after others moved, so every stage is dropped
+        # and rebuilt at least once
+        sequence = [HYPER,
+                    dataclasses.replace(HYPER, lambda_o=1e-1),
+                    dataclasses.replace(HYPER, lambda_t=1e-1, kappa=1e-2),
+                    dataclasses.replace(HYPER, obs_bw_scale=2.0),
+                    dataclasses.replace(HYPER, state_bw_scale=2.0, lambda_o=1e-1),
+                    HYPER]
+        for hyper in sequence:
+            staged = learner.model(hyper)
+            fresh = learn(flows, hyper, 40, CHUNK, WINDOW, kept_dim=20)
+            for name in fkkf._ARRAY_FIELDS:
+                assert np.array_equal(getattr(staged, name), getattr(fresh, name)), name
+            assert (staged.state_spec, staged.obs_spec, staged.hyper) == \
+                (fresh.state_spec, fresh.obs_spec, fresh.hyper)
+            for (s_std, s_basis), (f_std, f_basis) in zip(staged.frontend.reducers,
+                                                          fresh.frontend.reducers):
+                assert np.array_equal(s_basis.components, f_basis.components)
+                assert np.array_equal(s_std.means, f_std.means)
+
+    def test_nothing_built_before_the_first_model(self):
+        flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=11)
+        learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW.scaled(5.0))
+        with pytest.raises(FlowTooShort):
+            learner.model(HYPER)
 
 
 class TestSerialization:

@@ -158,3 +158,103 @@ def test_reported_error_reproducible(flows):
     rerun = np.mean([abs(evaluate_split(train, test, best, CFG, 0.6).pred_error)
                      for train, test in leave_one_out_splits(list(flows))])
     assert float(rerun) == error
+
+
+# --- staged learning -------------------------------------------------------
+
+FULL_GRID = SearchSpace(lambda_t=(0.01, 0.05), lambda_o=(1e-3, 1e-2),
+                        state_bw_scale=(0.5, 1.0), obs_bw_scale=(1.0, 2.0),
+                        kappa=(1e-3, 1e-2))
+
+
+def _audit(path):
+    rows = path.read_text().splitlines()[1:]
+    return [(tuple(float(v) for v in row.split(",")[:5]), float(row.split(",")[5]))
+            for row in rows]
+
+
+def _fresh_error(train, test, hyper):
+    from flowcast.errors import FlowcastError
+    from flowcast.evaluation import evaluate_split
+    try:
+        return abs(evaluate_split(train, test, hyper, CFG, 0.6).pred_error)
+    except FlowcastError:
+        return float("inf")
+
+
+@pytest.mark.parametrize("validation", ["holdout_fraction", "leave_one_out"])
+def test_audit_errors_equal_fresh_learning(flows, validation, tmp_path, monkeypatch):
+    # the staged search must score every candidate exactly as evaluate_split
+    # does with a model learned from scratch
+    import flowcast.evaluation as evaluation
+    from flowcast.hyperopt import _validation_folds
+    group = list(flows) if validation == "holdout_fraction" else list(flows)[:3]
+    folds = _validation_folds(group, validation, 0.25)
+    assert len(folds) == (1 if validation == "holdout_fraction" else 3)
+    staged = {}
+    evaluate = evaluation.evaluate_split
+
+    def spy(train, test, hyper, cfg, chunk_length_s, **kwargs):
+        assert kwargs["learner"] is not None
+        result = evaluate(train, test, hyper, cfg, chunk_length_s, **kwargs)
+        staged[(group.index(test), hyper)] = abs(result.pred_error)
+        return result
+
+    monkeypatch.setattr(evaluation, "evaluate_split", spy)
+    audit = tmp_path / "audit.csv"
+    grid_search(group, FULL_GRID, validation, cfg=CFG, chunk_length_s=0.6,
+                holdout_fraction=0.25, audit_path=audit)
+    monkeypatch.setattr(evaluation, "evaluate_split", evaluate)
+    rows = _audit(audit)
+    assert [params for params, _ in rows] == [h.as_tuple()
+                                               for h in FULL_GRID.candidates()]
+    for hyper, (_, error) in zip(FULL_GRID.candidates(), rows):
+        fresh = [_fresh_error(train, test, hyper) for train, test in folds]
+        assert [staged.get((group.index(test), hyper), float("inf"))
+                for _, test in folds] == fresh, hyper
+        # the audit prints 12 significant digits
+        assert error == float(format(float(np.mean(fresh)), ".12g")), hyper
+
+
+def _gram_calls(monkeypatch, flows, space):
+    import flowcast.fkkf as fkkf_mod
+    calls = []
+    gram = fkkf_mod.gram
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gram(*args, **kwargs)
+
+    # the learner's Gram binding; kernel_vector's per-observation Grams
+    # belong to filtering, which runs for every candidate
+    monkeypatch.setattr(fkkf_mod, "gram", counting)
+    grid_search(flows, space, "leave_one_out", cfg=CFG, chunk_length_s=0.6)
+    monkeypatch.setattr(fkkf_mod, "gram", gram)
+    return len(calls)
+
+
+def test_gram_builds_scale_with_folds_and_bandwidths(flows, monkeypatch):
+    group = list(flows)[:3]
+    small = _singleton(state_bw_scale=(0.5, 1.0), obs_bw_scale=(1.0, 2.0))
+    count = _gram_calls(monkeypatch, group, small)
+    # per fold: 5 state Grams per state scale (the subspace is smaller than
+    # the pair count) and G_yy per bandwidth pair
+    assert count == 3 * (2 * 5 + 2 * 2)
+    assert _gram_calls(monkeypatch, group, FULL_GRID) == count
+
+
+def test_custom_error_fn_called_once_per_candidate_and_fold(flows):
+    group = list(flows)
+    calls = []
+
+    def record(train, test, hyper, cfg, chunk_length_s):
+        assert cfg is CFG and chunk_length_s == 0.6
+        assert [f for f in group if f is not test] == list(train)
+        calls.append((group.index(test), hyper.as_tuple()))
+        return float(hyper.kappa)
+
+    grid_search(group, FULL_GRID, "leave_one_out", error_fn=record, cfg=CFG,
+                chunk_length_s=0.6)
+    expected = {(k, h.as_tuple()) for k in range(len(group))
+                for h in FULL_GRID.candidates()}
+    assert len(calls) == len(expected) and set(calls) == expected
