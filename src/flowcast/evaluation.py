@@ -203,13 +203,15 @@ def ar_baseline(observed_kbit: np.ndarray, horizon_steps: int,
 # ---------------------------------------------------------------------------
 
 
+def _learner_settings(cfg: ExperimentConfig, chunk_length_s: float) -> tuple:
+    return (cfg.subspace_size, cfg.chunk_config(chunk_length_s),
+            cfg.window_config(chunk_length_s), cfg.kept_dim, cfg.bandwidth_seed)
+
+
 def split_learner(train_flows, cfg: ExperimentConfig,
                   chunk_length_s: float) -> fkkf.StagedLearner:
-    """The staged form of evaluate_split's learning step for one training set."""
-    return fkkf.StagedLearner(train_flows, cfg.subspace_size,
-                              cfg.chunk_config(chunk_length_s),
-                              cfg.window_config(chunk_length_s), kept_dim=cfg.kept_dim,
-                              bandwidth_seed=cfg.bandwidth_seed)
+    """The learner evaluate_split learns with on these training flows."""
+    return fkkf.StagedLearner(train_flows, *_learner_settings(cfg, chunk_length_s))
 
 
 def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
@@ -217,21 +219,22 @@ def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
                    learner: fkkf.StagedLearner | None = None) -> SplitResult:
     """Learn on the training flows and score one held-out peak rise.
 
-    With `learner`, split_learner(train_flows, cfg, chunk_length_s), the
-    model comes from stages shared with earlier calls on the same fold;
-    the stages this hyper needs and nobody built yet are built here.
-    Without it the model is learned afresh.  Both give the same model.
+    The model comes from `learner`, by default a new
+    split_learner(train_flows, cfg, chunk_length_s).  Passing one learner
+    to several calls on the same fold shares its stages between them; the
+    stages this hyper needs and no earlier call built are built here.  A
+    learner built from other flows or settings raises ValueError.
 
     Raises UndefinedError when the test flow has no locatable peak or its
     horizon carries no traffic.
     """
-    chunk_cfg = cfg.chunk_config(chunk_length_s)
     if learner is None:
-        model = fkkf.learn(train_flows, hyper, cfg.subspace_size, chunk_cfg,
-                           cfg.window_config(chunk_length_s), kept_dim=cfg.kept_dim,
-                           bandwidth_seed=cfg.bandwidth_seed)
-    else:
-        model = learner.model(hyper)
+        learner = split_learner(train_flows, cfg, chunk_length_s)
+    elif (learner.settings != _learner_settings(cfg, chunk_length_s)
+          or not _same_flows(learner.train_flows, train_flows)):
+        raise ValueError("learner was built from other training flows or settings")
+    model = learner.model(hyper)
+    chunk_cfg = cfg.chunk_config(chunk_length_s)
     samples = test_flow.samples
     hop = chunk_cfg.hop_samples
     start_idx = locate_peak_rise(samples, cfg.chunk_interval_s,
@@ -262,6 +265,12 @@ def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
     pca_var = model.frontend.reducers[0][1].cumulative_explained_variance
     return SplitResult(pred_error=pred_err, constant_error=const_err,
                        ar_error=ar_err, pca_cum_variance=pca_var)
+
+
+def _same_flows(kept: tuple, train_flows) -> bool:
+    train_flows = list(train_flows)
+    return len(kept) == len(train_flows) and all(
+        a is b for a, b in zip(kept, train_flows))
 
 
 def run_group_experiment(group_flows, hyper: FkkfHyperparams,

@@ -55,17 +55,22 @@ named with it:
                      lambda_o (both from the kept SVDs)
     5. gains         project and run_filter (kappa)
 
-learn and learn_core run them once; StagedLearner keeps each stage while
-its inputs stay the same, so a hyperparameter search over one training
-set rebuilds only what the changed hyperparameter invalidates.
+StagedLearner runs stage 1 once and keeps each later stage while its
+inputs stay the same, so a hyperparameter search over one training set
+rebuilds only what the changed hyperparameter invalidates; learn is one
+model() call on a new StagedLearner, learn_core stages 2-4 on given
+rows.  run_filter computes the forecast variance (an n x n rollout over
+every forecast step) only when Prediction.cov_diag is first read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import zipfile
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,19 +154,12 @@ class FilterState:
 
 @dataclass
 class ProjectedGains:
-    """Observation-independent gain/covariance sequences, cached offline.
-
-    They belong to the model they were projected from.  run_filter also
-    keeps here, per (last observed step, horizon), the forecast variance
-    it reads out, which depends on no observation either.
-    """
+    """Observation-independent gain/covariance sequences, cached offline."""
 
     w_seq: list          # n x n gain factors W_t; the Kalman gain is W_t O'
     qgo_seq: list        # cached W_t @ (O' G_yy O), n x n
     p_post_seq: list     # posterior covariance per step
     p_prior_seq: list    # prior covariance per step (entry 0 = learned prior)
-    forecast_var: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def __len__(self):
         return len(self.w_seq)
@@ -169,13 +167,23 @@ class ProjectedGains:
 
 @dataclass
 class Prediction:
-    """Multi-step forecast after filtering an observed prefix."""
+    """Multi-step forecast after filtering an observed prefix.
+
+    cov_diag, the (steps, obs_dim) predictive variance diagonal, is
+    computed on first read: its rollout propagates the n x n covariance
+    through every forecast step, most of a forecast's cost, and a caller
+    that reads only the mean never pays for it.
+    """
 
     mean_frames: np.ndarray   # (steps, obs_dim) predicted reduced observations
     mean_kbit: np.ndarray     # reassembled time-domain forecast (empty without frontend)
-    cov_diag: np.ndarray      # (steps, obs_dim) predictive variance diagonal
     horizon_s: float
     filtered_state: FilterState
+    _variance: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def cov_diag(self) -> np.ndarray:
+        return self._variance()
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +615,11 @@ def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
     frames only; held-out flows must be transformed with this model's
     frontend.  The subspace is capped at the number of training pairs.
     """
-    frontend, x_pred, x_succ, y_train = _fit_frontend(list(train_flows), chunk_cfg,
-                                                      window_cfg, kept_dim)
-    return learn_core(x_pred, x_succ, y_train, hyper,
-                      min(subspace_size, x_pred.shape[0]),
-                      bandwidth_subset=bandwidth_subset, bandwidth_seed=bandwidth_seed,
-                      frontend=frontend, stabilize_transition=stabilize_transition)
+    learner = StagedLearner(train_flows, subspace_size, chunk_cfg, window_cfg,
+                            kept_dim=kept_dim, bandwidth_seed=bandwidth_seed)
+    stages = learner._stages(bandwidth_subset=bandwidth_subset,
+                             stabilize_transition=stabilize_transition)
+    return stages.model(hyper)
 
 
 class StagedLearner:
@@ -623,27 +630,35 @@ class StagedLearner:
     depends on: the frontend (framing, standardize + PCA, bandwidths) on
     the first call, then the stages of _CoreStages.  Nothing is computed
     before the first model() call, so a caller that times model() sees
-    every stage it triggers.
+    every stage it triggers.  train_flows and settings record what the
+    learner was built from.
     """
 
     def __init__(self, train_flows, subspace_size: int, chunk_cfg: ChunkConfig,
                  window_cfg: StateWindowConfig, kept_dim: int = 80,
-                 bandwidth_subset: int = DEFAULT_SUBSET_SIZE, bandwidth_seed: int = 0,
-                 stabilize_transition: bool = True):
-        self._frontend_args = (list(train_flows), chunk_cfg, window_cfg, kept_dim)
-        self._subspace_size = subspace_size
-        self._core_kwargs = dict(bandwidth_subset=bandwidth_subset,
-                                 bandwidth_seed=bandwidth_seed,
-                                 stabilize_transition=stabilize_transition)
+                 bandwidth_seed: int = 0):
+        self.train_flows = tuple(train_flows)
+        self.settings = (subspace_size, chunk_cfg, window_cfg, kept_dim, bandwidth_seed)
         self._core: _CoreStages | None = None
 
     def model(self, hyper: FkkfHyperparams) -> FkkfModel:
+        return self._stages().model(hyper)
+
+    def _stages(self, **core_kwargs) -> _CoreStages:
+        """The frontend and the _CoreStages on it, built on the first call.
+
+        core_kwargs are learn's bandwidth_subset and stabilize_transition;
+        they count only on the first call.
+        """
         if self._core is None:
-            frontend, x_pred, x_succ, y_train = _fit_frontend(*self._frontend_args)
+            subspace_size, chunk_cfg, window_cfg, kept_dim, bandwidth_seed = self.settings
+            frontend, x_pred, x_succ, y_train = _fit_frontend(
+                list(self.train_flows), chunk_cfg, window_cfg, kept_dim)
             self._core = _CoreStages(x_pred, x_succ, y_train,
-                                     min(self._subspace_size, x_pred.shape[0]),
-                                     frontend=frontend, **self._core_kwargs)
-        return self._core.model(hyper)
+                                     min(subspace_size, x_pred.shape[0]),
+                                     bandwidth_seed=bandwidth_seed, frontend=frontend,
+                                     **core_kwargs)
+        return self._core
 
 
 # ---------------------------------------------------------------------------
@@ -825,25 +840,16 @@ def reconstruct(state: FilterState, model: FkkfModel):
     return mu, sigma
 
 
-def _forecast_variance(model: FkkfModel, gains: ProjectedGains,
-                       filtered: FilterState, steps: int) -> np.ndarray:
-    """Observation-block variance diagonal of `steps` open-loop priors.
-
-    The rollout starts from the projected posterior of step filtered.step
-    and propagates the full n x n covariance, the bulk of a forecast's
-    cost; it depends on no observation, so it runs once per (step, steps)
-    and is kept on the gains.  Callers get a copy.
-    """
-    key = (filtered.step, steps)
-    if key not in gains.forecast_var:
-        xo_obs = model.xo[:model.obs_dim]
-        var = np.empty((steps, model.obs_dim))
-        p_t = filtered.p_t
-        for i in range(steps):
-            p_t = _prediction_cov(model, p_t)
-            var[i] = np.einsum("ij,ij->i", xo_obs @ p_t, xo_obs)
-        gains.forecast_var[key] = var
-    return gains.forecast_var[key].copy()
+def _forecast_variance(model: FkkfModel, p_post: np.ndarray,
+                       steps: int) -> np.ndarray:
+    """Observation-block variance diagonal of `steps` open-loop priors from p_post."""
+    xo_obs = model.xo[:model.obs_dim]
+    var = np.empty((steps, model.obs_dim))
+    p_t = p_post
+    for i in range(steps):
+        p_t = _prediction_cov(model, p_t)
+        var[i] = np.einsum("ij,ij->i", xo_obs @ p_t, xo_obs)
+    return var
 
 
 def run_filter(model: FkkfModel, observed_frames: np.ndarray,
@@ -870,8 +876,8 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
             n_t = model.t_sub @ n_t
         n_t = _innovated_mean(n_t, frame, gains.w_seq[i], model)
     last = observed.shape[0] - 1
-    state = FilterState(n_t=n_t, p_t=gains.p_post_seq[last].copy(),
-                        is_posterior=True, step=last)
+    p_post = gains.p_post_seq[last]
+    state = FilterState(n_t=n_t, p_t=p_post.copy(), is_posterior=True, step=last)
 
     # only the observation block's mean and variance diagonal are kept
     obs_dim = model.obs_dim
@@ -883,7 +889,6 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
     for i in range(steps):
         n_ahead = model.t_sub @ n_ahead
         mean_frames[i] = xo_obs @ n_ahead
-    cov_diag = _forecast_variance(model, gains, state, steps)
 
     if frontend is not None:
         horizon_s = predict_horizon_steps * frontend.chunk_cfg.chunk_interval_s
@@ -895,8 +900,9 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
         horizon_s = float(predict_horizon_steps)
         mean_kbit = np.empty(0)
     return Prediction(mean_frames=mean_frames, mean_kbit=mean_kbit,
-                      cov_diag=cov_diag, horizon_s=horizon_s,
-                      filtered_state=state)
+                      horizon_s=horizon_s, filtered_state=state,
+                      _variance=functools.partial(_forecast_variance, model,
+                                                  p_post, steps))
 
 
 # ---------------------------------------------------------------------------

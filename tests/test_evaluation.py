@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from flowcast.evaluation import (ExperimentConfig, GroupReport, ar_baseline,
                                  constant_error, evaluate_split,
                                  locate_peak_rise, peak_prediction_error,
                                  quality_label, run_group_experiment,
-                                 write_report_csv)
+                                 split_learner, write_report_csv)
 from flowcast.synth import BurstTemplate, generate_group
 from oracles import ar2_ramp_forecast
 
@@ -167,6 +169,24 @@ class TestGroupExperiment:
             loo_errors.append(abs(split.pred_error))
         wins = sum(s <= l + 0.05 for s, l in zip(self_errors, loo_errors))
         assert wins >= 0.75 * len(self_errors)
+
+    def test_shared_learner_scores_as_fresh_learning(self, group_flows):
+        train, test = group_flows[1:], group_flows[0]
+        learner = split_learner(train, CFG, 0.6)
+        for hyper in (HYPER, dataclasses.replace(HYPER, kappa=1e-2), HYPER):
+            shared = evaluate_split(train, test, hyper, CFG, 0.6, learner=learner)
+            assert shared == evaluate_split(train, test, hyper, CFG, 0.6)
+
+    def test_learner_from_other_flows_or_settings_refused(self, group_flows):
+        train, test = group_flows[1:], group_flows[0]
+        with pytest.raises(ValueError, match="other training flows"):
+            evaluate_split(train, test, HYPER, CFG, 0.6,
+                           learner=split_learner(group_flows[:3], CFG, 0.6))
+        with pytest.raises(ValueError, match="other training flows"):
+            evaluate_split(train, test, HYPER, CFG, 0.6,
+                           learner=split_learner(train, CFG, 0.4))
+        evaluate_split(list(train), test, HYPER, CFG, 0.6,
+                       learner=split_learner(train, CFG, 0.6))
 
     def test_too_small_group(self):
         with pytest.raises(InsufficientGroup):

@@ -516,13 +516,14 @@ class TestRunFilter:
             np.testing.assert_allclose(pred.cov_diag[i], np.diag(sigma)[:q],
                                        rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
 
-    def test_forecast_variance_computed_once_per_gains(self, traffic_model,
-                                                       monkeypatch):
+    def test_forecast_variance_computed_on_first_read(self, traffic_model,
+                                                      monkeypatch):
         flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
         raw = observation_frames(flows[0].samples, CHUNK, 0.2)
         observed = traffic_model.frontend.reduce_observations(raw[:4])
         other = traffic_model.frontend.reduce_observations(raw[6:10])
         fresh = run_filter(traffic_model, observed, 6)
+        expected = fresh.cov_diag
         gains = project(traffic_model, 4)
         calls = []
         propagate = fkkf._prediction_cov
@@ -533,14 +534,15 @@ class TestRunFilter:
 
         monkeypatch.setattr(fkkf, "_prediction_cov", counting)
         first = run_filter(traffic_model, observed, 6, gains=gains)
-        assert len(calls) == 6
-        first.cov_diag[:] = -1.0   # the caller's copy, not the cached one
         second = run_filter(traffic_model, other, 6, gains=gains)
-        assert len(calls) == 6
-        np.testing.assert_array_equal(second.cov_diag, fresh.cov_diag)
+        assert not calls   # filtering and the mean forecast propagate no covariance
         assert not np.array_equal(second.mean_frames, fresh.mean_frames)
-        run_filter(traffic_model, observed, 7, gains=gains)
-        assert len(calls) == 6 + 7
+        np.testing.assert_array_equal(second.cov_diag, expected)
+        assert len(calls) == 6
+        second.cov_diag
+        assert len(calls) == 6
+        np.testing.assert_array_equal(first.cov_diag, expected)
+        assert len(calls) == 12
 
     def test_innovation_beats_open_loop(self):
         # filtering the flow's own prefix must beat the prior-only rollout
@@ -583,7 +585,7 @@ class TestStagedLearner:
         flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
         learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=20)
         # revisits each axis after others moved, so every stage is dropped
-        # and rebuilt at least once
+        # and rebuilt at least once; learn builds every stage afresh
         sequence = [HYPER,
                     dataclasses.replace(HYPER, lambda_o=1e-1),
                     dataclasses.replace(HYPER, lambda_t=1e-1, kappa=1e-2),
