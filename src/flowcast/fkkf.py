@@ -59,19 +59,16 @@ StagedLearner runs stage 1 once and keeps each later stage while its
 inputs stay the same, so a hyperparameter search over one training set
 rebuilds only what the changed hyperparameter invalidates; learn is one
 model() call on a new StagedLearner, learn_core stages 2-4 on given
-rows.  run_filter computes the forecast variance (an n x n rollout over
-every forecast step) only when Prediction.cov_diag is first read.
+rows.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import zipfile
 import zlib
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -167,23 +164,13 @@ class ProjectedGains:
 
 @dataclass
 class Prediction:
-    """Multi-step forecast after filtering an observed prefix.
-
-    cov_diag, the (steps, obs_dim) predictive variance diagonal, is
-    computed on first read: its rollout propagates the n x n covariance
-    through every forecast step, most of a forecast's cost, and a caller
-    that reads only the mean never pays for it.
-    """
+    """Multi-step forecast after filtering an observed prefix."""
 
     mean_frames: np.ndarray   # (steps, obs_dim) predicted reduced observations
     mean_kbit: np.ndarray     # reassembled time-domain forecast (empty without frontend)
+    cov_diag: np.ndarray      # (steps, obs_dim) predictive variance diagonal
     horizon_s: float
     filtered_state: FilterState
-    _variance: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def cov_diag(self) -> np.ndarray:
-        return self._variance()
 
 
 # ---------------------------------------------------------------------------
@@ -900,9 +887,8 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
         horizon_s = float(predict_horizon_steps)
         mean_kbit = np.empty(0)
     return Prediction(mean_frames=mean_frames, mean_kbit=mean_kbit,
-                      horizon_s=horizon_s, filtered_state=state,
-                      _variance=functools.partial(_forecast_variance, model,
-                                                  p_post, steps))
+                      cov_diag=_forecast_variance(model, p_post, steps),
+                      horizon_s=horizon_s, filtered_state=state)
 
 
 # ---------------------------------------------------------------------------

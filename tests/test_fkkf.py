@@ -516,33 +516,18 @@ class TestRunFilter:
             np.testing.assert_allclose(pred.cov_diag[i], np.diag(sigma)[:q],
                                        rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
 
-    def test_forecast_variance_computed_on_first_read(self, traffic_model,
-                                                      monkeypatch):
+    def test_shared_gains_give_fresh_forecast_variance(self, traffic_model):
         flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
         raw = observation_frames(flows[0].samples, CHUNK, 0.2)
         observed = traffic_model.frontend.reduce_observations(raw[:4])
         other = traffic_model.frontend.reduce_observations(raw[6:10])
         fresh = run_filter(traffic_model, observed, 6)
-        expected = fresh.cov_diag
         gains = project(traffic_model, 4)
-        calls = []
-        propagate = fkkf._prediction_cov
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return propagate(*args, **kwargs)
-
-        monkeypatch.setattr(fkkf, "_prediction_cov", counting)
         first = run_filter(traffic_model, observed, 6, gains=gains)
         second = run_filter(traffic_model, other, 6, gains=gains)
-        assert not calls   # filtering and the mean forecast propagate no covariance
         assert not np.array_equal(second.mean_frames, fresh.mean_frames)
-        np.testing.assert_array_equal(second.cov_diag, expected)
-        assert len(calls) == 6
-        second.cov_diag
-        assert len(calls) == 6
-        np.testing.assert_array_equal(first.cov_diag, expected)
-        assert len(calls) == 12
+        np.testing.assert_array_equal(first.cov_diag, fresh.cov_diag)
+        np.testing.assert_array_equal(second.cov_diag, fresh.cov_diag)
 
     def test_innovation_beats_open_loop(self):
         # filtering the flow's own prefix must beat the prior-only rollout
