@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import clustering, evaluation, fkkf, hyperopt, spectral, synth, trace_io
+from . import clustering, evaluation, fkkf, hyperopt, synth, trace_io
 from .config import RunConfig, load_config
 from .errors import FlowcastError, NumericalFailure, ParseError
 
@@ -60,14 +60,6 @@ def _echo_hash(ctx: _Ctx) -> None:
 
 def _load_store(path) -> list:
     return trace_io.load_traces(path, "csv_binned")
-
-
-def _signature_chunk_cfg(ctx: _Ctx):
-    exp = ctx.config.experiment
-    from .spectral import ChunkConfig
-    return ChunkConfig(sample_interval_s=exp.sample_interval_s,
-                       chunk_interval_s=exp.chunk_interval_s,
-                       chunk_length_s=ctx.config.clustering.signature_chunk_length_s)
 
 
 def _resolve_hyper(ctx: _Ctx, train_flows, chunk_length_s):
@@ -171,12 +163,11 @@ def cluster(ctx, traces_path):
     def work():
         flows = _load_store(traces_path)
         clu = ctx.config.clustering
+        chunk_cfg = ctx.config.signature_chunk_config()
         groups, _ = clustering.cluster(flows, clu.max_groups,
-                                       clu.distance_threshold,
-                                       _signature_chunk_cfg(ctx),
+                                       clu.distance_threshold, chunk_cfg,
                                        clu.signature_frames)
-        rows = clustering.assignment_rows(flows, groups, _signature_chunk_cfg(ctx),
-                                          clu.signature_frames)
+        rows = clustering.assignment_rows(flows, groups, chunk_cfg, clu.signature_frames)
         out = ctx.out_dir / "groups.csv"
 
         def write(tmp):
@@ -291,7 +282,7 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
         observed = fe.reduce_observations(raw[start:end])
         steps = exp.horizon_steps
         pred = fkkf.run_filter(model, observed, steps)
-        var_kbit = _kbit_variance(model, pred)
+        var_kbit = fe.kbit_variance(pred.cov_diag)
         t_s = fe.chunk_cfg.sample_interval_s
         t0 = end * fe.chunk_cfg.chunk_interval_s
         horizon_samples = pred.mean_kbit.size
@@ -306,37 +297,6 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
         return [out]
 
     _run(ctx, "predict", work)
-
-
-def _kbit_variance(model, pred):
-    """Per-sample forecast variance through the linear inverse transforms.
-
-    Cross-chunk covariance is ignored; overlapping chunk variances are
-    averaged with the same weights as the means.
-    """
-    fe = model.frontend
-    std, basis = fe.reducers[0]
-    width = fe.horizon_samples()[0]
-    hop = fe.chunk_cfg.hop_samples
-    frame_dim = basis.original_dim
-    unit = np.zeros(frame_dim)
-    rows = []
-    for j in range(frame_dim):
-        unit[:] = 0
-        unit[j] = 1.0
-        rows.append(spectral.inverse_frame(unit, width))
-    inv_op = np.array(rows).T * std.scales()[None, :]  # (width, frame_dim)
-    lift = inv_op @ basis.components  # (width, kept)
-    if pred.mean_frames.shape[0] == 0:
-        return np.empty(0)
-    chunk_var = (lift[None, :, :] ** 2 * pred.cov_diag[:, None, :]).sum(axis=2)
-    n_steps = pred.mean_frames.shape[0]
-    total = np.zeros((n_steps - 1) * hop + width)
-    cover = np.zeros_like(total)
-    for i in range(n_steps):
-        total[i * hop:i * hop + width] += chunk_var[i]
-        cover[i * hop:i * hop + width] += 1.0
-    return (total / cover ** 2)[:pred.mean_kbit.size]
 
 
 @main.command()

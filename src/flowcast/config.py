@@ -17,6 +17,7 @@ from .errors import ParseError
 from .evaluation import ExperimentConfig
 from .fkkf import FkkfHyperparams
 from .hyperopt import SearchSpace
+from .spectral import ChunkConfig
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,15 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     hyper: HyperConfig = field(default_factory=HyperConfig)
     seed: int = 0
+
+    def __post_init__(self):
+        self.signature_chunk_config()  # refuses a length off the sample grid
+
+    def signature_chunk_config(self) -> ChunkConfig:
+        """Chunking of the clustering signatures, on the experiment's grid."""
+        return ChunkConfig(sample_interval_s=self.experiment.sample_interval_s,
+                           chunk_interval_s=self.experiment.chunk_interval_s,
+                           chunk_length_s=self.clustering.signature_chunk_length_s)
 
     def canonical(self) -> dict:
         data = asdict(self)
@@ -133,8 +143,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                                                 "state_bw_scale", "obs_bw_scale",
                                                 "kappa"))
         hyper = HyperConfig(**hyp)
-        seed = int(raw.get("seed", 0))
+        return RunConfig(experiment=experiment, clustering=clustering,
+                         synth=synth_cfg, hyper=hyper, seed=int(raw.get("seed", 0)))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid config value: {exc}") from exc
-    return RunConfig(experiment=experiment, clustering=clustering,
-                     synth=synth_cfg, hyper=hyper, seed=seed)

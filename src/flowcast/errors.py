@@ -39,10 +39,6 @@ class EmptySeries(FlowcastError):
     """Chunking was attempted on an empty series."""
 
 
-class ChunkTooShort(FlowcastError):
-    """A chunk has fewer than two samples and cannot be transformed."""
-
-
 class FrameDimMismatch(FlowcastError):
     """Spectral frame dimensions are inconsistent with each other or with
     the requested chunk length."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fkkf
+from . import fkkf, spectral
 from .errors import InsufficientGroup, NumericalFailure, UndefinedError
 from .fkkf import FkkfHyperparams, StateWindowConfig
 from .spectral import ChunkConfig
@@ -45,6 +45,15 @@ class ExperimentConfig:
             raise ValueError("observe_steps must be >= 3")
         if not self.chunk_lengths_s:
             raise ValueError("chunk_lengths_s must be non-empty")
+        # every duration the experiment turns into samples or steps, checked
+        # here so a malformed config fails when it is loaded
+        for length in self.report_lengths():
+            self.chunk_config(length)
+            for horizon in self.window_config(length).horizons_s:
+                spectral.whole_multiple(horizon, self.sample_interval_s, "window horizon")
+        spectral.whole_multiple(self.peak_window_s, self.sample_interval_s, "peak_window_s")
+        spectral.whole_multiple(self.predict_horizon_s, self.chunk_interval_s,
+                                "predict_horizon_s")
 
     def chunk_config(self, chunk_length_s: float) -> ChunkConfig:
         return ChunkConfig(sample_interval_s=self.sample_interval_s,
@@ -58,8 +67,15 @@ class ExperimentConfig:
 
     @property
     def horizon_steps(self) -> int:
-        steps = self.predict_horizon_s / self.chunk_interval_s
-        return int(round(steps))
+        return spectral.whole_multiple(self.predict_horizon_s, self.chunk_interval_s,
+                                       "predict_horizon_s")
+
+    def report_lengths(self) -> list:
+        """The configured chunk lengths plus the report's 1 s column."""
+        lengths = list(self.chunk_lengths_s)
+        if 1.0 not in lengths:
+            lengths.append(1.0)
+        return lengths
 
 
 @dataclass
@@ -154,8 +170,8 @@ def locate_peak_rise(samples: np.ndarray, chunk_interval_s: float,
                      factor: float = DEFAULT_PEAK_FACTOR) -> int | None:
     """First chunk index whose forward kbit sum exceeds factor x the median sum."""
     samples = np.asarray(samples, dtype=float).ravel()
-    hop = int(round(chunk_interval_s / sample_interval_s))
-    width = int(round(window_s / sample_interval_s))
+    hop = spectral.whole_multiple(chunk_interval_s, sample_interval_s, "chunk_interval_s")
+    width = spectral.whole_multiple(window_s, sample_interval_s, "window_s")
     if samples.size < width:
         return None
     count = (samples.size - width) // hop + 1
@@ -326,10 +342,8 @@ def build_group_report(group_id: int, group_flows, hyper: FkkfHyperparams,
     The 1 s-chunk column is evaluated even when 1.0 is not part of the
     configured sweep.
     """
-    lengths = list(cfg.chunk_lengths_s)
-    if 1.0 not in lengths:
-        lengths.append(1.0)
-    optimal, per_length = chunk_length_sweep(group_flows, hyper, cfg, lengths)
+    optimal, per_length = chunk_length_sweep(group_flows, hyper, cfg,
+                                             cfg.report_lengths())
     best = per_length[optimal]
     one_second = per_length.get(1.0)
     error_1s = one_second.pred_error if one_second is not None else float("nan")

@@ -29,6 +29,10 @@ clamped to zero where Cholesky fails), which keeps W_t and the posterior
 kappa W_t positive semi-definite by construction.
 The forecast reads out only the variance diagonal of the observation
 block (the first q state coordinates), never the full d x d covariance.
+SpectralFrontend maps the forecast mean back to kbit with the inverse
+framing of spectral.py (frames_to_kbit) and its variance through the
+linear part of that same map (kbit_variance); the lookahead states and
+observations are framed with spectral.forward_frames.
 
 T and O are ridge regressions restricted to the inducing subspace but
 estimated from all m pairs.  The subspace solve uses the Gram of the
@@ -196,7 +200,8 @@ class SpectralFrontend:
 
     def horizon_samples(self) -> list:
         t_s = self.chunk_cfg.sample_interval_s
-        return [_horizon_width(h, t_s) for h in self.window_cfg.horizons_s]
+        return [spectral.whole_multiple(h, t_s, "horizon_s")
+                for h in self.window_cfg.horizons_s]
 
     def reduce_observations(self, raw_frames: np.ndarray) -> np.ndarray:
         std, basis = self.reducers[0]
@@ -206,35 +211,29 @@ class SpectralFrontend:
         """Inverse PCA -> de-standardize -> inverse STFT -> overlap-average."""
         std, basis = self.reducers[0]
         raw = reduction.inverse_project(basis, std, reduced_frames)
-        width = self.horizon_samples()[0]
-        spec = raw[:, 0::2] + 1j * raw[:, 1::2]
-        chunks = np.fft.irfft(spec, n=width, axis=1)
+        chunks = spectral.inverse_frames(raw, self.horizon_samples()[0])
         hop = self.chunk_cfg.hop_samples
         return spectral.overlap_average(chunks, hop, n_steps * hop)
 
+    def kbit_variance(self, cov_diag: np.ndarray) -> np.ndarray:
+        """Per-sample variance of frames_to_kbit for independent reduced frames.
 
-def _horizon_width(horizon_s: float, sample_interval_s: float) -> int:
-    """A horizon in whole samples; ValueError unless it is a whole multiple."""
-    n = horizon_s / sample_interval_s
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"horizon {horizon_s}s is not a multiple of "
-                         f"T_S={sample_interval_s}s")
-    return int(round(n))
-
-
-def _spectral_frames(series: np.ndarray, width: int, hop: int,
-                     count: int) -> np.ndarray:
-    """rfft of `count` windows of `width` samples, one every `hop` samples.
-
-    Row t holds the spectrum of samples [t*hop, t*hop + width) with real
-    and imaginary parts interleaved.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view(series, width)[0:count * hop:hop]
-    spec = np.fft.rfft(windows, axis=1)
-    frames = np.empty((count, 2 * spec.shape[1]))
-    frames[:, 0::2] = spec.real
-    frames[:, 1::2] = spec.imag
-    return frames
+        cov_diag holds one row of reduced-frame variances per forecast
+        step.  The linear part of frames_to_kbit maps frame i to chunk i
+        through lift = inverse STFT * std scales @ PCA components, so
+        chunk i has variance (lift**2) @ cov_diag[i]; overlap_variance
+        then averages the chunks with the weights of the mean.
+        Cross-chunk covariance is ignored.
+        """
+        if cov_diag.shape[0] == 0:
+            return np.empty(0)
+        std, basis = self.reducers[0]
+        unit_chunks = spectral.inverse_frames(np.eye(basis.original_dim),
+                                              self.horizon_samples()[0])
+        lift = (unit_chunks.T * std.scales()[None, :]) @ basis.components  # (width, kept)
+        chunk_var = (lift[None, :, :] ** 2 * cov_diag[:, None, :]).sum(axis=2)
+        hop = self.chunk_cfg.hop_samples
+        return spectral.overlap_variance(chunk_var, hop, cov_diag.shape[0] * hop)
 
 
 def window_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
@@ -247,14 +246,26 @@ def window_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
     """
     series = np.asarray(series, dtype=float).ravel()
     hop = chunk_cfg.hop_samples
-    widths = [_horizon_width(h, chunk_cfg.sample_interval_s)
+    widths = [spectral.whole_multiple(h, chunk_cfg.sample_interval_s, "horizon_s")
               for h in window_cfg.horizons_s]
     h_max = max(widths)
     count = (series.size - h_max) // hop
     if count < 1:
         raise FlowTooShort(
             f"series of {series.size} samples cannot cover a {h_max}-sample lookahead")
-    return [_spectral_frames(series, width, hop, count) for width in widths]
+    return [spectral.forward_frames(series, width, hop, count) for width in widths]
+
+
+def _reduced_rows(blocks: list, reducers: list | None):
+    """(states, observations) from per-horizon blocks of one flow.
+
+    With reducers, each block is standardized and PCA-reduced on its own
+    before the blocks are concatenated.
+    """
+    if reducers is not None:
+        blocks = [reduction.project(basis, std, block)
+                  for (std, basis), block in zip(reducers, blocks)]
+    return np.hstack(blocks), blocks[0]
 
 
 def build_state_windows(series: np.ndarray, window_cfg: StateWindowConfig,
@@ -265,13 +276,7 @@ def build_state_windows(series: np.ndarray, window_cfg: StateWindowConfig,
     independently before concatenation; without, blocks are concatenated
     raw and the observation is the raw first-horizon frame.
     """
-    blocks = window_frames(series, chunk_cfg, window_cfg)
-    if reducers is not None:
-        blocks = [reduction.project(basis, std, block)
-                  for (std, basis), block in zip(reducers, blocks)]
-    states = np.hstack(blocks)
-    observations = blocks[0]
-    return states, observations
+    return _reduced_rows(window_frames(series, chunk_cfg, window_cfg), reducers)
 
 
 def observation_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
@@ -279,11 +284,11 @@ def observation_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
     """Raw observation spectra at every chunk index whose window fits."""
     series = np.asarray(series, dtype=float).ravel()
     hop = chunk_cfg.hop_samples
-    width = int(round(horizon_s / chunk_cfg.sample_interval_s))
+    width = spectral.whole_multiple(horizon_s, chunk_cfg.sample_interval_s, "horizon_s")
     if series.size < width:
         raise FlowTooShort(f"series of {series.size} samples shorter than one window")
     count = (series.size - width) // hop + 1
-    return _spectral_frames(series, width, hop, count)
+    return spectral.forward_frames(series, width, hop, count)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +436,7 @@ class _CoreStages:
     """
 
     def __init__(self, x_pred, x_succ, y_train, subspace_size: int,
-                 bandwidth_subset: int = DEFAULT_SUBSET_SIZE, bandwidth_seed: int = 0,
-                 frontend: SpectralFrontend | None = None,
+                 bandwidth_seed: int = 0, frontend: SpectralFrontend | None = None,
                  stabilize_transition: bool = True):
         x_pred = np.atleast_2d(np.asarray(x_pred, dtype=float))
         x_succ = np.atleast_2d(np.asarray(x_succ, dtype=float))
@@ -449,10 +453,9 @@ class _CoreStages:
         if subspace_size > m:
             raise SubspaceTooLarge(f"subspace {subspace_size} > {m} training pairs")
         self.x_pred, self.x_succ, self.y_train = x_pred, x_succ, y_train
-        self.state_bw = median_heuristic(x_pred, bandwidth_subset, bandwidth_seed)
-        self.obs_bw = median_heuristic(y_train, bandwidth_subset, bandwidth_seed)
+        self.state_bw = median_heuristic(x_pred, DEFAULT_SUBSET_SIZE, bandwidth_seed)
+        self.obs_bw = median_heuristic(y_train, DEFAULT_SUBSET_SIZE, bandwidth_seed)
         self.idx = _subspace_stride_indices(m, subspace_size)
-        self.bandwidth_subset = bandwidth_subset
         self.bandwidth_seed = bandwidth_seed
         self.frontend = frontend
         self.stabilize_transition = stabilize_transition
@@ -471,7 +474,7 @@ class _CoreStages:
                          xo=xo, v=v, n1_prior=n1, p1_prior=p1, state_spec=state.spec,
                          obs_spec=obs_spec, hyper=hyper,
                          bandwidth_seed=self.bandwidth_seed,
-                         bandwidth_subset=self.bandwidth_subset, frontend=self.frontend)
+                         bandwidth_subset=DEFAULT_SUBSET_SIZE, frontend=self.frontend)
 
     def _state_kernel(self, scale: float) -> _StateKernel:
         if self._state is not None and self._state.spec.scale_factor == scale:
@@ -532,9 +535,7 @@ class _CoreStages:
 
 
 def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
-               hyper: FkkfHyperparams, subspace_size: int,
-               bandwidth_subset: int = DEFAULT_SUBSET_SIZE, bandwidth_seed: int = 0,
-               frontend: SpectralFrontend | None = None,
+               hyper: FkkfHyperparams, subspace_size: int, bandwidth_seed: int = 0,
                stabilize_transition: bool = True) -> FkkfModel:
     """Estimate all filter matrices from aligned (state, successor, observation) rows.
 
@@ -544,15 +545,15 @@ def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
     from the empirical statistics of the training coordinates.
     """
     return _CoreStages(x_pred, x_succ, y_train, subspace_size,
-                       bandwidth_subset=bandwidth_subset, bandwidth_seed=bandwidth_seed,
-                       frontend=frontend,
+                       bandwidth_seed=bandwidth_seed,
                        stabilize_transition=stabilize_transition).model(hyper)
 
 
-def _pairs_from_chains(state_rows: list, obs_rows: list):
-    """Transition pairs within each flow; no pair crosses a flow boundary."""
+def _pairs_from_chains(rows: list):
+    """Transition pairs within each flow's (states, observations); no pair
+    crosses a flow boundary."""
     preds, succs, obs = [], [], []
-    for states, observations in zip(state_rows, obs_rows):
+    for states, observations in rows:
         if states.shape[0] >= 2:
             preds.append(states[:-1])
             succs.append(states[1:])
@@ -583,30 +584,21 @@ def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
         reducers.append((std, basis))
     frontend = SpectralFrontend(chunk_cfg=chunk_cfg, window_cfg=window_cfg,
                                 reducers=reducers)
-    state_rows, obs_rows = [], []
-    for blocks in per_flow_blocks:
-        reduced = [reduction.project(basis, std, block)
-                   for (std, basis), block in zip(reducers, blocks)]
-        state_rows.append(np.hstack(reduced))
-        obs_rows.append(reduced[0])
-    return (frontend, *_pairs_from_chains(state_rows, obs_rows))
+    rows = [_reduced_rows(blocks, reducers) for blocks in per_flow_blocks]
+    return (frontend, *_pairs_from_chains(rows))
 
 
 def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
           chunk_cfg: ChunkConfig, window_cfg: StateWindowConfig,
-          kept_dim: int = 80, bandwidth_subset: int = DEFAULT_SUBSET_SIZE,
-          bandwidth_seed: int = 0, stabilize_transition: bool = True) -> FkkfModel:
+          kept_dim: int = 80, bandwidth_seed: int = 0) -> FkkfModel:
     """Learn a traffic model from whole flows.
 
     Per-horizon standardizers and PCA bases are fitted on the training
     frames only; held-out flows must be transformed with this model's
     frontend.  The subspace is capped at the number of training pairs.
     """
-    learner = StagedLearner(train_flows, subspace_size, chunk_cfg, window_cfg,
-                            kept_dim=kept_dim, bandwidth_seed=bandwidth_seed)
-    stages = learner._stages(bandwidth_subset=bandwidth_subset,
-                             stabilize_transition=stabilize_transition)
-    return stages.model(hyper)
+    return StagedLearner(train_flows, subspace_size, chunk_cfg, window_cfg,
+                         kept_dim=kept_dim, bandwidth_seed=bandwidth_seed).model(hyper)
 
 
 class StagedLearner:
@@ -629,23 +621,15 @@ class StagedLearner:
         self._core: _CoreStages | None = None
 
     def model(self, hyper: FkkfHyperparams) -> FkkfModel:
-        return self._stages().model(hyper)
-
-    def _stages(self, **core_kwargs) -> _CoreStages:
-        """The frontend and the _CoreStages on it, built on the first call.
-
-        core_kwargs are learn's bandwidth_subset and stabilize_transition;
-        they count only on the first call.
-        """
+        # the frontend and the _CoreStages on it are built on the first call
         if self._core is None:
             subspace_size, chunk_cfg, window_cfg, kept_dim, bandwidth_seed = self.settings
             frontend, x_pred, x_succ, y_train = _fit_frontend(
                 list(self.train_flows), chunk_cfg, window_cfg, kept_dim)
             self._core = _CoreStages(x_pred, x_succ, y_train,
                                      min(subspace_size, x_pred.shape[0]),
-                                     bandwidth_seed=bandwidth_seed, frontend=frontend,
-                                     **core_kwargs)
-        return self._core
+                                     bandwidth_seed=bandwidth_seed, frontend=frontend)
+        return self._core.model(hyper)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,27 @@
-"""Overlapping-chunk frequency transforms (STFT) and their inverses.
+"""The framing convention: sliding-window DFT frames and their inverse.
 
-A kbit time series sampled every T_S seconds is cut into chunks of
-length w seconds starting every T_C seconds (T_S < T_C <= w, so
-consecutive chunks overlap).  Each chunk is DFT-transformed; only the
+A kbit time series sampled every T_S seconds is cut into windows of w
+seconds starting every T_C seconds (T_S < T_C <= w, so consecutive
+windows overlap).  Each window is DFT-transformed; only the
 coefficients up to the Nyquist index are kept, stored with real and
-imaginary parts interleaved.  Chunks extending past the series end are
-zero-padded so that a series of N samples always yields
-ceil(N / (T_C/T_S)) frames.
+imaginary parts interleaved (re0, im0, re1, im1, ...).  The inverse
+de-interleaves, restores the upper half of the spectrum by conjugate
+symmetry and applies the inverse DFT; overlapping windows are averaged
+back into one series.  With a rectangular window that average is the
+least-squares inverse of the framing (Griffin & Lim 1984).
+
+Two callers frame differently:
+
+    transform      zero-pads past the series end, so a series of N
+                   samples always yields ceil(N / (T_C/T_S)) frames
+                   (clustering signatures)
+    fkkf           keeps only the windows that fit inside the series
+                   (the model's lookahead states and observations)
+
+Both go through forward_frames; every inverse goes through
+inverse_frames.  The model and the experiments turn durations into
+sample or step counts only through whole_multiple, which refuses a
+duration that is not a whole multiple.
 
 Conventions: rectangular window (overlap, not tapering, controls
 artifacts); forward DFT unnormalized, inverse scaled by 1/L.
@@ -14,21 +29,25 @@ artifacts); forward DFT unnormalized, inverse scaled by 1/L.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChunkTooShort, EmptySeries, FrameDimMismatch, ParseError
+from .errors import EmptySeries, FrameDimMismatch
 
 _REL_TOL = 1e-9
 
 
-def _as_multiple(value: float, base: float, name: str) -> int:
+def whole_multiple(value: float, base: float, name: str) -> int:
+    """value / base as a positive integer; ValueError unless it is one.
+
+    The tolerance is relative, so float noise such as 0.15 / 0.01 =
+    14.999999999999998 counts as 15.
+    """
     ratio = value / base
     rounded = int(round(ratio))
     if rounded < 1 or abs(ratio - rounded) > _REL_TOL * max(1.0, abs(ratio)):
-        raise ValueError(f"{name} must be a positive integer multiple of the sample interval")
+        raise ValueError(f"{name}={value!r} is not a positive whole multiple of {base!r}s")
     return rounded
 
 
@@ -47,27 +66,24 @@ class ChunkConfig:
             raise ValueError("chunk_interval_s must exceed sample_interval_s")
         if self.chunk_length_s < self.chunk_interval_s:
             raise ValueError("chunk_length_s must be >= chunk_interval_s")
-        _as_multiple(self.chunk_interval_s, self.sample_interval_s, "chunk_interval_s")
-        _as_multiple(self.chunk_length_s, self.sample_interval_s, "chunk_length_s")
+        whole_multiple(self.chunk_interval_s, self.sample_interval_s, "chunk_interval_s")
+        whole_multiple(self.chunk_length_s, self.sample_interval_s, "chunk_length_s")
 
     @property
     def hop_samples(self) -> int:
         """Samples between consecutive chunk starts (T_C / T_S)."""
-        return _as_multiple(self.chunk_interval_s, self.sample_interval_s, "chunk_interval_s")
+        return whole_multiple(self.chunk_interval_s, self.sample_interval_s,
+                              "chunk_interval_s")
 
     @property
     def chunk_samples(self) -> int:
         """Samples per chunk (w / T_S)."""
-        return _as_multiple(self.chunk_length_s, self.sample_interval_s, "chunk_length_s")
+        return whole_multiple(self.chunk_length_s, self.sample_interval_s, "chunk_length_s")
 
     @property
     def frame_dim(self) -> int:
-        return frame_dim_for(self.chunk_samples)
-
-
-def frame_dim_for(chunk_samples: int) -> int:
-    """Interleaved frame length for a chunk of L samples: 2*(floor(L/2)+1)."""
-    return 2 * (chunk_samples // 2 + 1)
+        """Interleaved frame length for a chunk of L samples: 2*(floor(L/2)+1)."""
+        return 2 * (self.chunk_samples // 2 + 1)
 
 
 @dataclass
@@ -89,12 +105,38 @@ class SpectralSeries:
         return self.frames.shape[1]
 
 
-def chunk(series: np.ndarray, config: ChunkConfig) -> np.ndarray:
-    """Cut a series into overlapping chunks, zero-padding past the end.
+def forward_frames(series: np.ndarray, width: int, hop: int, count: int) -> np.ndarray:
+    """Interleaved DFT frames of `count` windows of `width` samples, one every `hop`.
 
-    Chunk i covers samples [i*hop, i*hop + chunk_samples); the number of
-    chunks is ceil(len(series) / hop) so every sample starts exactly one
-    chunk's worth of positions.
+    Row t holds the spectrum of series[t*hop : t*hop + width]; every
+    window must fit inside the series.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(series, width)[0:count * hop:hop]
+    spec = np.fft.rfft(windows, axis=1)
+    frames = np.empty((spec.shape[0], 2 * spec.shape[1]))
+    frames[:, 0::2] = spec.real
+    frames[:, 1::2] = spec.imag
+    return frames
+
+
+def inverse_frames(frames: np.ndarray, width: int) -> np.ndarray:
+    """Windows of `width` samples rebuilt from interleaved frames, one per row."""
+    frames = np.atleast_2d(frames)
+    expected = 2 * (width // 2 + 1)
+    if frames.shape[1] != expected:
+        raise FrameDimMismatch(
+            f"frame dim {frames.shape[1]} incompatible with chunk of {width} samples "
+            f"(expected {expected})")
+    spec = frames[:, 0::2] + 1j * frames[:, 1::2]
+    return np.fft.irfft(spec, n=width, axis=1)
+
+
+def transform(series: np.ndarray, config: ChunkConfig) -> SpectralSeries:
+    """Frames of a whole series, zero-padded past its end.
+
+    Frame i covers samples [i*hop, i*hop + chunk_samples); there are
+    ceil(len(series) / hop) frames, so every sample starts exactly one
+    frame's worth of positions.
     """
     series = np.asarray(series, dtype=float).ravel()
     if series.size == 0:
@@ -104,51 +146,12 @@ def chunk(series: np.ndarray, config: ChunkConfig) -> np.ndarray:
     n_chunks = -(-series.size // hop)  # ceil
     padded = np.zeros((n_chunks - 1) * hop + width)
     padded[:series.size] = series
-    idx = np.arange(n_chunks)[:, None] * hop + np.arange(width)[None, :]
-    return padded[idx]
+    return SpectralSeries(frames=forward_frames(padded, width, hop, n_chunks),
+                          config=config, origin_length=series.size)
 
 
-def forward_frame(chunk_values: np.ndarray) -> np.ndarray:
-    """DFT of one chunk, folded at Nyquist, interleaved (re0, im0, re1, im1, ...)."""
-    chunk_values = np.asarray(chunk_values, dtype=float).ravel()
-    if chunk_values.size < 2:
-        raise ChunkTooShort(f"chunk has {chunk_values.size} samples, need >= 2")
-    spec = np.fft.rfft(chunk_values)
-    out = np.empty(2 * spec.size)
-    out[0::2] = spec.real
-    out[1::2] = spec.imag
-    return out
-
-
-def inverse_frame(frame: np.ndarray, chunk_samples: int) -> np.ndarray:
-    """Rebuild a chunk of L samples from an interleaved frame.
-
-    The upper half of the spectrum is restored by conjugate symmetry and
-    the inverse DFT (scaled 1/L) is applied; the real part is returned.
-    """
-    frame = np.asarray(frame, dtype=float).ravel()
-    expected = frame_dim_for(chunk_samples)
-    if frame.size != expected:
-        raise FrameDimMismatch(
-            f"frame dim {frame.size} incompatible with chunk of {chunk_samples} samples "
-            f"(expected {expected})")
-    spec = frame[0::2] + 1j * frame[1::2]
-    return np.fft.irfft(spec, n=chunk_samples)
-
-
-def transform(series: np.ndarray, config: ChunkConfig) -> SpectralSeries:
-    """chunk + forward_frame over a whole series."""
-    series = np.asarray(series, dtype=float).ravel()
-    chunks = chunk(series, config)
-    spec = np.fft.rfft(chunks, axis=1)
-    frames = np.empty((chunks.shape[0], 2 * spec.shape[1]))
-    frames[:, 0::2] = spec.real
-    frames[:, 1::2] = spec.imag
-    return SpectralSeries(frames=frames, config=config, origin_length=series.size)
-
-
-def overlap_average(chunks: np.ndarray, hop: int, out_length: int) -> np.ndarray:
-    """Place chunks at hop-spaced offsets and average overlapping samples."""
+def _overlap_sums(chunks: np.ndarray, hop: int):
+    """Sum of hop-spaced chunks per sample, and how many chunks cover it."""
     chunks = np.atleast_2d(np.asarray(chunks, dtype=float))
     width = chunks.shape[1]
     full = (chunks.shape[0] - 1) * hop + width
@@ -157,51 +160,27 @@ def overlap_average(chunks: np.ndarray, hop: int, out_length: int) -> np.ndarray
     for i, c in enumerate(chunks):
         acc[i * hop:i * hop + width] += c
         cover[i * hop:i * hop + width] += 1.0
-    out = acc / cover
-    return out[:out_length]
+    return acc, cover
+
+
+def overlap_average(chunks: np.ndarray, hop: int, out_length: int) -> np.ndarray:
+    """Place chunks at hop-spaced offsets and average overlapping samples."""
+    acc, cover = _overlap_sums(chunks, hop)
+    return (acc / cover)[:out_length]
+
+
+def overlap_variance(chunk_vars: np.ndarray, hop: int, out_length: int) -> np.ndarray:
+    """Variance of overlap_average's output for independent chunks.
+
+    Each sample averages the chunks covering it with weight 1/cover, so
+    their variances add with weight 1/cover^2.
+    """
+    acc, cover = _overlap_sums(chunk_vars, hop)
+    return (acc / cover ** 2)[:out_length]
 
 
 def reassemble(series: SpectralSeries) -> np.ndarray:
     """Inverse-transform every frame and overlap-average back to kbit samples."""
     cfg = series.config
-    if series.frames.shape[1] != cfg.frame_dim:
-        raise FrameDimMismatch("frames inconsistent with config")
-    spec = series.frames[:, 0::2] + 1j * series.frames[:, 1::2]
-    chunks = np.fft.irfft(spec, n=cfg.chunk_samples, axis=1)
+    chunks = inverse_frames(series.frames, cfg.chunk_samples)
     return overlap_average(chunks, cfg.hop_samples, series.origin_length)
-
-
-# --- CSV serialization ----------------------------------------------------
-
-def save_series_csv(series: SpectralSeries, path) -> None:
-    """One row per frame, columns f<i>_re/f<i>_im; metadata in a # header."""
-    cfg = series.config
-    n_coef = series.frame_dim // 2
-    header = [f"f{i}_{p}" for i in range(n_coef) for p in ("re", "im")]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"#chunk t_s={cfg.sample_interval_s!r} t_c={cfg.chunk_interval_s!r} "
-                 f"w={cfg.chunk_length_s!r} origin_length={series.origin_length}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in series.frames:
-            writer.writerow([format(v, ".17g") for v in row])
-
-
-def load_series_csv(path) -> SpectralSeries:
-    with open(path, newline="") as fh:
-        meta_line = fh.readline().strip()
-        if not meta_line.startswith("#chunk"):
-            raise ParseError("missing #chunk metadata line", line=1)
-        meta = dict(part.split("=", 1) for part in meta_line.split()[1:])
-        try:
-            cfg = ChunkConfig(sample_interval_s=float(meta["t_s"]),
-                              chunk_interval_s=float(meta["t_c"]),
-                              chunk_length_s=float(meta["w"]))
-            origin = int(meta["origin_length"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad #chunk metadata: {exc}", line=1) from exc
-        reader = csv.reader(fh)
-        next(reader)  # column header
-        rows = [[float(v) for v in row] for row in reader if row]
-    return SpectralSeries(frames=np.asarray(rows, dtype=float), config=cfg,
-                          origin_length=origin)

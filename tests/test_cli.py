@@ -308,6 +308,35 @@ def test_group_member_outside_store_exit_1(workspace, runner, tmp_path, command)
     _assert_one_line_exit_1(result, "flow 99 from")
 
 
+@pytest.mark.parametrize("section, key, value",
+                         [("experiment", "chunk_lengths_s", "[0.605]"),
+                          ("experiment", "peak_window_s", "0.155"),
+                          ("experiment", "predict_horizon_s", "0.33"),
+                          ("clustering", "signature_chunk_length_s", "0.605")])
+def test_timing_off_the_sample_grid_exit_2(workspace, runner, tmp_path, section, key,
+                                           value):
+    # each duration must be whole samples (whole chunk intervals for the
+    # forecast horizon); none may be rounded or fail later with a traceback
+    cfg, out = workspace
+    runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                         "cluster", str(out / "traces.csv")])
+    lines = [line for line in CONFIG_YAML.splitlines()
+             if not line.strip().startswith(key + ":")]
+    lines.insert(lines.index(section + ":") + 1, f"  {key}: {value}")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("\n".join(lines) + "\n")
+    fresh = tmp_path / "fresh"
+    result = runner.invoke(main, ["--config", str(bad), "--out", str(fresh),
+                                  "evaluate", str(out / "traces.csv"),
+                                  "--groups", str(out / "groups.csv")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    errors = result.stderr.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("config error: ") and value.strip("[]") in errors[0]
+    assert not fresh.exists() or not any(fresh.iterdir())
+
+
 def test_bad_config_exit_2(runner, tmp_path):
     cfg = tmp_path / "config.yaml"
     cfg.write_text("unknown_section:\n  foo: 1\n")

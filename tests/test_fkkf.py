@@ -529,6 +529,24 @@ class TestRunFilter:
         np.testing.assert_array_equal(first.cov_diag, fresh.cov_diag)
         np.testing.assert_array_equal(second.cov_diag, fresh.cov_diag)
 
+    def test_kbit_variance_matches_jacobian_oracle(self, traffic_model):
+        # oracle: J, the Jacobian of frames_to_kbit over the (steps x kept)
+        # reduced frames, from unit pushes minus the value at zero; for
+        # independent frames the kbit variance is (J**2) @ cov_diag
+        flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
+        raw = observation_frames(flows[0].samples, CHUNK, 0.2)
+        frontend = traffic_model.frontend
+        pred = run_filter(traffic_model, frontend.reduce_observations(raw[:4]), 6)
+        steps, kept = pred.cov_diag.shape
+        at_zero = frontend.frames_to_kbit(np.zeros((steps, kept)), steps)
+        jac = np.empty((at_zero.size, steps * kept))
+        for j in range(steps * kept):
+            unit = np.zeros(steps * kept)
+            unit[j] = 1.0
+            jac[:, j] = frontend.frames_to_kbit(unit.reshape(steps, kept), steps) - at_zero
+        np.testing.assert_allclose(frontend.kbit_variance(pred.cov_diag),
+                                   (jac ** 2) @ pred.cov_diag.ravel(), rtol=1e-9)
+
     def test_innovation_beats_open_loop(self):
         # filtering the flow's own prefix must beat the prior-only rollout
         # (1-step RMSE over many positions) on >= 90% of the seeded cases

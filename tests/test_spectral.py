@@ -3,15 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcast.errors import (ChunkTooShort, EmptySeries, FrameDimMismatch,
-                             ParseError)
-from flowcast.spectral import (ChunkConfig, SpectralSeries, chunk,
-                               forward_frame, frame_dim_for, inverse_frame,
-                               load_series_csv, overlap_average, reassemble,
-                               save_series_csv, transform)
+from flowcast.errors import EmptySeries, FrameDimMismatch
+from flowcast.spectral import (ChunkConfig, SpectralSeries, forward_frames,
+                               inverse_frames, overlap_average, reassemble,
+                               transform)
 from oracles import naive_dft
 
 CFG = ChunkConfig(sample_interval_s=0.01, chunk_interval_s=0.05, chunk_length_s=1.0)
+
+
+def one_frame(x):
+    """The frame of one whole chunk through the framing primitive."""
+    return forward_frames(x, x.size, 1, 1)[0]
+
+
+def one_chunk(frame, width):
+    return inverse_frames(frame, width)[0]
+
+
+def dft_frame(chunk):
+    """Oracle frame: naive DFT up to Nyquist, interleaved."""
+    spec = naive_dft(chunk)[:chunk.size // 2 + 1]
+    frame = np.empty(2 * spec.size)
+    frame[0::2] = spec.real
+    frame[1::2] = spec.imag
+    return frame
 
 
 class TestChunkConfig:
@@ -30,45 +46,53 @@ class TestChunkConfig:
 
 
 class TestChunk:
+    """transform's zero-padded chunks, checked frame by frame against the
+    naive DFT of the chunk each frame should cover."""
+
     def test_paper_dimensionality_1000_samples(self):
         # 10 s flow at T_S=0.01 with T_C=0.05, w=1 -> 200 chunks of 100
-        out = chunk(np.arange(1000.0), CFG)
-        assert out.shape == (200, 100)
+        out = transform(np.arange(1000.0), CFG)
+        assert out.frames.shape == (200, 102)
+        assert out.origin_length == 1000
 
     def test_single_chunk_identity(self):
         cfg = ChunkConfig(0.01, 1.0, 1.0)
         series = np.arange(100.0)
-        out = chunk(series, cfg)
-        assert out.shape == (1, 100)
-        np.testing.assert_array_equal(out[0], series)
+        out = transform(series, cfg)
+        assert out.frames.shape == (1, 102)
+        np.testing.assert_allclose(out.frames[0], dft_frame(series), atol=1e-9)
 
     def test_partial_tail_zero_padded(self):
-        # oracle: index arithmetic -- chunk i covers [5i, 5i+100)
+        # oracle: index arithmetic -- chunk i covers [5i, 5i+100), zero past 120
         series = np.ones(120)
-        out = chunk(series, CFG)
-        assert out.shape == (24, 100)
+        out = transform(series, CFG)
+        assert out.frames.shape == (24, 102)
         for i in range(24):
             starts = 5 * i
             valid = max(0, min(100, 120 - starts))
-            np.testing.assert_array_equal(out[i, :valid], np.ones(valid))
-            np.testing.assert_array_equal(out[i, valid:], np.zeros(100 - valid))
-        assert not np.any(out[4, :] == 0)  # chunk 4 still fully covered
-        assert np.any(out[5, :] == 0)      # chunks 5..23 partially padded
+            chunk = np.concatenate([np.ones(valid), np.zeros(100 - valid)])
+            np.testing.assert_allclose(out.frames[i], dft_frame(chunk), atol=1e-9)
+        assert out.frames[4, 0] == pytest.approx(100.0)  # chunk 4 still fully covered
+        assert out.frames[5, 0] == pytest.approx(95.0)   # chunks 5..23 partially padded
 
     def test_empty_series(self):
         with pytest.raises(EmptySeries):
-            chunk(np.array([]), CFG)
+            transform(np.array([]), CFG)
 
     def test_overlap_count(self):
         # consecutive chunks overlap by (w - T_C)/T_S samples
-        series = np.arange(300.0)
-        out = chunk(series, CFG)
-        np.testing.assert_array_equal(out[0, 5:], out[1, :95])
+        series = np.random.default_rng(7).uniform(0, 10, size=300)
+        out = transform(series, CFG)
+        for i in (0, 1, 40):
+            chunk = np.zeros(100)
+            covered = series[5 * i:5 * i + 100]
+            chunk[:covered.size] = covered
+            np.testing.assert_allclose(out.frames[i], dft_frame(chunk), atol=1e-9)
 
 
 class TestForwardFrame:
     def test_zero_chunk(self):
-        frame = forward_frame(np.zeros(100))
+        frame = one_frame(np.zeros(100))
         assert frame.shape == (102,)
         np.testing.assert_array_equal(frame, np.zeros(102))
 
@@ -76,7 +100,7 @@ class TestForwardFrame:
         # oracle: direct O(L^2) DFT summation
         t = np.arange(100)
         x = np.cos(2 * np.pi * 3 * t / 100)
-        frame = forward_frame(x)
+        frame = one_frame(x)
         oracle = naive_dft(x)
         np.testing.assert_allclose(frame[0::2], oracle[:51].real, atol=1e-9)
         np.testing.assert_allclose(frame[1::2], oracle[:51].imag, atol=1e-9)
@@ -85,43 +109,45 @@ class TestForwardFrame:
         assert mags[3] > 10 * np.max(np.delete(mags, 3))
 
     def test_frame_dim_for_100_samples(self):
-        assert forward_frame(np.random.default_rng(0).uniform(size=100)).size == 102
-        assert frame_dim_for(100) == 102
+        assert one_frame(np.random.default_rng(0).uniform(size=100)).size == 102
+        assert ChunkConfig(0.01, 0.05, 1.0).frame_dim == 102
 
     def test_too_short(self):
-        with pytest.raises(ChunkTooShort):
-            forward_frame(np.array([1.0]))
+        # a one-sample chunk cannot be configured: T_C > T_S and w >= T_C
+        with pytest.raises(ValueError):
+            ChunkConfig(0.01, 0.01, 0.01)
+        assert ChunkConfig(0.01, 0.02, 0.02).chunk_samples == 2
 
     def test_dc_and_nyquist_imag_zero(self):
-        frame = forward_frame(np.random.default_rng(1).uniform(size=64))
+        frame = one_frame(np.random.default_rng(1).uniform(size=64))
         assert frame[1] == 0.0            # DC imaginary part
         assert frame[-1] == 0.0           # Nyquist imaginary part (even L)
 
 
 class TestInverseFrame:
     def test_zero_frame(self):
-        np.testing.assert_array_equal(inverse_frame(np.zeros(102), 100),
+        np.testing.assert_array_equal(one_chunk(np.zeros(102), 100),
                                       np.zeros(100))
 
     def test_roundtrip(self):
         x = np.random.default_rng(2).uniform(0, 50, size=100)
-        back = inverse_frame(forward_frame(x), 100)
+        back = one_chunk(one_frame(x), 100)
         np.testing.assert_allclose(back, x, rtol=1e-9, atol=1e-12)
 
     def test_roundtrip_odd_length(self):
         x = np.random.default_rng(3).uniform(0, 5, size=99)
-        back = inverse_frame(forward_frame(x), 99)
+        back = one_chunk(one_frame(x), 99)
         np.testing.assert_allclose(back, x, rtol=1e-9, atol=1e-12)
 
     def test_dc_only(self):
         frame = np.zeros(102)
         frame[0] = 7.0
-        np.testing.assert_allclose(inverse_frame(frame, 100),
+        np.testing.assert_allclose(one_chunk(frame, 100),
                                    np.full(100, 7.0 / 100), rtol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(FrameDimMismatch):
-            inverse_frame(np.zeros(100), 100)
+            one_chunk(np.zeros(100), 100)
 
 
 class TestReassemble:
@@ -143,7 +169,7 @@ class TestReassemble:
         np.testing.assert_allclose(back, x, rtol=1e-9, atol=1e-9)
 
     def test_equal_overlaps_average_to_same(self):
-        frame = forward_frame(np.full(100, 3.0))
+        frame = one_frame(np.full(100, 3.0))
         series = SpectralSeries(frames=np.vstack([frame, frame]), config=CFG,
                                 origin_length=105)
         back = reassemble(series)
@@ -157,7 +183,7 @@ class TestReassemble:
 def test_parseval():
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, size=100)
-    frame = forward_frame(x)
+    frame = one_frame(x)
     half = frame[0::2] + 1j * frame[1::2]
     # rebuild the full spectrum by conjugate symmetry
     full = np.concatenate([half, np.conj(half[-2:0:-1])])
@@ -171,7 +197,7 @@ def test_frame_count_monotone_in_chunk_interval():
     counts = []
     for t_c in (0.02, 0.05, 0.1, 0.25):
         cfg = ChunkConfig(0.01, t_c, 1.0)
-        counts.append(chunk(x, cfg).shape[0])
+        counts.append(transform(x, cfg).frames.shape[0])
     assert counts == sorted(counts, reverse=True)
 
 
@@ -179,7 +205,7 @@ def test_frame_count_monotone_in_chunk_interval():
 @given(st.integers(min_value=2, max_value=200), st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_roundtrip_property(length, seed):
     x = np.random.default_rng(seed).uniform(0, 10, size=length)
-    back = inverse_frame(forward_frame(x), length)
+    back = one_chunk(one_frame(x), length)
     np.testing.assert_allclose(back, x, rtol=1e-9, atol=1e-9)
 
 
@@ -187,21 +213,3 @@ def test_overlap_average_counts():
     chunks = np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
     out = overlap_average(chunks, hop=2, out_length=5)
     np.testing.assert_allclose(out, [1.0, 1.0, 2.0, 3.0, 3.0])
-
-
-class TestSeriesCsv:
-    def test_roundtrip(self, tmp_path):
-        x = np.random.default_rng(6).uniform(0, 20, size=500)
-        series = transform(x, CFG)
-        path = tmp_path / "frames.csv"
-        save_series_csv(series, path)
-        loaded = load_series_csv(path)
-        assert loaded.config == CFG
-        assert loaded.origin_length == 500
-        np.testing.assert_array_equal(loaded.frames, series.frames)
-
-    def test_bad_metadata(self, tmp_path):
-        path = tmp_path / "frames.csv"
-        path.write_text("nope\n")
-        with pytest.raises(ParseError):
-            load_series_csv(path)
