@@ -7,6 +7,7 @@ Exit codes: 2 parse errors, 3 missing model file, 4 numerical failure.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -212,6 +213,14 @@ def _store_flow(flows, flow_id: int, source):
     return flows[flow_id]
 
 
+def _with_chunk_length(exp, chunk_length_s: float):
+    """exp with chunk_length_s as its one length, checked as config load checks it."""
+    try:
+        return dataclasses.replace(exp, chunk_lengths_s=(chunk_length_s,))
+    except ValueError as exc:
+        raise ParseError(f"--chunk-length {chunk_length_s!r}: {exc}") from None
+
+
 @main.command()
 @click.argument("traces_path", type=click.Path())
 @click.option("--groups", "groups_path", type=click.Path(), required=True)
@@ -224,13 +233,15 @@ def learn(ctx, traces_path, groups_path, group_id, chunk_length):
     _echo_hash(ctx)
 
     def work():
+        exp = ctx.config.experiment
+        if chunk_length is not None:
+            exp = _with_chunk_length(exp, chunk_length)
+        length = exp.chunk_lengths_s[0]
         flows = _load_store(traces_path)
         members = _read_groups(groups_path).get(group_id)
         if not members:
             raise FlowcastError(f"group {group_id} not found in {groups_path}")
         group_flows = [_store_flow(flows, i, groups_path) for i in members]
-        exp = ctx.config.experiment
-        length = chunk_length if chunk_length is not None else exp.chunk_lengths_s[0]
         hyper = _resolve_hyper(ctx, group_flows, length)
         model = fkkf.learn(group_flows, hyper, exp.subspace_size,
                            exp.chunk_config(length), exp.window_config(length),
@@ -267,6 +278,8 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
                                 f"(learned from frames, not flows)")
         hop = fe.chunk_cfg.hop_samples
         start = start_step
+        if start is not None and start < 0:
+            raise FlowcastError(f"--start-step {start} is negative")
         if start is None:
             start = evaluation.locate_peak_rise(flow.samples,
                                                 fe.chunk_cfg.chunk_interval_s,

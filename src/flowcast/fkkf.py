@@ -15,6 +15,8 @@ Updates are linear in these coordinates:
     innovation:  n_t = n-_t + W_t (O' k_y - M n-_t)
                  P_t = P-_t - W_t M P-_t = kappa W_t
     readout:     mu_x = X O n_t,               var_x = diag(X O P_t O' X')
+    forecast:    A_0 = C,  A_k = A_{k-1} T,    var_k = rowsum((A_k L_P)^2)
+                                                 + sum_{j<k} rowsum((A_j L_V)^2)
 
 where G_yy is the m x m Gram of the training observations, k_y the
 kernel responses of the incoming observation against them, X the d x m
@@ -28,7 +30,10 @@ computed as L (L' M L + kappa I_n)^-1 L' from a factor P-_t = L L'
 clamped to zero where Cholesky fails), which keeps W_t and the posterior
 kappa W_t positive semi-definite by construction.
 The forecast reads out only the variance diagonal of the observation
-block (the first q state coordinates), never the full d x d covariance.
+block: C = (X O)[:q] holds its readout rows, and L_P, L_V are factors of
+the filtered posterior and of V.  Only the q x n rows A_k are stepped,
+never the n x n covariance, and each variance is a sum of squares,
+non-negative by construction.
 SpectralFrontend maps the forecast mean back to kbit with the inverse
 framing of spectral.py (frames_to_kbit) and its variance through the
 linear part of that same map (kbit_variance); the lookahead states and
@@ -655,18 +660,27 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                    trans_a=trans_a, trans_b=trans_b)
 
 
-def _covariance_root(cov: np.ndarray) -> np.ndarray:
+# (lower Cholesky factor, symmetric eigendecomposition) from one library:
+# project factorizes with scipy's, run_filter with numpy's (see _matmul)
+_SCIPY_FACTORS = (lambda a: scipy.linalg.cholesky(a, lower=True),
+                  lambda a: scipy.linalg.eigh(a, driver="evd"))
+_NUMPY_FACTORS = (np.linalg.cholesky, np.linalg.eigh)
+
+
+def _covariance_root(cov: np.ndarray, factors=_SCIPY_FACTORS) -> np.ndarray:
     """A factor L with L L' = cov.
 
     Cholesky when cov is numerically positive definite, the usual case for
     a prior (the prediction adds V >= jitter I); otherwise U sqrt(Lambda)
     from an eigendecomposition with negative roundoff eigenvalues clamped
-    to zero.  The gain does not depend on which factor is used.
+    to zero.  Neither the gain nor the forecast variance depends on which
+    factor is used.
     """
+    cholesky, eigh = factors
     try:
-        return scipy.linalg.cholesky(cov, lower=True)
-    except scipy.linalg.LinAlgError:
-        evals, evecs = scipy.linalg.eigh(cov, driver="evd")
+        return cholesky(cov)
+    except np.linalg.LinAlgError:  # scipy.linalg raises the same class
+        evals, evecs = eigh(cov)
         return evecs * np.sqrt(np.maximum(evals, 0.0))
 
 
@@ -813,14 +827,29 @@ def reconstruct(state: FilterState, model: FkkfModel):
 
 def _forecast_variance(model: FkkfModel, p_post: np.ndarray,
                        steps: int) -> np.ndarray:
-    """Observation-block variance diagonal of `steps` open-loop priors from p_post."""
-    xo_obs = model.xo[:model.obs_dim]
-    var = np.empty((steps, model.obs_dim))
-    p_t = p_post
-    for i in range(steps):
-        p_t = _prediction_cov(model, p_t)
-        var[i] = np.einsum("ij,ij->i", xo_obs @ p_t, xo_obs)
-    return var
+    """Observation-block variance diagonal of `steps` open-loop priors from p_post.
+
+    The k-th prior is T^k P T^k' + sum_{j<k} T^j V T^j'.  With the readout
+    rows A_k = C T^k (C = xo[:q], A_0 = C) and factors P = L_P L_P',
+    V = L_V L_V' (_covariance_root), its readout diagonal is
+
+        rowsum((A_k L_P)^2) + sum_{j<k} rowsum((A_j L_V)^2),
+
+    so only the q x n rows are stepped, never the n x n covariance, and
+    each stacked product is one GEMM.  Every entry is a sum of squares:
+    non-negative by construction, however ill-conditioned T^k is.
+    """
+    q, n = model.obs_dim, model.subspace_size
+    rows = np.empty((steps + 1, q, n))
+    rows[0] = model.xo[:q]
+    for k in range(steps):
+        rows[k + 1] = rows[k] @ model.t_sub
+    rows = rows.reshape(-1, n)
+    post = rows[q:] @ _covariance_root(p_post, _NUMPY_FACTORS)
+    noise = rows[:-q] @ _covariance_root(model.v, _NUMPY_FACTORS)
+    post_var = np.einsum("ij,ij->i", post, post).reshape(steps, q)
+    noise_var = np.einsum("ij,ij->i", noise, noise).reshape(steps, q)
+    return post_var + np.cumsum(noise_var, axis=0)
 
 
 def run_filter(model: FkkfModel, observed_frames: np.ndarray,

@@ -277,6 +277,35 @@ def test_predict_negative_flow_id_exit_1(workspace, runner):
     assert not list(out.glob("prediction_flow*.csv"))
 
 
+def test_predict_negative_start_step_exit_1(workspace, runner):
+    cfg, out = workspace
+    model_path = _learned_model(runner, cfg, out)
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                  "predict", str(out / "traces.csv"),
+                                  "--model", str(model_path), "--flow-id", "0",
+                                  "--start-step", "-3"])
+    _assert_one_line_exit_1(result, "--start-step -3 is negative")
+    assert not list(out.glob("prediction_flow*.csv"))
+
+
+@pytest.mark.parametrize("length", ["0.605", "-1"], ids=["off_grid", "negative"])
+def test_learn_chunk_length_checked_exit_2(workspace, runner, length):
+    # --chunk-length obeys the rules config load applies to chunk_lengths_s
+    cfg, out = workspace
+    runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                         "cluster", str(out / "traces.csv")])
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                  "learn", str(out / "traces.csv"),
+                                  "--groups", str(out / "groups.csv"),
+                                  "--group-id", "1", "--chunk-length", length])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    errors = result.stderr.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("parse error: --chunk-length ") and length in errors[0]
+    assert not list(out.glob("model_group*.npz"))
+
+
 def _write_groups(path, rows):
     path.write_text("flow_id,group_id,distance_to_centroid\n"
                     + "".join(row + "\n" for row in rows))

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flowcast import fkkf
 from flowcast.errors import (BadDimension, FlowTooShort, InsufficientData,
@@ -272,14 +273,17 @@ class TestProject:
             np.testing.assert_allclose(p, p.T, atol=1e-8)
 
 
-@pytest.fixture(scope="module")
-def ill_conditioned_fold():
-    """Fold 0 of group 7 in the criterion-6 config at 0.4 s chunks."""
+def _criterion6_fold(seed):
+    """Fold 0 of group 7 in the criterion-6 config at 0.4 s chunks.
+
+    Returns the model and the 4 reduced frames observed from the located
+    peak rise of the held-out flow.
+    """
     hyper = FkkfHyperparams(lambda_t=0.05, lambda_o=1e-3, state_bw_scale=1.0,
                             obs_bw_scale=1.0, kappa=1e-3)
     cfg = ExperimentConfig(observe_steps=4, chunk_lengths_s=(0.4,),
                            subspace_size=250, kept_dim=50, peak_window_s=0.15)
-    flows = generate_group(default_templates(10)[7], 8, 10.0, 0.01, seed=107,
+    flows = generate_group(default_templates(10)[7], 8, 10.0, 0.01, seed=seed,
                            group_id=7)
     train, test = next(iter(leave_one_out_splits(flows)))
     model = learn(train, hyper, cfg.subspace_size, cfg.chunk_config(0.4),
@@ -290,6 +294,71 @@ def ill_conditioned_fold():
                              cfg.sample_interval_s, cfg.peak_window_s,
                              cfg.peak_factor)
     return model, model.frontend.reduce_observations(raw[start:start + 4])
+
+
+@pytest.fixture(scope="module")
+def ill_conditioned_fold():
+    return _criterion6_fold(107)
+
+
+@pytest.fixture(scope="module")
+def forecast_fold():
+    """The same fold at synth seed 238, the benchmark's loo_sweep seed 7 for g7."""
+    model, observed = _criterion6_fold(238)
+    gains = project(model, observed.shape[0])
+    return model, observed, gains
+
+
+class TestForecastVariance:
+    """cov_diag is a sum of squares of readout rows against covariance factors.
+
+    Rolling the n x n covariance forward cancelled catastrophically on
+    this fold and returned negative variances down to -8.7e16.
+    """
+
+    def test_variances_non_negative(self, forecast_fold):
+        model, observed, gains = forecast_fold
+        pred = run_filter(model, observed, 20, gains=gains)
+        assert pred.cov_diag.shape == (20, model.obs_dim)
+        assert np.all(pred.cov_diag >= 0)
+        assert np.all(model.frontend.kbit_variance(pred.cov_diag) >= 0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="np.longdouble is no wider than float64 here")
+    def test_matches_long_double_rollout(self, forecast_fold):
+        # oracle: P <- T P T' + V in extended precision from the filtered
+        # posterior, read out as diag(C P C') with C the observation rows
+        model, observed, gains = forecast_fold
+        pred = run_filter(model, observed, 20, gains=gains)
+        ld = np.longdouble
+        t_sub, v = model.t_sub.astype(ld), model.v.astype(ld)
+        c = model.xo[:model.obs_dim].astype(ld)
+        p = gains.p_post_seq[observed.shape[0] - 1].astype(ld)
+        for k in range(20):
+            p = t_sub @ p @ t_sub.T + v
+            expected = np.einsum("ij,ij->i", c @ p, c).astype(float)
+            err = np.abs(pred.cov_diag[k] - expected)
+            assert err.max() <= 1e-2 * np.abs(expected).max(), k
+
+    def test_run_filter_calls_no_scipy_linalg(self, traffic_model, monkeypatch):
+        # numpy and scipy each keep a BLAS thread pool; alternating them
+        # per step makes both busy-wait (see fkkf._matmul)
+        flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
+        raw = observation_frames(flows[0].samples, CHUNK, 0.2)
+        observed = traffic_model.frontend.reduce_observations(raw[:4])
+        gains = project(traffic_model, 4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.linalg called inside run_filter")
+
+        for module in (scipy.linalg, scipy.linalg.blas, scipy.linalg.lapack):
+            for name in dir(module):
+                obj = getattr(module, name)
+                if callable(obj) and not isinstance(obj, type) and not name.startswith("_"):
+                    monkeypatch.setattr(module, name, forbidden)
+        with pytest.raises(AssertionError):
+            scipy.linalg.cholesky(np.eye(2))
+        run_filter(traffic_model, observed, 20, gains=gains)
 
 
 class TestPsdByConstruction:
