@@ -16,7 +16,7 @@ import yaml
 from .errors import ParseError
 from .evaluation import ExperimentConfig
 from .fkkf import FkkfHyperparams
-from .hyperopt import SearchSpace
+from .hyperopt import VALIDATION_SCHEMES, SearchSpace
 from .spectral import ChunkConfig
 
 
@@ -47,6 +47,12 @@ class HyperConfig:
     def __post_init__(self):
         if self.source not in ("fixed", "grid"):
             raise ValueError(f"hyperparams.source must be fixed|grid, got {self.source}")
+        if self.validation not in VALIDATION_SCHEMES:
+            raise ValueError(f"validation must be {'|'.join(VALIDATION_SCHEMES)}, "
+                             f"got {self.validation}")
+        if not 0 < self.holdout_fraction < 1:
+            raise ValueError(f"holdout_fraction must lie in (0, 1), "
+                             f"got {self.holdout_fraction}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,11 @@ class RunConfig:
 
     def __post_init__(self):
         self.signature_chunk_config()  # refuses a length off the sample grid
+        minimums = (("signature_frames", self.clustering.signature_frames, 1),
+                    ("flows_per_group", self.synth.flows_per_group, 2))
+        for name, value, low in minimums:
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
     def signature_chunk_config(self) -> ChunkConfig:
         """Chunking of the clustering signatures, on the experiment's grid."""

@@ -45,6 +45,10 @@ class ExperimentConfig:
             raise ValueError("observe_steps must be >= 3")
         if not self.chunk_lengths_s:
             raise ValueError("chunk_lengths_s must be non-empty")
+        for name, low in (("subspace_size", 1), ("kept_dim", 1), ("ar_order", 1),
+                          ("bandwidth_seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         # every duration the experiment turns into samples or steps, checked
         # here so a malformed config fails when it is loaded
         for length in self.report_lengths():

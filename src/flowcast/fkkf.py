@@ -13,22 +13,23 @@ Updates are linear in these coordinates:
     prediction:  n-_{t+1} = T n_t,            P-_{t+1} = T P_t T' + V
     gain:        W_t = (P-_t M + kappa I_n)^-1 P-_t,    M = O' G_yy O
     innovation:  n_t = n-_t + W_t (O' k_y - M n-_t)
-                 P_t = P-_t - W_t M P-_t = kappa W_t
+                 P_t = kappa W_t
     readout:     mu_x = X O n_t,               var_x = diag(X O P_t O' X')
     forecast:    A_0 = C,  A_k = A_{k-1} T,    var_k = rowsum((A_k L_P)^2)
                                                  + sum_{j<k} rowsum((A_j L_V)^2)
 
 where G_yy is the m x m Gram of the training observations, k_y the
 kernel responses of the incoming observation against them, X the d x m
-matrix of training state vectors, T the n x n transition model and O
-the m x n observation model.  The Kalman gain of the m-dimensional
-innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1, equals W_t O'
-by the push-through identity, so every per-step quantity is n x n and
-G_yy enters only through M, formed once at learning time.  W_t is
-computed as L (L' M L + kappa I_n)^-1 L' from a factor P-_t = L L'
+matrix of training state vectors (the model keeps only X O), T the n x n
+transition model and O the m x n observation model.  The Kalman gain of
+the m-dimensional innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1,
+equals W_t O' by the push-through identity, so every per-step quantity
+is n x n and G_yy enters only through M, formed once at learning time.
+W_t is computed as L (L' M L + kappa I_n)^-1 L' from a factor P-_t = L L'
 (Cholesky, or an eigendecomposition with negative roundoff eigenvalues
 clamped to zero where Cholesky fails), which keeps W_t and the posterior
-kappa W_t positive semi-definite by construction.
+kappa W_t positive semi-definite by construction; kappa W_t is the
+textbook posterior without its cancelling subtraction.
 The forecast reads out only the variance diagonal of the observation
 block: C = (X O)[:q] holds its readout rows, and L_P, L_V are factors of
 the filtered posterior and of V.  Only the q x n rows A_k are stepped,
@@ -90,7 +91,7 @@ from .kernelcore import (DEFAULT_SUBSET_SIZE, KernelSpec, gram, kernel_vector,
 from .reduction import PcaBasis, Standardizer
 from .spectral import ChunkConfig
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 _COV_JITTER = 1e-8
 _EIG_FLOOR = 1e-14  # relative floor when whitening the inducing Gram
@@ -163,7 +164,6 @@ class ProjectedGains:
     """Observation-independent gain/covariance sequences, cached offline."""
 
     w_seq: list          # n x n gain factors W_t; the Kalman gain is W_t O'
-    qgo_seq: list        # cached W_t @ (O' G_yy O), n x n
     p_post_seq: list     # posterior covariance per step
     p_prior_seq: list    # prior covariance per step (entry 0 = learned prior)
 
@@ -360,11 +360,9 @@ class _SubspaceSolver:
 
 @dataclass
 class FkkfModel:
-    """Learned sub-space filter model.  Immutable after learning."""
+    """Learned sub-space filter model: what filtering reads.  Immutable."""
 
-    x_pred: np.ndarray            # (m, d) training state vectors
-    x_succ: np.ndarray            # (m, d) successor state vectors
-    y_train: np.ndarray           # (m, q) observations aligned with x_pred
+    y_train: np.ndarray           # (m, q) training observations, the centres of k_y
     subspace_indices: np.ndarray  # (n,) inducing pair indices
     t_sub: np.ndarray             # (n, n) transition model
     o_sub: np.ndarray             # (m, n) observation model (G_yy O = response map)
@@ -377,12 +375,11 @@ class FkkfModel:
     obs_spec: KernelSpec
     hyper: FkkfHyperparams
     bandwidth_seed: int
-    bandwidth_subset: int
     frontend: SpectralFrontend | None = None
 
     @property
     def n_pairs(self) -> int:
-        return self.x_pred.shape[0]
+        return self.y_train.shape[0]
 
     @property
     def subspace_size(self) -> int:
@@ -390,7 +387,7 @@ class FkkfModel:
 
     @property
     def state_dim(self) -> int:
-        return self.x_pred.shape[1]
+        return self.xo.shape[0]
 
     @property
     def obs_dim(self) -> int:
@@ -474,12 +471,10 @@ class _CoreStages:
         obs_spec, g_yy = self._obs_kernel(hyper.obs_bw_scale)
         t_sub, v, n1, p1 = self._transition_ridge(state, hyper.lambda_t)
         o_sub, ogo, xo = self._observation_ridge(state, g_yy, hyper.lambda_o)
-        return FkkfModel(x_pred=self.x_pred, x_succ=self.x_succ, y_train=self.y_train,
-                         subspace_indices=self.idx, t_sub=t_sub, o_sub=o_sub, ogo=ogo,
-                         xo=xo, v=v, n1_prior=n1, p1_prior=p1, state_spec=state.spec,
-                         obs_spec=obs_spec, hyper=hyper,
-                         bandwidth_seed=self.bandwidth_seed,
-                         bandwidth_subset=DEFAULT_SUBSET_SIZE, frontend=self.frontend)
+        return FkkfModel(y_train=self.y_train, subspace_indices=self.idx, t_sub=t_sub,
+                         o_sub=o_sub, ogo=ogo, xo=xo, v=v, n1_prior=n1, p1_prior=p1,
+                         state_spec=state.spec, obs_spec=obs_spec, hyper=hyper,
+                         bandwidth_seed=self.bandwidth_seed, frontend=self.frontend)
 
     def _state_kernel(self, scale: float) -> _StateKernel:
         if self._state is not None and self._state.spec.scale_factor == scale:
@@ -650,7 +645,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     keeps both pools busy-waiting, and on a two-core machine each call then
     waits about a scheduler tick: the 200 gain steps of criterion 3 (n = 180)
     took 12 s that way and 1 s with every product here.  project's loop
-    uses it; the per-step filter functions call no scipy and stay on numpy.
+    uses it; run_filter calls no scipy and stays on numpy.
     The result is in Fortran order; a C-ordered operand goes in as its
     transpose, no copy.
     """
@@ -685,32 +680,26 @@ def _covariance_root(cov: np.ndarray, factors=_SCIPY_FACTORS) -> np.ndarray:
 
 
 def _innovation_cov(model: FkkfModel, p_prior: np.ndarray):
-    """Gain factor W = L (L' M L + kappa I)^-1 L', posterior kappa W.
+    """Gain factor W = L (L' M L + kappa I)^-1 L' and posterior kappa W.
 
     P- = L L' (see _covariance_root).  B = L' M L + kappa I >= kappa I, so
     its Cholesky factor C exists, and W = Z' Z with Z = C^-1 L' is a Gram
-    matrix: positive semi-definite however ill-conditioned P- is.  The
-    product W M is formed as Z' (C^-1 L' M), not as W @ M: innovation_update
-    subtracts W M P from P, and W @ M carries W's roundoff, which is scaled
-    by 1/kappa, into that difference.  Z and C^-1 L' M come from one
-    triangular solve, W and W M from one product.
+    matrix: W and the posterior kappa W are positive semi-definite however
+    ill-conditioned P- is.  kappa W is the textbook posterior of P-
+    written without its subtraction, which cancels catastrophically when
+    P- spans many decades.
     """
     root = _covariance_root(p_prior)
-    m_root = _matmul(model.ogo, root)
-    inner = _sym(_matmul(root.T, m_root))
+    inner = _sym(_matmul(root.T, _matmul(model.ogo, root)))
     inner.flat[::inner.shape[0] + 1] += model.hyper.kappa
     try:
         chol = scipy.linalg.cholesky(inner, lower=True)
     except scipy.linalg.LinAlgError:
         raise NumericalFailure("innovation_gain",
                                "L' M L + kappa I is not positive definite") from None
-    # M is symmetric, so L' M = (M L)'
-    n = root.shape[1]
-    solved = scipy.linalg.solve_triangular(chol, np.hstack([root.T, m_root.T]),
-                                           lower=True)
-    products = _matmul(solved[:, :n].T, solved)
-    w = _sym(products[:, :n])
-    return w, products[:, n:].copy(), model.hyper.kappa * w
+    z = scipy.linalg.solve_triangular(chol, root.T, lower=True)
+    w = _sym(_matmul(z.T, z))
+    return w, model.hyper.kappa * w
 
 
 def _prediction_cov(model: FkkfModel, p_post: np.ndarray,
@@ -726,12 +715,12 @@ def project(model: FkkfModel, steps: int) -> ProjectedGains:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    w_seq, qgo_seq, post_seq, prior_seq = [], [], [], []
+    w_seq, post_seq, prior_seq = [], [], []
     p_prior = model.p1_prior
     n = model.subspace_size
     eye = np.eye(n)
     for _ in range(steps):
-        w, qgo, p_post = _innovation_cov(model, p_prior)
+        w, p_post = _innovation_cov(model, p_prior)
         # Cholesky of P + tol*I certifies min eigenvalue >= -tol; the
         # tolerance is relative to the covariance scale (the factorized
         # gain leaves roundoff of order eps * ||P||).
@@ -742,12 +731,10 @@ def project(model: FkkfModel, steps: int) -> ProjectedGains:
             raise NumericalFailure("posterior_covariance",
                                    "lost positive semi-definiteness") from None
         w_seq.append(w)
-        qgo_seq.append(qgo)
         post_seq.append(p_post)
         prior_seq.append(p_prior)
         p_prior = _prediction_cov(model, p_post, _matmul)
-    return ProjectedGains(w_seq=w_seq, qgo_seq=qgo_seq, p_post_seq=post_seq,
-                          p_prior_seq=prior_seq)
+    return ProjectedGains(w_seq=w_seq, p_post_seq=post_seq, p_prior_seq=prior_seq)
 
 
 def _innovated_mean(n_prior: np.ndarray, y_frame: np.ndarray, w: np.ndarray,
@@ -764,20 +751,21 @@ def innovation_update(state: FilterState, y_frame: np.ndarray,
                       gains: ProjectedGains, model: FkkfModel) -> FilterState:
     """Fold one observation into an a-priori belief.
 
-    When state.p_t is the projected prior of its step (see _is_projected)
-    the posterior is the projected one, PSD by construction; any other
-    prior gets P - W M P.
+    The projected prior of the step (see _is_projected) takes the
+    projected gain and posterior, any other prior its own (_innovation_cov):
+    mean and covariance come from one gain, the posterior is PSD by construction.
     """
     if state.is_posterior:
         raise ValueError("innovation_update expects an a-priori state")
-    if state.step >= len(gains):
-        raise ValueError(f"no projected gain for step {state.step}")
-    n_post = _innovated_mean(state.n_t, y_frame, gains.w_seq[state.step], model)
-    if _is_projected(state.p_t, gains.p_prior_seq[state.step]):
-        p_post = gains.p_post_seq[state.step].copy()
+    step = state.step
+    if step >= len(gains):
+        raise ValueError(f"no projected gain for step {step}")
+    if _is_projected(state.p_t, gains.p_prior_seq[step]):
+        w, p_post = gains.w_seq[step], gains.p_post_seq[step].copy()
     else:
-        p_post = _sym(state.p_t - gains.qgo_seq[state.step] @ state.p_t)
-    return FilterState(n_t=n_post, p_t=p_post, is_posterior=True, step=state.step)
+        w, p_post = _innovation_cov(model, state.p_t)
+    n_post = _innovated_mean(state.n_t, y_frame, w, model)
+    return FilterState(n_t=n_post, p_t=p_post, is_posterior=True, step=step)
 
 
 def _is_projected(p_t: np.ndarray, projected: np.ndarray) -> bool:
@@ -786,10 +774,8 @@ def _is_projected(p_t: np.ndarray, projected: np.ndarray) -> bool:
     project forms its priors with scipy's BLAS and prediction_update with
     numpy's, so a prior stepped by hand from a projected posterior differs
     from the projected one by roundoff, which T P T' amplifies: up to
-    1.7e-10 of its largest entry on the criterion-6 folds.  For such a
-    prior the projected posterior, kappa W, is PSD by construction and at
-    least as accurate as P - W M P, which cancels catastrophically when P
-    spans many decades.
+    1.7e-10 of its largest entry on the criterion-6 folds.  Such a prior
+    reuses the cached gain instead of factorizing its own.
     """
     if p_t is projected:
         return True
@@ -867,9 +853,8 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
         raise ValueError("observed_frames must be non-empty")
     if gains is None or len(gains) < observed.shape[0]:
         gains = project(model, observed.shape[0])
-    # Only the mean depends on the observations.  The filtered covariance is
-    # the projected posterior, PSD by construction; recomputing it here as
-    # P - W M P would cancel catastrophically on ill-conditioned priors.
+    # only the mean depends on the observations; the filtered covariance is
+    # the projected posterior
     n_t = model.n1_prior
     for i, frame in enumerate(observed):
         if i:
@@ -910,10 +895,9 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
 
 # Array fields with their shapes over the model sizes: m training pairs,
 # n inducing pairs, d state and q observation dimensions.
-_ARRAY_SHAPES = {"x_pred": "md", "x_succ": "md", "y_train": "mq",
-                 "subspace_indices": "n", "t_sub": "nn", "o_sub": "mn",
-                 "ogo": "nn", "xo": "dn", "v": "nn", "n1_prior": "n",
-                 "p1_prior": "nn"}
+_ARRAY_SHAPES = {"y_train": "mq", "subspace_indices": "n", "t_sub": "nn",
+                 "o_sub": "mn", "ogo": "nn", "xo": "dn", "v": "nn",
+                 "n1_prior": "n", "p1_prior": "nn"}
 _ARRAY_FIELDS = tuple(_ARRAY_SHAPES)
 
 
@@ -930,7 +914,6 @@ def save_model(model: FkkfModel, path) -> None:
         "state_spec": [model.state_spec.bandwidth, model.state_spec.scale_factor],
         "obs_spec": [model.obs_spec.bandwidth, model.obs_spec.scale_factor],
         "bandwidth_seed": model.bandwidth_seed,
-        "bandwidth_subset": model.bandwidth_subset,
         "has_frontend": model.frontend is not None,
     }
     arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
@@ -1023,7 +1006,7 @@ def _model_from_archive(data, path) -> FkkfModel:
         frontend = SpectralFrontend(chunk_cfg=chunk_cfg, window_cfg=window_cfg,
                                     reducers=reducers)
         if (frontend.obs_dim, frontend.state_dim) != (arrays["y_train"].shape[1],
-                                                      arrays["x_pred"].shape[1]):
+                                                      arrays["xo"].shape[0]):
             raise ModelFileError(f"{path}: PCA blocks disagree with the model arrays")
     lam_t, lam_o, sbw, obw, kappa = meta["hyper"]
     hyper = FkkfHyperparams(lambda_t=lam_t, lambda_o=lam_o, state_bw_scale=sbw,
@@ -1033,5 +1016,4 @@ def _model_from_archive(data, path) -> FkkfModel:
                      obs_spec=KernelSpec(bandwidth=meta["obs_spec"][0],
                                          scale_factor=meta["obs_spec"][1]),
                      hyper=hyper, bandwidth_seed=meta["bandwidth_seed"],
-                     bandwidth_subset=meta["bandwidth_subset"],
                      frontend=frontend, **arrays)

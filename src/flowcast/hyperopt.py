@@ -38,6 +38,8 @@ from .errors import (EmptySpace, FlowcastError, InsufficientGroup,
 from .fkkf import FkkfHyperparams
 from .trace_io import leave_one_out_splits
 
+VALIDATION_SCHEMES = ("leave_one_out", "holdout_fraction")
+
 
 @dataclass(frozen=True)
 class SearchSpace:

@@ -54,16 +54,19 @@ class FullSpaceFilter:
     O = (K_xx + lam_O I)^-1 K_xx', the m x m gain solve, and the
     X O m_t reconstruction.  Noise V and the initial belief are taken
     from the model under test (the recursion, not their estimation, is
-    what this oracle pins down).
+    what this oracle pins down); the training states and successors the
+    model was learned from come from the caller, since the model keeps
+    only X O.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, x_pred, x_succ):
         self.model = model
+        self.x_pred = x_pred
         s_spec, o_spec = model.state_spec, model.obs_spec
         lam_t, lam_o = model.hyper.lambda_t, model.hyper.lambda_o
         self.kappa = model.hyper.kappa
-        k_xx = gram(model.x_pred, model.x_pred, s_spec)
-        k_xxp = gram(model.x_pred, model.x_succ, s_spec)
+        k_xx = gram(x_pred, x_pred, s_spec)
+        k_xxp = gram(x_pred, x_succ, s_spec)
         self.g_yy = gram(model.y_train, model.y_train, o_spec)
         m = k_xx.shape[0]
         eye = np.eye(m)
@@ -101,7 +104,7 @@ class FullSpaceFilter:
         return means, covs, gains, forecast
 
     def reconstruct(self, mt):
-        return self.model.x_pred.T @ (self.o_mat @ mt)
+        return self.x_pred.T @ (self.o_mat @ mt)
 
 
 class TextbookKalman:

@@ -201,15 +201,16 @@ def _assert_one_line_exit_1(result, text):
     assert lines[-1].startswith("error: ") and text in lines[-1]
 
 
-def test_predict_v1_model_exit_1(workspace, runner, tmp_path):
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+def test_predict_old_format_model_exit_1(workspace, runner, tmp_path, version):
     cfg, out = workspace
-    model_path = tmp_path / "model_v1.npz"
-    meta = {"format_version": 1, "has_frontend": False}
+    model_path = tmp_path / f"model_v{version}.npz"
+    meta = {"format_version": version, "has_frontend": False}
     np.savez_compressed(model_path, g_yy=np.eye(4), kbar_xx=np.ones((4, 2)),
                         meta_json=np.frombuffer(json.dumps(meta).encode(),
                                                 dtype=np.uint8))
     result = _predict_with_model(runner, cfg, out, model_path)
-    _assert_one_line_exit_1(result, "model format version 1 is not supported")
+    _assert_one_line_exit_1(result, f"model format version {version} is not supported")
 
 
 @pytest.mark.parametrize("content", [b"\x80\x04garbage, not an archive" * 4, None],
@@ -337,15 +338,9 @@ def test_group_member_outside_store_exit_1(workspace, runner, tmp_path, command)
     _assert_one_line_exit_1(result, "flow 99 from")
 
 
-@pytest.mark.parametrize("section, key, value",
-                         [("experiment", "chunk_lengths_s", "[0.605]"),
-                          ("experiment", "peak_window_s", "0.155"),
-                          ("experiment", "predict_horizon_s", "0.33"),
-                          ("clustering", "signature_chunk_length_s", "0.605")])
-def test_timing_off_the_sample_grid_exit_2(workspace, runner, tmp_path, section, key,
-                                           value):
-    # each duration must be whole samples (whole chunk intervals for the
-    # forecast horizon); none may be rounded or fail later with a traceback
+def _config_error(workspace, runner, tmp_path, section, key, value, command):
+    """The one stderr line of `command` run on CONFIG_YAML with key set to
+    value; asserts exit 2, no traceback and nothing written."""
     cfg, out = workspace
     runner.invoke(main, ["--config", str(cfg), "--out", str(out),
                          "cluster", str(out / "traces.csv")])
@@ -355,15 +350,49 @@ def test_timing_off_the_sample_grid_exit_2(workspace, runner, tmp_path, section,
     bad = tmp_path / "bad.yaml"
     bad.write_text("\n".join(lines) + "\n")
     fresh = tmp_path / "fresh"
-    result = runner.invoke(main, ["--config", str(bad), "--out", str(fresh),
-                                  "evaluate", str(out / "traces.csv"),
-                                  "--groups", str(out / "groups.csv")])
+    traces, groups = str(out / "traces.csv"), str(out / "groups.csv")
+    args = {"learn": ["learn", traces, "--groups", groups, "--group-id", "1"],
+            "evaluate": ["evaluate", traces, "--groups", groups],
+            "cluster": ["cluster", traces],
+            "synth": ["synth"]}[command]
+    result = runner.invoke(main, ["--config", str(bad), "--out", str(fresh), *args])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     errors = result.stderr.strip().splitlines()
     assert len(errors) == 1
-    assert errors[0].startswith("config error: ") and value.strip("[]") in errors[0]
+    assert errors[0].startswith("config error: ")
     assert not fresh.exists() or not any(fresh.iterdir())
+    return errors[0]
+
+
+@pytest.mark.parametrize("section, key, value",
+                         [("experiment", "chunk_lengths_s", "[0.605]"),
+                          ("experiment", "peak_window_s", "0.155"),
+                          ("experiment", "predict_horizon_s", "0.33"),
+                          ("clustering", "signature_chunk_length_s", "0.605")])
+def test_timing_off_the_sample_grid_exit_2(workspace, runner, tmp_path, section, key,
+                                           value):
+    # each duration must be whole samples (whole chunk intervals for the
+    # forecast horizon); none may be rounded or fail later with a traceback
+    error = _config_error(workspace, runner, tmp_path, section, key, value, "evaluate")
+    assert value.strip("[]") in error
+
+
+@pytest.mark.parametrize("section, key, value, command",
+                         [("hyper", "validation", "kfold", "learn"),
+                          ("hyper", "holdout_fraction", "1.5", "learn"),
+                          ("experiment", "subspace_size", "0", "learn"),
+                          ("experiment", "kept_dim", "0", "learn"),
+                          ("experiment", "bandwidth_seed", "-1", "learn"),
+                          ("experiment", "ar_order", "0", "evaluate"),
+                          ("clustering", "signature_frames", "0", "cluster"),
+                          ("synth", "flows_per_group", "0", "synth")])
+def test_value_the_run_reads_later_exit_2(workspace, runner, tmp_path, section, key,
+                                          value, command):
+    # each value the command reads is refused when the config is loaded,
+    # not with a traceback (or silently clamped) once the run reaches it
+    error = _config_error(workspace, runner, tmp_path, section, key, value, command)
+    assert key in error and value in error
 
 
 def test_bad_config_exit_2(runner, tmp_path):

@@ -49,6 +49,12 @@ def _chain_data(m=120, dim=3, noise=0.5, seed=7):
     return states[:-1], states[1:], obs[:-1]
 
 
+def _core_oracle(model):
+    """The full-space oracle of a model learned on the default _chain_data."""
+    x_pred, x_succ, _ = _chain_data()
+    return FullSpaceFilter(model, x_pred, x_succ)
+
+
 @pytest.fixture(scope="module")
 def core_model():
     x_pred, x_succ, y = _chain_data()
@@ -116,7 +122,7 @@ class TestLearnCore:
         assert core_model.ogo.shape == (n, n)
         o_sub = core_model.o_sub
         np.testing.assert_allclose(
-            core_model.ogo, o_sub.T @ FullSpaceFilter(core_model).g_yy @ o_sub,
+            core_model.ogo, o_sub.T @ _core_oracle(core_model).g_yy @ o_sub,
             rtol=1e-9, atol=1e-9 * np.abs(core_model.ogo).max())
         assert core_model.xo.shape == (core_model.state_dim, n)
         assert core_model.t_sub.shape == (n, n)
@@ -206,7 +212,7 @@ class TestSubspaceFullSpaceEquivalence:
         _, _, y = _chain_data()
         rng = np.random.default_rng(3)
         observed = y[10:30] + 0.01 * rng.standard_normal((20, 2))
-        oracle = FullSpaceFilter(exact_model)
+        oracle = _core_oracle(exact_model)
         o_means, o_covs, o_gains, _ = oracle.run(observed, 0)
         gains = project(exact_model, len(observed))
         state = exact_model.initial_state()
@@ -219,7 +225,7 @@ class TestSubspaceFullSpaceEquivalence:
                 state = prediction_update(state, exact_model)
 
     def test_learned_matrices_match_full_space(self, exact_model):
-        oracle = FullSpaceFilter(exact_model)
+        oracle = _core_oracle(exact_model)
         assert np.max(np.abs(exact_model.t_sub - oracle.t_mat)) <= 1e-8
         assert np.max(np.abs(exact_model.o_sub - oracle.o_mat)) <= 1e-8
 
@@ -394,22 +400,42 @@ class TestPsdByConstruction:
                 state = prediction_update(state, model)
         assert i == 3
 
-    def test_other_prior_keeps_the_update_formula(self, core_model):
+    @pytest.mark.parametrize("fold", ["ill_conditioned_fold", "forecast_fold"])
+    def test_other_priors_give_psd_posteriors(self, fold, request):
+        # priors that are not the projected ones, on folds whose priors span
+        # fifteen decades: each posterior must still be PSD
+        model, observed = request.getfixturevalue(fold)[:2]
+        gains = project(model, 4)
+        for scale in (2.0, 0.5):
+            state = model.initial_state()
+            for i, frame in enumerate(observed):
+                state = dataclasses.replace(state, p_t=scale * state.p_t)
+                state = innovation_update(state, frame, gains, model)
+                p = state.p_t
+                assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2), \
+                    (scale, i)
+                if i + 1 < len(observed):
+                    state = prediction_update(state, model)
+
+    def test_other_prior_gets_its_own_gain(self, core_model):
+        # oracle: the gain and posterior project computes for that prior
         gains = project(core_model, 2)
-        state = core_model.initial_state()
-        state.p_t = 2.0 * state.p_t
-        post = innovation_update(state, core_model.y_train[3], gains, core_model)
-        expected = 0.5 * (state.p_t - gains.qgo_seq[0] @ state.p_t)
-        np.testing.assert_array_equal(post.p_t, expected + expected.T)
-        projected = innovation_update(core_model.initial_state(), core_model.y_train[3],
-                                      gains, core_model)
+        y = core_model.y_train[3]
+        other = dataclasses.replace(core_model, p1_prior=2.0 * core_model.p1_prior)
+        own = project(other, 1)
+        post = innovation_update(other.initial_state(), y, gains, core_model)
+        np.testing.assert_array_equal(post.p_t, own.p_post_seq[0])
+        np.testing.assert_array_equal(
+            post.n_t, innovation_update(other.initial_state(), y, own, other).n_t)
+        projected = innovation_update(core_model.initial_state(), y, gains, core_model)
         np.testing.assert_array_equal(projected.p_t, gains.p_post_seq[0])
+        assert not np.array_equal(post.n_t, projected.n_t)
 
     def test_gain_matches_mxm_form_when_well_conditioned(self):
         x_pred, x_succ, y = _chain_data()
         model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
         assert model.subspace_size < model.n_pairs
-        g_yy = FullSpaceFilter(model).g_yy
+        g_yy = FullSpaceFilter(model, x_pred, x_succ).g_yy
         gains = project(model, 6)
         for i in range(6):
             expected = mxm_kalman_gain(gains.p_prior_seq[i], model.o_sub, g_yy,
@@ -427,7 +453,8 @@ class TestPsdByConstruction:
             np.linalg.cholesky(model.p1_prior)
         gains = project(model, 2)
         expected = mxm_kalman_gain(model.p1_prior, model.o_sub,
-                                   FullSpaceFilter(model).g_yy, model.hyper.kappa)
+                                   FullSpaceFilter(model, x_pred, x_succ).g_yy,
+                                   model.hyper.kappa)
         assert np.max(np.abs(_gain(gains, model, 0) - expected)) <= 1e-8
         p = gains.p_post_seq[0]
         assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
@@ -442,7 +469,7 @@ class TestUpdates:
         mu_prior, _ = reconstruct(state, core_model)
         # feed the belief's own predicted observation: reconstruct the obs
         # embedding's nearest training observation via the response map
-        response = FullSpaceFilter(core_model).g_yy @ core_model.o_sub @ state.n_t
+        response = _core_oracle(core_model).g_yy @ core_model.o_sub @ state.n_t
         best = int(np.argmax(response))
         posterior = innovation_update(state, core_model.y_train[best], gains,
                                       core_model)
@@ -535,15 +562,13 @@ class TestReconstruct:
         hyper = FkkfHyperparams(lambda_t=1e-6, lambda_o=1e-6, state_bw_scale=0.5,
                                 obs_bw_scale=0.5, kappa=1e-3)
         model = learn_core(x_pred, x_succ, y, hyper, subspace_size=150)
-        oracle = FullSpaceFilter(model)
         j = 40
         coords = np.linalg.solve(
-            fkkf.gram(model.x_succ, model.x_succ, model.state_spec)
-            + 1e-9 * np.eye(150),
-            fkkf.gram(model.x_succ, model.x_pred[j][None, :], model.state_spec))[:, 0]
+            fkkf.gram(x_succ, x_succ, model.state_spec) + 1e-9 * np.eye(150),
+            fkkf.gram(x_succ, x_pred[j][None, :], model.state_spec))[:, 0]
         state = FilterState(n_t=coords, p_t=np.eye(150), is_posterior=True)
         mu, _ = reconstruct(state, model)
-        rel = np.linalg.norm(mu - model.x_pred[j]) / np.linalg.norm(model.x_pred[j])
+        rel = np.linalg.norm(mu - x_pred[j]) / np.linalg.norm(x_pred[j])
         assert rel < 0.01
 
     def test_sigma_psd_through_filtering(self, core_model):
@@ -688,8 +713,8 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_model(traffic_model, path)
         loaded = load_model(path)
-        for name in ("x_pred", "x_succ", "y_train", "t_sub", "o_sub", "ogo",
-                     "xo", "v", "n1_prior", "p1_prior", "subspace_indices"):
+        for name in ("y_train", "t_sub", "o_sub", "ogo", "xo", "v", "n1_prior",
+                     "p1_prior", "subspace_indices"):
             np.testing.assert_array_equal(getattr(loaded, name),
                                           getattr(traffic_model, name),
                                           err_msg=name)
@@ -727,11 +752,16 @@ class TestSerialization:
         save_model(model, path)
         with np.load(path) as data:
             shapes = {name: data[name].shape for name in data.files}
+        assert sorted(shapes) == sorted(fkkf._ARRAY_FIELDS + ("meta_json",))
         assert all(shape.count(model.n_pairs) < 2 for shape in shapes.values()), shapes
+        # the training states and successors are not stored
+        assert (model.n_pairs, model.state_dim) not in shapes.values(), shapes
 
     @pytest.mark.parametrize("edit, message", [
         (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 1)),
          "format version 1"),
+        (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 2)),
+         "format version 2"),
         (lambda arrays: arrays.update(ogo=arrays["ogo"][:-1]), "array ogo"),
         (lambda arrays: arrays.update(xo=arrays["xo"].T), "array xo"),
     ])
