@@ -3,8 +3,9 @@ Kalman filter operating on short-time Fourier frames."""
 
 __version__ = "0.1.0"
 
-from .fkkf import (FkkfHyperparams, FkkfModel, StateWindowConfig, learn,
-                   learn_core, load_model, project, run_filter, save_model)
+from .fkkf import (FkkfHyperparams, FkkfModel, StateWindowConfig,
+                   forecast_variance, learn, learn_core, load_model, project,
+                   run_filter, save_model)
 from .spectral import ChunkConfig
 from .trace_io import FlowKey, FlowTrace, Protocol
 
@@ -16,6 +17,7 @@ __all__ = [
     "FlowTrace",
     "Protocol",
     "StateWindowConfig",
+    "forecast_variance",
     "learn",
     "learn_core",
     "load_model",

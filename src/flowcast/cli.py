@@ -295,7 +295,8 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
         observed = fe.reduce_observations(raw[start:end])
         steps = exp.horizon_steps
         pred = fkkf.run_filter(model, observed, steps)
-        var_kbit = fe.kbit_variance(pred.cov_diag)
+        var_kbit = fe.kbit_variance(
+            fkkf.forecast_variance(model, pred.filtered_state.p_t, steps))
         t_s = fe.chunk_cfg.sample_interval_s
         t0 = end * fe.chunk_cfg.chunk_interval_s
         horizon_samples = pred.mean_kbit.size

@@ -20,12 +20,22 @@ from .hyperopt import VALIDATION_SCHEMES, SearchSpace
 from .spectral import ChunkConfig
 
 
+def _check_above(config, bounds: dict) -> None:
+    """Refuse a field that is not above its bound (NaN included)."""
+    for name, bound in bounds.items():
+        if not getattr(config, name) > bound:
+            raise ValueError(f"{name} must be > {bound}, got {getattr(config, name)}")
+
+
 @dataclass(frozen=True)
 class ClusteringConfig:
     max_groups: int = 20
     distance_threshold: float = 50.0
     signature_frames: int = 20
     signature_chunk_length_s: float = 1.0
+
+    def __post_init__(self):
+        _check_above(self, {"max_groups": 0, "distance_threshold": 0, "signature_frames": 0})
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,10 @@ class SynthConfig:
     flows_per_group: int = 8
     duration_s: float = 8.0
     peak_kbit: float = 100.0
+
+    def __post_init__(self):
+        _check_above(self, {"n_groups": 0, "flows_per_group": 1, "duration_s": 0,
+                            "peak_kbit": 0})
 
 
 @dataclass(frozen=True)
@@ -65,11 +79,6 @@ class RunConfig:
 
     def __post_init__(self):
         self.signature_chunk_config()  # refuses a length off the sample grid
-        minimums = (("signature_frames", self.clustering.signature_frames, 1),
-                    ("flows_per_group", self.synth.flows_per_group, 2))
-        for name, value, low in minimums:
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
 
     def signature_chunk_config(self) -> ChunkConfig:
         """Chunking of the clustering signatures, on the experiment's grid."""

@@ -15,8 +15,8 @@ Updates are linear in these coordinates:
     innovation:  n_t = n-_t + W_t (O' k_y - M n-_t)
                  P_t = kappa W_t
     readout:     mu_x = X O n_t,               var_x = diag(X O P_t O' X')
-    forecast:    A_0 = C,  A_k = A_{k-1} T,    var_k = rowsum((A_k L_P)^2)
-                                                 + sum_{j<k} rowsum((A_j L_V)^2)
+    forecast:    mu_k = C T^k n_t,             var_k = rowsum((A_k L_P)^2)
+                 A_k = C T^k                     + sum_{j<k} rowsum((A_j L_V)^2)
 
 where G_yy is the m x m Gram of the training observations, k_y the
 kernel responses of the incoming observation against them, X the d x m
@@ -30,11 +30,11 @@ W_t is computed as L (L' M L + kappa I_n)^-1 L' from a factor P-_t = L L'
 clamped to zero where Cholesky fails), which keeps W_t and the posterior
 kappa W_t positive semi-definite by construction; kappa W_t is the
 textbook posterior without its cancelling subtraction.
-The forecast reads out only the variance diagonal of the observation
-block: C = (X O)[:q] holds its readout rows, and L_P, L_V are factors of
-the filtered posterior and of V.  Only the q x n rows A_k are stepped,
-never the n x n covariance, and each variance is a sum of squares,
-non-negative by construction.
+The forecast reads out only the observation block, through its readout
+rows C = (X O)[:q].  run_filter computes the mean; forecast_variance the
+variance diagonal from factors L_P, L_V of the filtered posterior and V,
+stepping only the q x n rows A_k, never the n x n covariance.  Each
+variance is a sum of squares, non-negative by construction.
 SpectralFrontend maps the forecast mean back to kbit with the inverse
 framing of spectral.py (frames_to_kbit) and its variance through the
 linear part of that same map (kbit_variance); the lookahead states and
@@ -177,8 +177,6 @@ class Prediction:
 
     mean_frames: np.ndarray   # (steps, obs_dim) predicted reduced observations
     mean_kbit: np.ndarray     # reassembled time-domain forecast (empty without frontend)
-    cov_diag: np.ndarray      # (steps, obs_dim) predictive variance diagonal
-    horizon_s: float
     filtered_state: FilterState
 
 
@@ -438,8 +436,7 @@ class _CoreStages:
     """
 
     def __init__(self, x_pred, x_succ, y_train, subspace_size: int,
-                 bandwidth_seed: int = 0, frontend: SpectralFrontend | None = None,
-                 stabilize_transition: bool = True):
+                 bandwidth_seed: int = 0, frontend: SpectralFrontend | None = None):
         x_pred = np.atleast_2d(np.asarray(x_pred, dtype=float))
         x_succ = np.atleast_2d(np.asarray(x_succ, dtype=float))
         y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
@@ -460,7 +457,6 @@ class _CoreStages:
         self.idx = _subspace_stride_indices(m, subspace_size)
         self.bandwidth_seed = bandwidth_seed
         self.frontend = frontend
-        self.stabilize_transition = stabilize_transition
         self._state: _StateKernel | None = None
         self._obs: tuple | None = None          # (obs KernelSpec, G_yy)
         self._transition: dict = {}             # lambda_t -> (T, V, n1, P1)
@@ -511,9 +507,7 @@ class _CoreStages:
 
     def _transition_ridge(self, state: _StateKernel, lam: float) -> tuple:
         if lam not in self._transition:
-            t_sub = state.solver.dual(lam) @ state.kbar_prime
-            if self.stabilize_transition:
-                t_sub = _clip_unstable_modes(t_sub)
+            t_sub = _clip_unstable_modes(state.solver.dual(lam) @ state.kbar_prime)
             coord_map = state.succ_solver.dual(lam)
             coords_pred = coord_map @ state.k_succ_pred
             coords_succ = coord_map @ state.k_succ_succ
@@ -535,8 +529,8 @@ class _CoreStages:
 
 
 def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
-               hyper: FkkfHyperparams, subspace_size: int, bandwidth_seed: int = 0,
-               stabilize_transition: bool = True) -> FkkfModel:
+               hyper: FkkfHyperparams, subspace_size: int,
+               bandwidth_seed: int = 0) -> FkkfModel:
     """Estimate all filter matrices from aligned (state, successor, observation) rows.
 
     Bandwidths come from the median heuristic on the training rows,
@@ -545,8 +539,7 @@ def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
     from the empirical statistics of the training coordinates.
     """
     return _CoreStages(x_pred, x_succ, y_train, subspace_size,
-                       bandwidth_seed=bandwidth_seed,
-                       stabilize_transition=stabilize_transition).model(hyper)
+                       bandwidth_seed=bandwidth_seed).model(hyper)
 
 
 def _pairs_from_chains(rows: list):
@@ -656,7 +649,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # (lower Cholesky factor, symmetric eigendecomposition) from one library:
-# project factorizes with scipy's, run_filter with numpy's (see _matmul)
+# project factorizes with scipy's, forecast_variance with numpy's (see _matmul)
 _SCIPY_FACTORS = (lambda a: scipy.linalg.cholesky(a, lower=True),
                   lambda a: scipy.linalg.eigh(a, driver="evd"))
 _NUMPY_FACTORS = (np.linalg.cholesky, np.linalg.eigh)
@@ -811,8 +804,8 @@ def reconstruct(state: FilterState, model: FkkfModel):
     return mu, sigma
 
 
-def _forecast_variance(model: FkkfModel, p_post: np.ndarray,
-                       steps: int) -> np.ndarray:
+def forecast_variance(model: FkkfModel, p_post: np.ndarray,
+                      steps: int) -> np.ndarray:
     """Observation-block variance diagonal of `steps` open-loop priors from p_post.
 
     The k-th prior is T^k P T^k' + sum_{j<k} T^j V T^j'.  With the readout
@@ -861,32 +854,24 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
             n_t = model.t_sub @ n_t
         n_t = _innovated_mean(n_t, frame, gains.w_seq[i], model)
     last = observed.shape[0] - 1
-    p_post = gains.p_post_seq[last]
-    state = FilterState(n_t=n_t, p_t=p_post.copy(), is_posterior=True, step=last)
+    state = FilterState(n_t=n_t, p_t=gains.p_post_seq[last].copy(),
+                        is_posterior=True, step=last)
 
-    # only the observation block's mean and variance diagonal are kept
-    obs_dim = model.obs_dim
-    frontend = model.frontend
+    # only the observation block's mean is kept; its variance is
+    # forecast_variance(model, state.p_t, steps)
     steps = max(predict_horizon_steps, 0)
-    xo_obs = model.xo[:obs_dim]
-    mean_frames = np.empty((steps, obs_dim))
+    xo_obs = model.xo[:model.obs_dim]
+    mean_frames = np.empty((steps, model.obs_dim))
     n_ahead = n_t
     for i in range(steps):
         n_ahead = model.t_sub @ n_ahead
         mean_frames[i] = xo_obs @ n_ahead
-
-    if frontend is not None:
-        horizon_s = predict_horizon_steps * frontend.chunk_cfg.chunk_interval_s
-        if predict_horizon_steps > 0:
-            mean_kbit = frontend.frames_to_kbit(mean_frames, predict_horizon_steps)
-        else:
-            mean_kbit = np.empty(0)
+    if model.frontend is not None and steps > 0:
+        mean_kbit = model.frontend.frames_to_kbit(mean_frames, steps)
     else:
-        horizon_s = float(predict_horizon_steps)
         mean_kbit = np.empty(0)
     return Prediction(mean_frames=mean_frames, mean_kbit=mean_kbit,
-                      cov_diag=_forecast_variance(model, p_post, steps),
-                      horizon_s=horizon_s, filtered_state=state)
+                      filtered_state=state)
 
 
 # ---------------------------------------------------------------------------

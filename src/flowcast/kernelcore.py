@@ -24,11 +24,8 @@ class KernelSpec:
 
     bandwidth: float
     scale_factor: float = 1.0
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported kernel family: {self.family}")
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
         if not self.scale_factor > 0:

@@ -8,6 +8,8 @@ from flowcast import fkkf
 from flowcast.cli import main
 from flowcast.config import load_config
 from flowcast.errors import ParseError
+from flowcast.evaluation import locate_peak_rise
+from flowcast.trace_io import load_traces
 
 
 @pytest.fixture()
@@ -177,6 +179,30 @@ def test_learn_and_predict(workspace, runner):
     lines = (out / "prediction_flow0.csv").read_text().splitlines()
     assert lines[0] == "t_s,actual_kbit,predicted_kbit,variance"
     assert len(lines) == 1 + 100  # 20 steps x 0.05 s at T_S = 0.01
+
+
+def test_predict_variance_column(workspace, runner):
+    # oracle: the library's forecast variance of the same observed frames
+    cfg, out = workspace
+    model_path = _learned_model(runner, cfg, out)
+    result = _predict_with_model(runner, cfg, out, model_path)
+    assert result.exit_code == 0, result.output
+    lines = (out / "prediction_flow0.csv").read_text().splitlines()[1:]
+    column = [line.split(",")[3] for line in lines]
+
+    model = fkkf.load_model(model_path)
+    fe, exp = model.frontend, load_config(cfg).experiment
+    samples = load_traces(out / "traces.csv", "csv_binned")[0].samples
+    start = locate_peak_rise(samples, fe.chunk_cfg.chunk_interval_s,
+                             fe.chunk_cfg.sample_interval_s, exp.peak_window_s,
+                             exp.peak_factor)
+    raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.chunk_cfg.chunk_length_s)
+    observed = fe.reduce_observations(raw[start:start + exp.observe_steps])
+    pred = fkkf.run_filter(model, observed, exp.horizon_steps)
+    variance = fe.kbit_variance(
+        fkkf.forecast_variance(model, pred.filtered_state.p_t, exp.horizon_steps))
+    assert column == [format(float(v), ".12g") for v in variance]
+    assert np.all(variance >= 0)
 
 
 def test_predict_missing_model_exit_3(workspace, runner):
@@ -385,8 +411,16 @@ def test_timing_off_the_sample_grid_exit_2(workspace, runner, tmp_path, section,
                           ("experiment", "kept_dim", "0", "learn"),
                           ("experiment", "bandwidth_seed", "-1", "learn"),
                           ("experiment", "ar_order", "0", "evaluate"),
+                          ("experiment", "peak_factor", "0", "evaluate"),
+                          ("experiment", "peak_factor", "-1", "evaluate"),
+                          ("clustering", "max_groups", "0", "cluster"),
+                          ("clustering", "distance_threshold", "0", "cluster"),
+                          ("clustering", "distance_threshold", "-1", "cluster"),
                           ("clustering", "signature_frames", "0", "cluster"),
-                          ("synth", "flows_per_group", "0", "synth")])
+                          ("synth", "n_groups", "0", "synth"),
+                          ("synth", "flows_per_group", "0", "synth"),
+                          ("synth", "duration_s", "0", "synth"),
+                          ("synth", "peak_kbit", "0", "synth")])
 def test_value_the_run_reads_later_exit_2(workspace, runner, tmp_path, section, key,
                                           value, command):
     # each value the command reads is refused when the config is loaded,

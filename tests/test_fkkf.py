@@ -11,10 +11,11 @@ from flowcast.errors import (BadDimension, FlowTooShort, InsufficientData,
 from flowcast.evaluation import (ExperimentConfig, leave_one_out_splits,
                                  locate_peak_rise)
 from flowcast.fkkf import (FilterState, FkkfHyperparams, StateWindowConfig,
-                           build_state_windows, innovation_update, learn,
-                           learn_core, load_model, observation_frames,
-                           predict_p_steps, prediction_update, project,
-                           reconstruct, run_filter, save_model, window_frames)
+                           build_state_windows, forecast_variance,
+                           innovation_update, learn, learn_core, load_model,
+                           observation_frames, predict_p_steps,
+                           prediction_update, project, reconstruct, run_filter,
+                           save_model, window_frames)
 from flowcast.spectral import ChunkConfig
 from flowcast.synth import BurstTemplate, default_templates, generate_group
 from oracles import FullSpaceFilter, mxm_kalman_gain
@@ -197,15 +198,18 @@ EXACT_HYPER = FkkfHyperparams(lambda_t=1e-2, lambda_o=1e-2, state_bw_scale=0.35,
 @pytest.fixture(scope="module")
 def exact_model():
     x_pred, x_succ, y = _chain_data()
-    return learn_core(x_pred, x_succ, y, EXACT_HYPER, subspace_size=len(x_pred),
-                      stabilize_transition=False)
+    model = learn_core(x_pred, x_succ, y, EXACT_HYPER, subspace_size=len(x_pred))
+    # already inside the unit disk, so the mode clip returned T unchanged
+    assert np.abs(np.linalg.eigvals(model.t_sub)).max() <= 1.0
+    return model
 
 
 class TestSubspaceFullSpaceEquivalence:
     """n = m must reproduce the direct full-sample recursion exactly.
 
-    The models here disable the unstable-mode clip so the raw estimation
-    is what gets compared; a separate test pins the clip's no-op contract.
+    The model here is stable as estimated, so the unstable-mode clip
+    leaves T bit-identical and the raw estimation is what gets compared; a
+    separate test pins the clip's no-op contract.
     """
 
     def test_filter_states_match_oracle(self, exact_model):
@@ -316,7 +320,8 @@ def forecast_fold():
 
 
 class TestForecastVariance:
-    """cov_diag is a sum of squares of readout rows against covariance factors.
+    """forecast_variance is a sum of squares of readout rows against
+    covariance factors.
 
     Rolling the n x n covariance forward cancelled catastrophically on
     this fold and returned negative variances down to -8.7e16.
@@ -325,9 +330,10 @@ class TestForecastVariance:
     def test_variances_non_negative(self, forecast_fold):
         model, observed, gains = forecast_fold
         pred = run_filter(model, observed, 20, gains=gains)
-        assert pred.cov_diag.shape == (20, model.obs_dim)
-        assert np.all(pred.cov_diag >= 0)
-        assert np.all(model.frontend.kbit_variance(pred.cov_diag) >= 0)
+        cov_diag = forecast_variance(model, pred.filtered_state.p_t, 20)
+        assert cov_diag.shape == (20, model.obs_dim)
+        assert np.all(cov_diag >= 0)
+        assert np.all(model.frontend.kbit_variance(cov_diag) >= 0)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
                         reason="np.longdouble is no wider than float64 here")
@@ -336,6 +342,7 @@ class TestForecastVariance:
         # posterior, read out as diag(C P C') with C the observation rows
         model, observed, gains = forecast_fold
         pred = run_filter(model, observed, 20, gains=gains)
+        cov_diag = forecast_variance(model, pred.filtered_state.p_t, 20)
         ld = np.longdouble
         t_sub, v = model.t_sub.astype(ld), model.v.astype(ld)
         c = model.xo[:model.obs_dim].astype(ld)
@@ -343,7 +350,7 @@ class TestForecastVariance:
         for k in range(20):
             p = t_sub @ p @ t_sub.T + v
             expected = np.einsum("ij,ij->i", c @ p, c).astype(float)
-            err = np.abs(pred.cov_diag[k] - expected)
+            err = np.abs(cov_diag[k] - expected)
             assert err.max() <= 1e-2 * np.abs(expected).max(), k
 
     def test_run_filter_calls_no_scipy_linalg(self, traffic_model, monkeypatch):
@@ -365,6 +372,19 @@ class TestForecastVariance:
         with pytest.raises(AssertionError):
             scipy.linalg.cholesky(np.eye(2))
         run_filter(traffic_model, observed, 20, gains=gains)
+
+    def test_run_filter_computes_no_covariance(self, forecast_fold, monkeypatch):
+        # the forecast mean needs no factor of any covariance; the variance
+        # is forecast_variance's, for the callers that read it
+        model, observed, gains = forecast_fold
+        expected = run_filter(model, observed, 20, gains=gains).mean_kbit
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_filter factorized a covariance")
+
+        monkeypatch.setattr(fkkf, "_covariance_root", forbidden)
+        pred = run_filter(model, observed, 20, gains=gains)
+        np.testing.assert_array_equal(pred.mean_kbit, expected)
 
 
 class TestPsdByConstruction:
@@ -601,13 +621,14 @@ class TestRunFilter:
         raw = observation_frames(flows[0].samples, CHUNK, 0.2)
         observed = traffic_model.frontend.reduce_observations(raw[:4])
         pred = run_filter(traffic_model, observed, 6)
+        cov_diag = forecast_variance(traffic_model, pred.filtered_state.p_t, 6)
         q = traffic_model.obs_dim
         priors = predict_p_steps(pred.filtered_state, 6, traffic_model)
         for i, prior in enumerate(priors):
             mu, sigma = reconstruct(prior, traffic_model)
             np.testing.assert_allclose(pred.mean_frames[i], mu[:q], rtol=1e-12,
                                        atol=1e-12 * np.abs(mu).max())
-            np.testing.assert_allclose(pred.cov_diag[i], np.diag(sigma)[:q],
+            np.testing.assert_allclose(cov_diag[i], np.diag(sigma)[:q],
                                        rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
 
     def test_shared_gains_give_fresh_forecast_variance(self, traffic_model):
@@ -620,8 +641,10 @@ class TestRunFilter:
         first = run_filter(traffic_model, observed, 6, gains=gains)
         second = run_filter(traffic_model, other, 6, gains=gains)
         assert not np.array_equal(second.mean_frames, fresh.mean_frames)
-        np.testing.assert_array_equal(first.cov_diag, fresh.cov_diag)
-        np.testing.assert_array_equal(second.cov_diag, fresh.cov_diag)
+        fresh_var = forecast_variance(traffic_model, fresh.filtered_state.p_t, 6)
+        for pred in (first, second):
+            np.testing.assert_array_equal(
+                forecast_variance(traffic_model, pred.filtered_state.p_t, 6), fresh_var)
 
     def test_kbit_variance_matches_jacobian_oracle(self, traffic_model):
         # oracle: J, the Jacobian of frames_to_kbit over the (steps x kept)
@@ -631,15 +654,16 @@ class TestRunFilter:
         raw = observation_frames(flows[0].samples, CHUNK, 0.2)
         frontend = traffic_model.frontend
         pred = run_filter(traffic_model, frontend.reduce_observations(raw[:4]), 6)
-        steps, kept = pred.cov_diag.shape
+        cov_diag = forecast_variance(traffic_model, pred.filtered_state.p_t, 6)
+        steps, kept = cov_diag.shape
         at_zero = frontend.frames_to_kbit(np.zeros((steps, kept)), steps)
         jac = np.empty((at_zero.size, steps * kept))
         for j in range(steps * kept):
             unit = np.zeros(steps * kept)
             unit[j] = 1.0
             jac[:, j] = frontend.frames_to_kbit(unit.reshape(steps, kept), steps) - at_zero
-        np.testing.assert_allclose(frontend.kbit_variance(pred.cov_diag),
-                                   (jac ** 2) @ pred.cov_diag.ravel(), rtol=1e-9)
+        np.testing.assert_allclose(frontend.kbit_variance(cov_diag),
+                                   (jac ** 2) @ cov_diag.ravel(), rtol=1e-9)
 
     def test_innovation_beats_open_loop(self):
         # filtering the flow's own prefix must beat the prior-only rollout
@@ -673,8 +697,8 @@ class TestRunFilter:
         observed = traffic_model.frontend.reduce_observations(raw[:6])
         pred = run_filter(traffic_model, observed, 20)
         assert pred.mean_kbit.size == 100  # 20 steps * 0.05 s / 0.01 s
-        assert pred.horizon_s == pytest.approx(1.0)
-        assert pred.cov_diag.shape == (20, traffic_model.obs_dim)
+        cov_diag = forecast_variance(traffic_model, pred.filtered_state.p_t, 20)
+        assert cov_diag.shape == (20, traffic_model.obs_dim)
 
 
 class TestStagedLearner:

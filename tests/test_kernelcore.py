@@ -114,8 +114,6 @@ def test_spec_validation():
         KernelSpec(bandwidth=-1.0)
     with pytest.raises(ValueError):
         KernelSpec(bandwidth=1.0, scale_factor=0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(bandwidth=1.0, family="laplace")
 
 
 @settings(max_examples=20, deadline=None)
