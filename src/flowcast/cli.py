@@ -25,10 +25,9 @@ DURATION_BUCKETS = (0.1, 1.0, 100.0)
 
 
 class _Ctx:
-    def __init__(self, config: RunConfig, out_dir: Path, seed: int):
+    def __init__(self, config: RunConfig, out_dir: Path):
         self.config = config
         self.out_dir = out_dir
-        self.seed = seed
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -47,7 +46,7 @@ def _write_manifest(ctx: _Ctx, command: str, outputs) -> None:
     manifest = {
         "command": command,
         "config_hash": ctx.config.config_hash(),
-        "seed": ctx.seed,
+        "seed": ctx.config.seed,
         "outputs": [str(p) for p in outputs],
     }
     path = ctx.out_dir / f"manifest_{command}.json"
@@ -84,15 +83,13 @@ def _resolve_hyper(ctx: _Ctx, train_flows, chunk_length_s):
 def main(ctx, config_path, seed, out_dir):
     """Spectral kernel Kalman filtering for per-flow traffic prediction."""
     try:
-        config = load_config(config_path)
+        config = load_config(config_path, None if seed is None else {"seed": seed})
     except ParseError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    if seed is not None:
-        config = load_config(config_path, overrides={"seed": seed})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx.obj = _Ctx(config=config, out_dir=out, seed=config.seed)
+    ctx.obj = _Ctx(config=config, out_dir=out)
 
 
 def _run(ctx_obj, command, fn):
@@ -213,6 +210,15 @@ def _store_flow(flows, flow_id: int, source):
     return flows[flow_id]
 
 
+def _group_flows(traces_path, groups_path, group_id: int) -> list:
+    """The store flows of one group of a cluster assignment CSV."""
+    flows = _load_store(traces_path)
+    members = _read_groups(groups_path).get(group_id)
+    if not members:
+        raise FlowcastError(f"group {group_id} not found in {groups_path}")
+    return [_store_flow(flows, i, groups_path) for i in members]
+
+
 def _with_chunk_length(exp, chunk_length_s: float):
     """exp with chunk_length_s as its one length, checked as config load checks it."""
     try:
@@ -237,11 +243,7 @@ def learn(ctx, traces_path, groups_path, group_id, chunk_length):
         if chunk_length is not None:
             exp = _with_chunk_length(exp, chunk_length)
         length = exp.chunk_lengths_s[0]
-        flows = _load_store(traces_path)
-        members = _read_groups(groups_path).get(group_id)
-        if not members:
-            raise FlowcastError(f"group {group_id} not found in {groups_path}")
-        group_flows = [_store_flow(flows, i, groups_path) for i in members]
+        group_flows = _group_flows(traces_path, groups_path, group_id)
         hyper = _resolve_hyper(ctx, group_flows, length)
         model = fkkf.learn(group_flows, hyper, exp.subspace_size,
                            exp.chunk_config(length), exp.window_config(length),
@@ -269,38 +271,23 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
         if not os.path.exists(model_path):
             raise FileNotFoundError(model_path)
         model = fkkf.load_model(model_path)
-        flows = _load_store(traces_path)
-        flow = _store_flow(flows, flow_id, "--flow-id")
+        flow = _store_flow(_load_store(traces_path), flow_id, "--flow-id")
         exp = ctx.config.experiment
         fe = model.frontend
         if fe is None:
             raise FlowcastError(f"{model_path}: model has no spectral frontend "
                                 f"(learned from frames, not flows)")
-        hop = fe.chunk_cfg.hop_samples
-        start = start_step
-        if start is not None and start < 0:
-            raise FlowcastError(f"--start-step {start} is negative")
-        if start is None:
-            start = evaluation.locate_peak_rise(flow.samples,
-                                                fe.chunk_cfg.chunk_interval_s,
-                                                fe.chunk_cfg.sample_interval_s,
-                                                exp.peak_window_s, exp.peak_factor)
-            if start is None:
-                raise FlowcastError("no peak rise located; pass --start-step")
-        raw = fkkf.observation_frames(flow.samples, fe.chunk_cfg,
-                                      fe.chunk_cfg.chunk_length_s)
-        end = start + exp.observe_steps
-        if raw.shape[0] < end:
-            raise FlowcastError("flow too short for the observation prefix")
-        observed = fe.reduce_observations(raw[start:end])
+        if start_step is not None and start_step < 0:
+            raise FlowcastError(f"--start-step {start_step} is negative")
+        start, pred = evaluation.forecast_flow(model, flow.samples, exp, start_step)
         steps = exp.horizon_steps
-        pred = fkkf.run_filter(model, observed, steps)
         var_kbit = fe.kbit_variance(
             fkkf.forecast_variance(model, pred.filtered_state.p_t, steps))
-        t_s = fe.chunk_cfg.sample_interval_s
-        t0 = end * fe.chunk_cfg.chunk_interval_s
+        end = start + exp.observe_steps
+        hop = fe.chunk_cfg.hop_samples
         horizon_samples = pred.mean_kbit.size
-        times = t0 + np.arange(horizon_samples) * t_s
+        times = (end * fe.chunk_cfg.chunk_interval_s
+                 + np.arange(horizon_samples) * fe.chunk_cfg.sample_interval_s)
         actual = np.full(horizon_samples, np.nan)
         have = flow.samples[end * hop:end * hop + horizon_samples]
         actual[:have.size] = have
@@ -340,7 +327,7 @@ def evaluate(ctx, traces_path, groups_path):
                        f"optimal_len={report.optimal_chunk_len_s}s "
                        f"quality={report.quality}")
         out = ctx.out_dir / "report.csv"
-        meta = {"config_hash": ctx.config.config_hash(), "seed": ctx.seed,
+        meta = {"config_hash": ctx.config.config_hash(), "seed": ctx.config.seed,
                 "error_aggregation": "mean_signed"}
         _atomic_write(out, lambda tmp: evaluation.write_report_csv(reports, tmp, meta))
         if optimal_lengths:
@@ -360,11 +347,7 @@ def sweep(ctx, traces_path, groups_path, group_id):
     _echo_hash(ctx)
 
     def work():
-        flows = _load_store(traces_path)
-        members = _read_groups(groups_path).get(group_id)
-        if not members:
-            raise FlowcastError(f"group {group_id} not found")
-        group_flows = [_store_flow(flows, i, groups_path) for i in members]
+        group_flows = _group_flows(traces_path, groups_path, group_id)
         exp = ctx.config.experiment
         hyper = _resolve_hyper(ctx, group_flows, exp.chunk_lengths_s[0])
         optimal, per_length = evaluation.chunk_length_sweep(group_flows, hyper, exp)
@@ -401,7 +384,7 @@ def synth_cmd(ctx):
             group = synth.generate_group(template, cfg.flows_per_group,
                                          cfg.duration_s,
                                          ctx.config.experiment.sample_interval_s,
-                                         seed=ctx.seed + g, group_id=g)
+                                         seed=ctx.config.seed + g, group_id=g)
             for flow in group:
                 truth_rows.append((len(flows), g))
                 flows.append(flow)

@@ -7,6 +7,7 @@ config is echoed into every artifact for provenance.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -78,6 +79,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", int(self.seed))
         self.signature_chunk_config()  # refuses a length off the sample grid
 
     def signature_chunk_config(self) -> ChunkConfig:
@@ -96,74 +98,51 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-_SECTION_KEYS = {
-    "experiment": {"observe_steps", "predict_horizon_s", "chunk_lengths_s",
-                   "sample_interval_s", "chunk_interval_s", "peak_window_s",
-                   "peak_factor", "subspace_size", "kept_dim", "window_horizons",
-                   "bandwidth_seed", "ar_order"},
-    "clustering": {"max_groups", "distance_threshold", "signature_frames",
-                   "signature_chunk_length_s"},
-    "synth": {"n_groups", "flows_per_group", "duration_s", "peak_kbit"},
-    "hyper": {"source", "fixed", "grid", "validation", "holdout_fraction"},
-}
+def _mapping(data, where: str) -> dict:
+    """data as a dict; None (an empty section or file) keeps the defaults."""
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ParseError(f"{where} must be a mapping")
+    return data
 
 
-def _check_keys(section: str, data: dict) -> None:
-    unknown = set(data) - _SECTION_KEYS[section]
+def _build(cls, data: dict, name: str | None):
+    """cls from one YAML mapping; name is None for the config root.
+
+    The allowed keys are the fields of cls.  A field whose default is
+    itself a dataclass is a nested section, built the same way.  YAML
+    lists become tuples.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
-        raise ParseError(f"unknown keys in '{section}': {sorted(unknown)}")
-
-
-def _tupled(data: dict, *keys) -> dict:
-    out = dict(data)
-    for key in keys:
-        if key in out:
-            out[key] = tuple(out[key])
-    return out
+        what = f"keys in '{name}'" if name else "config sections"
+        raise ParseError(f"unknown {what}: {sorted(unknown)}")
+    values = {}
+    for key, value in data.items():
+        nested = fields[key].default_factory
+        if dataclasses.is_dataclass(nested):
+            value = _build(nested, _mapping(value, f"section '{key}'"), key)
+        elif isinstance(value, list):
+            value = tuple(value)
+        values[key] = value
+    return cls(**values)
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Load and validate a YAML config; missing file/sections keep defaults."""
-    raw = {}
+    raw = None
     if path is not None:
         try:
             with open(path) as fh:
-                raw = yaml.safe_load(fh) or {}
+                raw = yaml.safe_load(fh)
         except OSError as exc:
             raise ParseError(f"cannot read config {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ParseError(f"invalid YAML in {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError("config root must be a mapping")
-    if overrides:
-        raw = {**raw, **overrides}
-    known_root = set(_SECTION_KEYS) | {"seed"}
-    unknown = set(raw) - known_root
-    if unknown:
-        raise ParseError(f"unknown config sections: {sorted(unknown)}")
+    raw = {**_mapping(raw, "config root"), **(overrides or {})}
     try:
-        exp = _tupled(raw.get("experiment", {}), "chunk_lengths_s", "window_horizons")
-        _check_keys("experiment", exp)
-        experiment = ExperimentConfig(**exp)
-
-        clu = raw.get("clustering", {})
-        _check_keys("clustering", clu)
-        clustering = ClusteringConfig(**clu)
-
-        syn = raw.get("synth", {})
-        _check_keys("synth", syn)
-        synth_cfg = SynthConfig(**syn)
-
-        hyp = dict(raw.get("hyper", {}))
-        _check_keys("hyper", hyp)
-        if "fixed" in hyp:
-            hyp["fixed"] = FkkfHyperparams(**hyp["fixed"])
-        if "grid" in hyp:
-            hyp["grid"] = SearchSpace(**_tupled(hyp["grid"], "lambda_t", "lambda_o",
-                                                "state_bw_scale", "obs_bw_scale",
-                                                "kappa"))
-        hyper = HyperConfig(**hyp)
-        return RunConfig(experiment=experiment, clustering=clustering,
-                         synth=synth_cfg, hyper=hyper, seed=int(raw.get("seed", 0)))
+        return _build(RunConfig, raw, None)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid config value: {exc}") from exc

@@ -67,9 +67,7 @@ class ExperimentConfig:
                            chunk_length_s=chunk_length_s)
 
     def window_config(self, chunk_length_s: float) -> StateWindowConfig:
-        base = StateWindowConfig(horizons_s=self.window_horizons,
-                                 observation_horizon_s=self.window_horizons[0])
-        return base.scaled(chunk_length_s)
+        return StateWindowConfig(horizons_s=self.window_horizons).scaled(chunk_length_s)
 
     @property
     def horizon_steps(self) -> int:
@@ -198,7 +196,9 @@ def ar_baseline(observed_kbit: np.ndarray, horizon_steps: int,
     """Least-squares AR(p) fit on the prefix, iterated forecast, clamped at 0.
 
     Falls back to last-value persistence when the fit is rank-deficient
-    (e.g. a constant prefix).
+    (e.g. a constant prefix) or explosive: a characteristic root outside
+    the unit circle would grow the forecast without bound.  Unit roots
+    (a linear ramp) are kept.
     """
     series = np.asarray(observed_kbit, dtype=float).ravel()
     if series.size <= order:
@@ -207,7 +207,7 @@ def ar_baseline(observed_kbit: np.ndarray, horizon_steps: int,
                               for k in range(order)])
     target = series[order:]
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < order:
+    if rank < order or np.abs(np.roots(np.r_[1.0, -coef])).max() > 1 + 1e-6:
         return np.full(horizon_steps, series[-1])
     history = list(series[-order:])
     forecast = np.empty(horizon_steps)
@@ -236,6 +236,33 @@ def split_learner(train_flows, cfg: ExperimentConfig,
     return fkkf.StagedLearner(train_flows, *_learner_settings(cfg, chunk_length_s))
 
 
+def forecast_flow(model: fkkf.FkkfModel, samples: np.ndarray, cfg: ExperimentConfig,
+                  start: int | None = None) -> tuple:
+    """(start, Prediction): filter cfg.observe_steps frames of a flow, then forecast.
+
+    The observed frames are the observation spectra, under the model's
+    spectral frontend, at chunk indices [start, start + cfg.observe_steps);
+    `start` defaults to the flow's located peak rise.  The forecast covers
+    the cfg.horizon_steps chunk intervals after them.
+
+    Raises UndefinedError when no peak rise is found or the observed
+    frames run past the end of the flow.
+    """
+    fe = model.frontend
+    if start is None:
+        start = locate_peak_rise(samples, fe.chunk_cfg.chunk_interval_s,
+                                 fe.chunk_cfg.sample_interval_s, cfg.peak_window_s,
+                                 cfg.peak_factor)
+        if start is None:
+            raise UndefinedError("no peak rise found in flow")
+    raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.window_cfg.horizons_s[0])
+    end = start + cfg.observe_steps
+    if raw.shape[0] < end:
+        raise UndefinedError("observed prefix extends past the flow end")
+    observed = fe.reduce_observations(raw[start:end])
+    return start, fkkf.run_filter(model, observed, cfg.horizon_steps)
+
+
 def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
                    cfg: ExperimentConfig, chunk_length_s: float, *,
                    learner: fkkf.StagedLearner | None = None) -> SplitResult:
@@ -247,8 +274,8 @@ def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
     stages this hyper needs and no earlier call built are built here.  A
     learner built from other flows or settings raises ValueError.
 
-    Raises UndefinedError when the test flow has no locatable peak or its
-    horizon carries no traffic.
+    Raises UndefinedError when the test flow has no locatable peak, its
+    horizon runs past the end of the flow or carries no traffic.
     """
     if learner is None:
         learner = split_learner(train_flows, cfg, chunk_length_s)
@@ -256,30 +283,17 @@ def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
           or not _same_flows(learner.train_flows, train_flows)):
         raise ValueError("learner was built from other training flows or settings")
     model = learner.model(hyper)
-    chunk_cfg = cfg.chunk_config(chunk_length_s)
     samples = test_flow.samples
-    hop = chunk_cfg.hop_samples
-    start_idx = locate_peak_rise(samples, cfg.chunk_interval_s,
-                                 cfg.sample_interval_s, cfg.peak_window_s,
-                                 cfg.peak_factor)
-    if start_idx is None:
-        raise UndefinedError("no peak rise found in test flow")
-    horizon_steps = cfg.horizon_steps
-    horizon_samples = horizon_steps * hop
-    first_pred = start_idx + cfg.observe_steps
-    if first_pred * hop + horizon_samples > samples.size:
+    start, prediction = forecast_flow(model, samples, cfg)
+    hop = model.frontend.chunk_cfg.hop_samples
+    first_sample = (start + cfg.observe_steps) * hop
+    horizon_samples = cfg.horizon_steps * hop
+    actual = samples[first_sample:first_sample + horizon_samples]
+    if actual.size < horizon_samples:
         raise UndefinedError("peak rise too close to the end of the flow")
-
-    raw_obs = fkkf.observation_frames(samples, chunk_cfg, chunk_length_s)
-    if raw_obs.shape[0] < first_pred:
-        raise UndefinedError("observed prefix extends past the flow end")
-    observed = model.frontend.reduce_observations(raw_obs[start_idx:first_pred])
-    prediction = fkkf.run_filter(model, observed, horizon_steps)
-
-    actual = samples[first_pred * hop:first_pred * hop + horizon_samples]
     # The observation phase spans observe_steps chunk starts; baselines see
     # the impulses that emerged in that interval, not the spectral lookahead.
-    prefix = samples[start_idx * hop:first_pred * hop]
+    prefix = samples[start * hop:first_sample]
     pred_err = peak_prediction_error(prediction.mean_kbit, actual)
     const_err = constant_error(prefix, actual)
     ar_forecast = ar_baseline(prefix, horizon_samples, cfg.ar_order)

@@ -126,7 +126,6 @@ class StateWindowConfig:
     """
 
     horizons_s: tuple = (1.0, 2.0, 3.0)
-    observation_horizon_s: float = 1.0
 
     def __post_init__(self):
         horizons = tuple(float(h) for h in self.horizons_s)
@@ -135,14 +134,11 @@ class StateWindowConfig:
             raise ValueError("horizons_s must be positive")
         if list(horizons) != sorted(horizons):
             raise ValueError("horizons_s must be ascending")
-        if abs(self.observation_horizon_s - horizons[0]) > 1e-12:
-            raise ValueError("observation_horizon_s must equal the first horizon")
 
     def scaled(self, base_s: float) -> "StateWindowConfig":
         """The same horizon pattern anchored at a different base length."""
         ratio = base_s / self.horizons_s[0]
-        return StateWindowConfig(horizons_s=tuple(h * ratio for h in self.horizons_s),
-                                 observation_horizon_s=base_s)
+        return StateWindowConfig(horizons_s=tuple(h * ratio for h in self.horizons_s))
 
 
 @dataclass
@@ -907,8 +903,7 @@ def save_model(model: FkkfModel, path) -> None:
         meta["chunk_cfg"] = [fe.chunk_cfg.sample_interval_s,
                              fe.chunk_cfg.chunk_interval_s,
                              fe.chunk_cfg.chunk_length_s]
-        meta["window_cfg"] = {"horizons_s": list(fe.window_cfg.horizons_s),
-                              "observation_horizon_s": fe.window_cfg.observation_horizon_s}
+        meta["window_cfg"] = {"horizons_s": list(fe.window_cfg.horizons_s)}
         meta["n_blocks"] = len(fe.reducers)
         for i, (std, basis) in enumerate(fe.reducers):
             arrays[f"block{i}_means"] = std.means
@@ -976,9 +971,7 @@ def _model_from_archive(data, path) -> FkkfModel:
         t_s, t_c, w = meta["chunk_cfg"]
         chunk_cfg = ChunkConfig(sample_interval_s=t_s, chunk_interval_s=t_c,
                                 chunk_length_s=w)
-        window_cfg = StateWindowConfig(
-            horizons_s=tuple(meta["window_cfg"]["horizons_s"]),
-            observation_horizon_s=meta["window_cfg"]["observation_horizon_s"])
+        window_cfg = StateWindowConfig(horizons_s=tuple(meta["window_cfg"]["horizons_s"]))
         reducers = []
         for i in range(meta["n_blocks"]):
             std = Standardizer(means=data[f"block{i}_means"],

@@ -28,13 +28,16 @@ is called once per candidate and fold, as before.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from . import evaluation
 from .errors import (EmptySpace, FlowcastError, InsufficientGroup,
                      NoViableCandidate)
+from .evaluation import ExperimentConfig
 from .fkkf import FkkfHyperparams
 from .trace_io import leave_one_out_splits
 
@@ -75,10 +78,6 @@ def _fold_scorer(train, test, error_fn, cfg, chunk_length_s):
     """hyper -> validation error on one fold."""
     if error_fn is not None:
         return lambda hyper: error_fn(train, test, hyper, cfg, chunk_length_s)
-    # evaluation imports hyperopt indirectly via the CLI; resolve lazily to
-    # keep this module importable on its own.
-    from . import evaluation
-
     learner = evaluation.split_learner(train, cfg, chunk_length_s)
     return lambda hyper: abs(evaluation.evaluate_split(
         train, test, hyper, cfg, chunk_length_s, learner=learner).pred_error)
@@ -110,7 +109,6 @@ def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_ou
     fail, NoViableCandidate is raised.
     """
     if cfg is None:
-        from .evaluation import ExperimentConfig
         cfg = ExperimentConfig()
     if chunk_length_s is None:
         chunk_length_s = cfg.chunk_lengths_s[0]
@@ -145,7 +143,6 @@ def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_ou
 
 
 def _append_audit(path, rows) -> None:
-    import os
     write_header = not os.path.exists(path)
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)

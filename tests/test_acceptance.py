@@ -41,8 +41,7 @@ def test_criterion_2_subspace_equals_full_space():
                              inter_burst_gap_s=0.5)
     flows = generate_group(template, 4, 3.0, 0.01, seed=11)
     chunk_cfg = ChunkConfig(0.01, 0.05, 0.2)
-    window_cfg = fkkf.StateWindowConfig(horizons_s=(0.2, 0.4, 0.6),
-                                        observation_horizon_s=0.2)
+    window_cfg = fkkf.StateWindowConfig(horizons_s=(0.2, 0.4, 0.6))
     hyper = fkkf.FkkfHyperparams(lambda_t=1e-2, lambda_o=1e-2,
                                  state_bw_scale=0.25, obs_bw_scale=0.5,
                                  kappa=1e-3)

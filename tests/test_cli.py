@@ -8,7 +8,7 @@ from flowcast import fkkf
 from flowcast.cli import main
 from flowcast.config import load_config
 from flowcast.errors import ParseError
-from flowcast.evaluation import locate_peak_rise
+from flowcast.evaluation import forecast_flow
 from flowcast.trace_io import load_traces
 
 
@@ -182,26 +182,23 @@ def test_learn_and_predict(workspace, runner):
 
 
 def test_predict_variance_column(workspace, runner):
-    # oracle: the library's forecast variance of the same observed frames
+    # oracle: the library's forecast of the same flow and the forecast
+    # variance of its filtered covariance; predict adds only the time axis
     cfg, out = workspace
     model_path = _learned_model(runner, cfg, out)
     result = _predict_with_model(runner, cfg, out, model_path)
     assert result.exit_code == 0, result.output
-    lines = (out / "prediction_flow0.csv").read_text().splitlines()[1:]
-    column = [line.split(",")[3] for line in lines]
+    rows = [line.split(",") for line in
+            (out / "prediction_flow0.csv").read_text().splitlines()[1:]]
 
     model = fkkf.load_model(model_path)
-    fe, exp = model.frontend, load_config(cfg).experiment
+    exp = load_config(cfg).experiment
     samples = load_traces(out / "traces.csv", "csv_binned")[0].samples
-    start = locate_peak_rise(samples, fe.chunk_cfg.chunk_interval_s,
-                             fe.chunk_cfg.sample_interval_s, exp.peak_window_s,
-                             exp.peak_factor)
-    raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.chunk_cfg.chunk_length_s)
-    observed = fe.reduce_observations(raw[start:start + exp.observe_steps])
-    pred = fkkf.run_filter(model, observed, exp.horizon_steps)
-    variance = fe.kbit_variance(
+    _, pred = forecast_flow(model, samples, exp)
+    variance = model.frontend.kbit_variance(
         fkkf.forecast_variance(model, pred.filtered_state.p_t, exp.horizon_steps))
-    assert column == [format(float(v), ".12g") for v in variance]
+    assert [row[2] for row in rows] == [format(float(v), ".12g") for v in pred.mean_kbit]
+    assert [row[3] for row in rows] == [format(float(v), ".12g") for v in variance]
     assert np.all(variance >= 0)
 
 
@@ -218,6 +215,26 @@ def _predict_with_model(runner, cfg, out, model_path):
     return runner.invoke(main, ["--config", str(cfg), "--out", str(out),
                                 "predict", str(out / "traces.csv"),
                                 "--model", str(model_path), "--flow-id", "0"])
+
+
+def test_model_meta_with_dropped_window_key_predicts_the_same(workspace, runner,
+                                                              tmp_path):
+    # format-3 files written before the window config lost its separate
+    # observation width still carry it in their meta; loading ignores it
+    cfg, out = workspace
+    model_path = _learned_model(runner, cfg, out)
+    assert _predict_with_model(runner, cfg, out, model_path).exit_code == 0
+    expected = (out / "prediction_flow0.csv").read_bytes()
+    with np.load(model_path) as data:
+        arrays = dict(data)
+    meta = json.loads(arrays["meta_json"].tobytes())
+    meta["window_cfg"]["observation_horizon_s"] = meta["window_cfg"]["horizons_s"][0]
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    old_path = tmp_path / "older.npz"
+    np.savez_compressed(old_path, **arrays)
+    result = _predict_with_model(runner, cfg, out, old_path)
+    assert result.exit_code == 0, result.output
+    assert (out / "prediction_flow0.csv").read_bytes() == expected
 
 
 def _assert_one_line_exit_1(result, text):
@@ -313,6 +330,44 @@ def test_predict_negative_start_step_exit_1(workspace, runner):
                                   "--start-step", "-3"])
     _assert_one_line_exit_1(result, "--start-step -3 is negative")
     assert not list(out.glob("prediction_flow*.csv"))
+
+
+def test_predict_start_step_at_last_chunk_exit_1(workspace, runner):
+    cfg, out = workspace
+    model_path = _learned_model(runner, cfg, out)
+    samples = load_traces(out / "traces.csv", "csv_binned")[0].samples
+    hop = fkkf.load_model(model_path).frontend.chunk_cfg.hop_samples
+    last_chunk = samples.size // hop - 1
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                  "predict", str(out / "traces.csv"),
+                                  "--model", str(model_path), "--flow-id", "0",
+                                  "--start-step", str(last_chunk)])
+    _assert_one_line_exit_1(result, "observed prefix extends past the flow end")
+    assert len(result.output.strip().splitlines()) == 2  # config hash, error
+    assert not list(out.glob("prediction_flow*.csv"))
+
+
+@pytest.mark.parametrize("command", ["learn", "sweep"])
+def test_group_not_found_exit_1(workspace, runner, command):
+    cfg, out = workspace
+    runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                         "cluster", str(out / "traces.csv")])
+    groups = out / "groups.csv"
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command,
+                                  str(out / "traces.csv"), "--groups", str(groups),
+                                  "--group-id", "9"])
+    _assert_one_line_exit_1(result, f"group 9 not found in {groups}")
+
+
+def test_seed_option_overrides_config(workspace, runner):
+    cfg, out = workspace
+    result = runner.invoke(main, ["--config", str(cfg), "--seed", "3", "--out",
+                                  str(out), "synth"])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((out / "manifest_synth.json").read_text())
+    assert manifest["seed"] == 3
+    seeded = load_config(cfg, overrides={"seed": 3}).config_hash()
+    assert manifest["config_hash"] == seeded != load_config(cfg).config_hash()
 
 
 @pytest.mark.parametrize("length", ["0.605", "-1"], ids=["off_grid", "negative"])
@@ -437,6 +492,23 @@ def test_bad_config_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("text, section",
+                         [("clustering: abc\n", "clustering"),
+                          ("experiment: []\n", "experiment"),
+                          ("synth: 3\n", "synth"),
+                          ("hyper:\n  fixed: 0.1\n", "fixed"),
+                          ("hyper:\n  grid: [0.1, 1.0]\n", "grid")])
+def test_config_section_not_a_mapping_exit_2(runner, tmp_path, text, section):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["--config", str(cfg), "--out",
+                                  str(tmp_path / "out"), "synth"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr.strip().splitlines() == [
+        f"config error: section '{section}' must be a mapping"]
+
+
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
@@ -456,6 +528,19 @@ class TestConfig:
         p = tmp_path / "c.yaml"
         p.write_text("experiment:\n  no_such_key: 3\n")
         with pytest.raises(ParseError):
+            load_config(p)
+
+    @pytest.mark.parametrize("text", ["experiment:\n", "clustering:\n",
+                                      "hyper:\n  fixed:\n  grid:\n"])
+    def test_empty_section_keeps_defaults(self, tmp_path, text):
+        p = tmp_path / "c.yaml"
+        p.write_text(text)
+        assert load_config(p) == load_config(None)
+
+    def test_rejects_unknown_grid_keys(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("hyper:\n  grid:\n    lambda: [0.1]\n")
+        with pytest.raises(ParseError, match=r"unknown keys in 'grid': \['lambda'\]"):
             load_config(p)
 
     def test_grid_section_parsed(self, tmp_path):

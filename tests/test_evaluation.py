@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcast import fkkf
+from flowcast import fkkf, synth
 from flowcast.errors import InsufficientGroup, UndefinedError
 from flowcast.evaluation import (ExperimentConfig, GroupReport, ar_baseline,
                                  build_group_report, chunk_length_sweep,
-                                 constant_error, evaluate_split,
+                                 constant_error, evaluate_split, forecast_flow,
                                  locate_peak_rise, peak_prediction_error,
                                  quality_label, run_group_experiment,
                                  split_learner, write_report_csv)
@@ -128,6 +128,19 @@ class TestArBaseline:
         with pytest.raises(ValueError):
             ar_baseline(np.ones(5), 3, order=8)
 
+    def test_explosive_fit_falls_back_to_persistence(self):
+        # the 20-sample observed prefix of a criterion-6 fold (group 0, flow 0)
+        flow = generate_group(synth.default_templates(10)[0], 8, 10.0, 0.01,
+                              seed=100, group_id=0)[0]
+        start = locate_peak_rise(flow.samples, 0.05, 0.01, window_s=0.15)
+        prefix = flow.samples[start * 5:(start + 4) * 5]
+        # oracle: the least-squares AR(8) fit of that prefix is explosive
+        design = np.column_stack([prefix[7 - k:prefix.size - k - 1] for k in range(8)])
+        coef = np.linalg.lstsq(design, prefix[8:], rcond=None)[0]
+        assert np.abs(np.roots(np.r_[1.0, -coef])).max() > 1.01
+        out = ar_baseline(prefix, horizon_steps=100, order=8)
+        np.testing.assert_array_equal(out, np.full(100, prefix[-1]))
+
 
 @pytest.fixture(scope="module")
 def group_flows():
@@ -188,10 +201,52 @@ class TestGroupExperiment:
         evaluate_split(list(train), test, HYPER, CFG, 0.6,
                        learner=split_learner(train, CFG, 0.6))
 
+    def test_split_is_forecast_flow_then_scoring(self, group_flows):
+        train, test = group_flows[1:], group_flows[0]
+        split = evaluate_split(train, test, HYPER, CFG, 0.6)
+        model = fkkf.learn(train, HYPER, CFG.subspace_size, CFG.chunk_config(0.6),
+                           CFG.window_config(0.6), kept_dim=CFG.kept_dim)
+        start, prediction = forecast_flow(model, test.samples, CFG)
+        hop = CFG.chunk_config(0.6).hop_samples
+        first = (start + CFG.observe_steps) * hop
+        actual = test.samples[first:first + CFG.horizon_steps * hop]
+        prefix = test.samples[start * hop:first]
+        assert split.pred_error == peak_prediction_error(prediction.mean_kbit, actual)
+        assert split.constant_error == constant_error(prefix, actual)
+        assert split.ar_error == peak_prediction_error(
+            ar_baseline(prefix, actual.size, CFG.ar_order), actual)
+
     def test_too_small_group(self):
         with pytest.raises(InsufficientGroup):
             run_group_experiment([generate_group(TEMPLATE, 2, 8.0, 0.01, seed=4)[0]],
                                  HYPER, CFG, 0.6)
+
+
+@pytest.fixture(scope="module")
+def group_model(group_flows):
+    return split_learner(group_flows[1:], CFG, 0.6).model(HYPER)
+
+
+class TestForecastFlow:
+    def test_start_defaults_to_the_located_peak(self, group_flows, group_model):
+        samples = group_flows[0].samples
+        start, prediction = forecast_flow(group_model, samples, CFG)
+        assert start == locate_peak_rise(samples, CFG.chunk_interval_s,
+                                         CFG.sample_interval_s, CFG.peak_window_s,
+                                         CFG.peak_factor)
+        again = forecast_flow(group_model, samples, CFG, start)[1]
+        np.testing.assert_array_equal(again.mean_kbit, prediction.mean_kbit)
+        assert prediction.mean_kbit.size == CFG.horizon_steps * 5
+
+    def test_flat_flow_has_no_peak(self, group_model):
+        with pytest.raises(UndefinedError, match="no peak rise"):
+            forecast_flow(group_model, np.ones(800), CFG)
+
+    def test_observed_frames_past_the_end(self, group_flows, group_model):
+        samples = group_flows[0].samples
+        last_chunk = samples.size // 5 - 1
+        with pytest.raises(UndefinedError, match="past the flow end"):
+            forecast_flow(group_model, samples, CFG, last_chunk)
 
 
 class TestSweep:

@@ -21,7 +21,7 @@ from flowcast.synth import BurstTemplate, default_templates, generate_group
 from oracles import FullSpaceFilter, mxm_kalman_gain
 
 CHUNK = ChunkConfig(sample_interval_s=0.01, chunk_interval_s=0.05, chunk_length_s=0.2)
-WINDOW = StateWindowConfig(horizons_s=(0.2, 0.4, 0.6), observation_horizon_s=0.2)
+WINDOW = StateWindowConfig(horizons_s=(0.2, 0.4, 0.6))
 HYPER = FkkfHyperparams(lambda_t=1e-2, lambda_o=1e-2, state_bw_scale=0.5,
                         obs_bw_scale=0.5, kappa=1e-3)
 
@@ -73,8 +73,7 @@ class TestStateWindows:
     def test_ten_second_flow_gives_140_pairs(self):
         # oracle: index arithmetic, (10 - 3) / 0.05 = 140 aligned rows
         cfg = ChunkConfig(0.01, 0.05, 1.0)
-        window = StateWindowConfig(horizons_s=(1.0, 2.0, 3.0),
-                                   observation_horizon_s=1.0)
+        window = StateWindowConfig(horizons_s=(1.0, 2.0, 3.0))
         series = np.random.default_rng(0).uniform(0, 10, size=1000)
         states, obs = build_state_windows(series, window, cfg)
         assert states.shape[0] == 140
@@ -84,7 +83,7 @@ class TestStateWindows:
 
     def test_single_horizon_state_equals_observation(self):
         cfg = ChunkConfig(0.01, 0.05, 0.2)
-        window = StateWindowConfig(horizons_s=(0.2,), observation_horizon_s=0.2)
+        window = StateWindowConfig(horizons_s=(0.2,))
         series = np.random.default_rng(1).uniform(0, 10, size=300)
         states, obs = build_state_windows(series, window, cfg)
         np.testing.assert_array_equal(states, obs)
@@ -100,16 +99,12 @@ class TestStateWindows:
 
     def test_window_config_validation(self):
         with pytest.raises(ValueError):
-            StateWindowConfig(horizons_s=(2.0, 1.0), observation_horizon_s=2.0)
-        with pytest.raises(ValueError):
-            StateWindowConfig(horizons_s=(1.0, 2.0), observation_horizon_s=2.0)
+            StateWindowConfig(horizons_s=(2.0, 1.0))
 
     def test_scaled_keeps_pattern(self):
-        window = StateWindowConfig(horizons_s=(1.0, 2.0, 3.0),
-                                   observation_horizon_s=1.0)
+        window = StateWindowConfig(horizons_s=(1.0, 2.0, 3.0))
         scaled = window.scaled(0.4)
         assert scaled.horizons_s == pytest.approx((0.4, 0.8, 1.2))
-        assert scaled.observation_horizon_s == pytest.approx(0.4)
 
     def test_observation_frames_count(self):
         frames = observation_frames(np.ones(1000), ChunkConfig(0.01, 0.05, 1.0), 1.0)
@@ -156,8 +151,7 @@ class TestLearnCore:
         # one 10 s flow: 200 chunk positions on the grid, 140 with a full
         # 3 s lookahead, hence 139 transition pairs behind G_yy
         cfg = ChunkConfig(0.01, 0.05, 1.0)
-        window = StateWindowConfig(horizons_s=(1.0, 2.0, 3.0),
-                                   observation_horizon_s=1.0)
+        window = StateWindowConfig(horizons_s=(1.0, 2.0, 3.0))
         flow = generate_group(TEMPLATE, 2, 10.0, 0.01, seed=13)[0]
         from flowcast.spectral import transform
         assert transform(flow.samples, cfg).frames.shape[0] == 200
