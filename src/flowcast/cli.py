@@ -277,24 +277,18 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
         if fe is None:
             raise FlowcastError(f"{model_path}: model has no spectral frontend "
                                 f"(learned from frames, not flows)")
-        if start_step is not None and start_step < 0:
-            raise FlowcastError(f"--start-step {start_step} is negative")
-        start, pred = evaluation.forecast_flow(model, flow.samples, exp, start_step)
+        _, horizon, pred = evaluation.forecast_flow(model, flow.samples, exp, start_step)
         steps = exp.horizon_steps
         var_kbit = fe.kbit_variance(
             fkkf.forecast_variance(model, pred.filtered_state.p_t, steps))
-        end = start + exp.observe_steps
-        hop = fe.chunk_cfg.hop_samples
-        horizon_samples = pred.mean_kbit.size
-        times = (end * fe.chunk_cfg.chunk_interval_s
-                 + np.arange(horizon_samples) * fe.chunk_cfg.sample_interval_s)
-        actual = np.full(horizon_samples, np.nan)
-        have = flow.samples[end * hop:end * hop + horizon_samples]
+        times = np.arange(horizon.start, horizon.stop) * fe.chunk_cfg.sample_interval_s
+        actual = np.full(times.size, np.nan)
+        have = flow.samples[horizon]
         actual[:have.size] = have
         out = ctx.out_dir / f"prediction_flow{flow_id}.csv"
         _atomic_write(out, lambda tmp: evaluation.write_prediction_csv(
             times, actual, pred.mean_kbit, var_kbit, tmp))
-        click.echo(f"forecast_steps={steps} rows={horizon_samples}")
+        click.echo(f"forecast_steps={steps} rows={times.size}")
         return [out]
 
     _run(ctx, "predict", work)

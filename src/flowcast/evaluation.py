@@ -238,15 +238,17 @@ def split_learner(train_flows, cfg: ExperimentConfig,
 
 def forecast_flow(model: fkkf.FkkfModel, samples: np.ndarray, cfg: ExperimentConfig,
                   start: int | None = None) -> tuple:
-    """(start, Prediction): filter cfg.observe_steps frames of a flow, then forecast.
+    """(start, horizon, Prediction) from filtering cfg.observe_steps frames of a flow.
 
     The observed frames are the observation spectra, under the model's
     spectral frontend, at chunk indices [start, start + cfg.observe_steps);
     `start` defaults to the flow's located peak rise.  The forecast covers
-    the cfg.horizon_steps chunk intervals after them.
+    the cfg.horizon_steps chunk intervals after them: `horizon` is the
+    slice of sample indices it predicts, which may run past the end of
+    `samples`.
 
-    Raises UndefinedError when no peak rise is found or the observed
-    frames run past the end of the flow.
+    Raises UndefinedError when `start` is negative, no peak rise is found
+    or the observed frames run past the end of the flow.
     """
     fe = model.frontend
     if start is None:
@@ -255,12 +257,16 @@ def forecast_flow(model: fkkf.FkkfModel, samples: np.ndarray, cfg: ExperimentCon
                                  cfg.peak_factor)
         if start is None:
             raise UndefinedError("no peak rise found in flow")
+    if start < 0:
+        raise UndefinedError(f"start step {start} is negative")
     raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.window_cfg.horizons_s[0])
     end = start + cfg.observe_steps
     if raw.shape[0] < end:
         raise UndefinedError("observed prefix extends past the flow end")
     observed = fe.reduce_observations(raw[start:end])
-    return start, fkkf.run_filter(model, observed, cfg.horizon_steps)
+    hop = fe.chunk_cfg.hop_samples
+    horizon = slice(end * hop, (end + cfg.horizon_steps) * hop)
+    return start, horizon, fkkf.run_filter(model, observed, cfg.horizon_steps)
 
 
 def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
@@ -284,19 +290,16 @@ def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
         raise ValueError("learner was built from other training flows or settings")
     model = learner.model(hyper)
     samples = test_flow.samples
-    start, prediction = forecast_flow(model, samples, cfg)
-    hop = model.frontend.chunk_cfg.hop_samples
-    first_sample = (start + cfg.observe_steps) * hop
-    horizon_samples = cfg.horizon_steps * hop
-    actual = samples[first_sample:first_sample + horizon_samples]
-    if actual.size < horizon_samples:
+    start, horizon, prediction = forecast_flow(model, samples, cfg)
+    actual = samples[horizon]
+    if actual.size < horizon.stop - horizon.start:
         raise UndefinedError("peak rise too close to the end of the flow")
     # The observation phase spans observe_steps chunk starts; baselines see
     # the impulses that emerged in that interval, not the spectral lookahead.
-    prefix = samples[start * hop:first_sample]
+    prefix = samples[start * model.frontend.chunk_cfg.hop_samples:horizon.start]
     pred_err = peak_prediction_error(prediction.mean_kbit, actual)
     const_err = constant_error(prefix, actual)
-    ar_forecast = ar_baseline(prefix, horizon_samples, cfg.ar_order)
+    ar_forecast = ar_baseline(prefix, actual.size, cfg.ar_order)
     ar_err = peak_prediction_error(ar_forecast, actual)
     pca_var = model.frontend.reducers[0][1].cumulative_explained_variance
     return SplitResult(pred_error=pred_err, constant_error=const_err,

@@ -37,7 +37,6 @@ import numpy as np
 from . import evaluation
 from .errors import (EmptySpace, FlowcastError, InsufficientGroup,
                      NoViableCandidate)
-from .evaluation import ExperimentConfig
 from .fkkf import FkkfHyperparams
 from .trace_io import leave_one_out_splits
 
@@ -109,7 +108,7 @@ def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_ou
     fail, NoViableCandidate is raised.
     """
     if cfg is None:
-        cfg = ExperimentConfig()
+        cfg = evaluation.ExperimentConfig()
     if chunk_length_s is None:
         chunk_length_s = cfg.chunk_lengths_s[0]
     folds = _validation_folds(train_flows, validation, holdout_fraction)

@@ -8,7 +8,7 @@ from flowcast import fkkf
 from flowcast.cli import main
 from flowcast.config import load_config
 from flowcast.errors import ParseError
-from flowcast.evaluation import forecast_flow
+from flowcast.evaluation import locate_peak_rise
 from flowcast.trace_io import load_traces
 
 
@@ -182,8 +182,8 @@ def test_learn_and_predict(workspace, runner):
 
 
 def test_predict_variance_column(workspace, runner):
-    # oracle: the library's forecast of the same flow and the forecast
-    # variance of its filtered covariance; predict adds only the time axis
+    # oracle: the forecast of the observed frames rebuilt by hand from the
+    # located peak rise, and the forecast variance of its filtered covariance
     cfg, out = workspace
     model_path = _learned_model(runner, cfg, out)
     result = _predict_with_model(runner, cfg, out, model_path)
@@ -192,11 +192,20 @@ def test_predict_variance_column(workspace, runner):
             (out / "prediction_flow0.csv").read_text().splitlines()[1:]]
 
     model = fkkf.load_model(model_path)
-    exp = load_config(cfg).experiment
+    fe, exp = model.frontend, load_config(cfg).experiment
     samples = load_traces(out / "traces.csv", "csv_binned")[0].samples
-    _, pred = forecast_flow(model, samples, exp)
-    variance = model.frontend.kbit_variance(
+    start = locate_peak_rise(samples, fe.chunk_cfg.chunk_interval_s,
+                             fe.chunk_cfg.sample_interval_s, exp.peak_window_s,
+                             exp.peak_factor)
+    raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.window_cfg.horizons_s[0])
+    observed = fe.reduce_observations(raw[start:start + exp.observe_steps])
+    pred = fkkf.run_filter(model, observed, exp.horizon_steps)
+    variance = fe.kbit_variance(
         fkkf.forecast_variance(model, pred.filtered_state.p_t, exp.horizon_steps))
+    first = (start + exp.observe_steps) * fe.chunk_cfg.hop_samples
+    assert [row[0] for row in rows] == [
+        format(float(t), ".12g") for t in
+        (first + np.arange(len(rows))) * fe.chunk_cfg.sample_interval_s]
     assert [row[2] for row in rows] == [format(float(v), ".12g") for v in pred.mean_kbit]
     assert [row[3] for row in rows] == [format(float(v), ".12g") for v in variance]
     assert np.all(variance >= 0)
@@ -328,7 +337,7 @@ def test_predict_negative_start_step_exit_1(workspace, runner):
                                   "predict", str(out / "traces.csv"),
                                   "--model", str(model_path), "--flow-id", "0",
                                   "--start-step", "-3"])
-    _assert_one_line_exit_1(result, "--start-step -3 is negative")
+    _assert_one_line_exit_1(result, "start step -3 is negative")
     assert not list(out.glob("prediction_flow*.csv"))
 
 

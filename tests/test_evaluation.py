@@ -206,7 +206,7 @@ class TestGroupExperiment:
         split = evaluate_split(train, test, HYPER, CFG, 0.6)
         model = fkkf.learn(train, HYPER, CFG.subspace_size, CFG.chunk_config(0.6),
                            CFG.window_config(0.6), kept_dim=CFG.kept_dim)
-        start, prediction = forecast_flow(model, test.samples, CFG)
+        start, _, prediction = forecast_flow(model, test.samples, CFG)
         hop = CFG.chunk_config(0.6).hop_samples
         first = (start + CFG.observe_steps) * hop
         actual = test.samples[first:first + CFG.horizon_steps * hop]
@@ -230,13 +230,36 @@ def group_model(group_flows):
 class TestForecastFlow:
     def test_start_defaults_to_the_located_peak(self, group_flows, group_model):
         samples = group_flows[0].samples
-        start, prediction = forecast_flow(group_model, samples, CFG)
+        start, horizon, prediction = forecast_flow(group_model, samples, CFG)
         assert start == locate_peak_rise(samples, CFG.chunk_interval_s,
                                          CFG.sample_interval_s, CFG.peak_window_s,
                                          CFG.peak_factor)
-        again = forecast_flow(group_model, samples, CFG, start)[1]
-        np.testing.assert_array_equal(again.mean_kbit, prediction.mean_kbit)
+        again = forecast_flow(group_model, samples, CFG, start)
+        assert again[:2] == (start, horizon)
+        np.testing.assert_array_equal(again[2].mean_kbit, prediction.mean_kbit)
         assert prediction.mean_kbit.size == CFG.horizon_steps * 5
+
+    def test_filters_the_observed_frames_after_start(self, group_flows, group_model):
+        # oracle: the observed frames and horizon rebuilt by hand
+        samples = group_flows[0].samples
+        start = locate_peak_rise(samples, CFG.chunk_interval_s, CFG.sample_interval_s,
+                                 CFG.peak_window_s, CFG.peak_factor) - 1
+        fe = group_model.frontend
+        raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.window_cfg.horizons_s[0])
+        expected = fkkf.run_filter(
+            group_model, fe.reduce_observations(raw[start:start + CFG.observe_steps]),
+            CFG.horizon_steps)
+        got_start, horizon, prediction = forecast_flow(group_model, samples, CFG, start)
+        assert got_start == start
+        first = (start + CFG.observe_steps) * 5
+        assert horizon == slice(first, first + CFG.horizon_steps * 5)
+        np.testing.assert_array_equal(prediction.mean_kbit, expected.mean_kbit)
+        np.testing.assert_array_equal(prediction.filtered_state.p_t,
+                                      expected.filtered_state.p_t)
+
+    def test_negative_start_refused(self, group_flows, group_model):
+        with pytest.raises(UndefinedError, match="start step -1 is negative"):
+            forecast_flow(group_model, group_flows[0].samples, CFG, -1)
 
     def test_flat_flow_has_no_peak(self, group_model):
         with pytest.raises(UndefinedError, match="no peak rise"):
