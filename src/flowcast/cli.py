@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -58,8 +59,21 @@ def _echo_hash(ctx: _Ctx) -> None:
     click.echo(f"config_hash={ctx.config.config_hash()}")
 
 
-def _load_store(path) -> list:
-    return trace_io.load_traces(path, "csv_binned")
+def _load_flows(ctx: _Ctx, path, fmt: str) -> list:
+    """The flows of one file, refusing any sampled at another interval
+    than experiment.sample_interval_s."""
+    t_s = ctx.config.experiment.sample_interval_s
+    flows = trace_io.load_traces(path, fmt, sample_interval_s=t_s)
+    for i, flow in enumerate(flows):
+        if not math.isclose(flow.sample_interval_s, t_s, rel_tol=1e-9):
+            raise FlowcastError(f"flow {i} of {path} is sampled every "
+                                f"{flow.sample_interval_s!r}s, but "
+                                f"experiment.sample_interval_s is {t_s!r}s")
+    return flows
+
+
+def _load_store(ctx: _Ctx, path) -> list:
+    return _load_flows(ctx, path, "csv_binned")
 
 
 def _resolve_hyper(ctx: _Ctx, train_flows, chunk_length_s):
@@ -120,16 +134,14 @@ def ingest(ctx, input_path, fmt):
     _echo_hash(ctx)
 
     def work():
-        t_s = ctx.config.experiment.sample_interval_s
         source = Path(input_path)
         if source.is_dir():
             traces = []
             for child in sorted(source.glob("*.csv")):
-                traces.extend(trace_io.load_traces(child, fmt,
-                                                   sample_interval_s=t_s))
+                traces.extend(_load_flows(ctx, child, fmt))
             traces.sort(key=lambda t: (t.key, t.start_time))
         else:
-            traces = trace_io.load_traces(source, fmt, sample_interval_s=t_s)
+            traces = _load_flows(ctx, source, fmt)
         store = ctx.out_dir / "traces.csv"
         _atomic_write(store, lambda tmp: trace_io.write_binned(traces, tmp))
         buckets = [0, 0, 0, 0]
@@ -159,7 +171,7 @@ def cluster(ctx, traces_path):
     _echo_hash(ctx)
 
     def work():
-        flows = _load_store(traces_path)
+        flows = _load_store(ctx, traces_path)
         clu = ctx.config.clustering
         chunk_cfg = ctx.config.signature_chunk_config()
         groups, _ = clustering.cluster(flows, clu.max_groups,
@@ -210,9 +222,9 @@ def _store_flow(flows, flow_id: int, source):
     return flows[flow_id]
 
 
-def _group_flows(traces_path, groups_path, group_id: int) -> list:
+def _group_flows(ctx: _Ctx, traces_path, groups_path, group_id: int) -> list:
     """The store flows of one group of a cluster assignment CSV."""
-    flows = _load_store(traces_path)
+    flows = _load_store(ctx, traces_path)
     members = _read_groups(groups_path).get(group_id)
     if not members:
         raise FlowcastError(f"group {group_id} not found in {groups_path}")
@@ -243,7 +255,7 @@ def learn(ctx, traces_path, groups_path, group_id, chunk_length):
         if chunk_length is not None:
             exp = _with_chunk_length(exp, chunk_length)
         length = exp.chunk_lengths_s[0]
-        group_flows = _group_flows(traces_path, groups_path, group_id)
+        group_flows = _group_flows(ctx, traces_path, groups_path, group_id)
         hyper = _resolve_hyper(ctx, group_flows, length)
         model = fkkf.learn(group_flows, hyper, exp.subspace_size,
                            exp.chunk_config(length), exp.window_config(length),
@@ -271,7 +283,7 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
         if not os.path.exists(model_path):
             raise FileNotFoundError(model_path)
         model = fkkf.load_model(model_path)
-        flow = _store_flow(_load_store(traces_path), flow_id, "--flow-id")
+        flow = _store_flow(_load_store(ctx, traces_path), flow_id, "--flow-id")
         exp = ctx.config.experiment
         fe = model.frontend
         if fe is None:
@@ -303,7 +315,7 @@ def evaluate(ctx, traces_path, groups_path):
     _echo_hash(ctx)
 
     def work():
-        flows = _load_store(traces_path)
+        flows = _load_store(ctx, traces_path)
         group_map = _read_groups(groups_path)
         exp = ctx.config.experiment
         reports = []
@@ -341,7 +353,7 @@ def sweep(ctx, traces_path, groups_path, group_id):
     _echo_hash(ctx)
 
     def work():
-        group_flows = _group_flows(traces_path, groups_path, group_id)
+        group_flows = _group_flows(ctx, traces_path, groups_path, group_id)
         exp = ctx.config.experiment
         hyper = _resolve_hyper(ctx, group_flows, exp.chunk_lengths_s[0])
         optimal, per_length = evaluation.chunk_length_sweep(group_flows, hyper, exp)

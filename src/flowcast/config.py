@@ -79,7 +79,6 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
         self.signature_chunk_config()  # refuses a length off the sample grid
 
     def signature_chunk_config(self) -> ChunkConfig:
@@ -112,7 +111,8 @@ def _build(cls, data: dict, name: str | None):
 
     The allowed keys are the fields of cls.  A field whose default is
     itself a dataclass is a nested section, built the same way.  YAML
-    lists become tuples.
+    lists become tuples.  A field annotated int takes an int only (not a
+    bool, not a float with or without a fraction).
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(data) - set(fields)
@@ -126,6 +126,9 @@ def _build(cls, data: dict, name: str | None):
             value = _build(nested, _mapping(value, f"section '{key}'"), key)
         elif isinstance(value, list):
             value = tuple(value)
+        elif fields[key].type == "int" and (
+                isinstance(value, bool) or not isinstance(value, int)):
+            raise TypeError(f"{key} must be an integer, got {value!r}")
         values[key] = value
     return cls(**values)
 

@@ -301,7 +301,7 @@ def evaluate_split(train_flows, test_flow, hyper: FkkfHyperparams,
     const_err = constant_error(prefix, actual)
     ar_forecast = ar_baseline(prefix, actual.size, cfg.ar_order)
     ar_err = peak_prediction_error(ar_forecast, actual)
-    pca_var = model.frontend.reducers[0][1].cumulative_explained_variance
+    pca_var = model.frontend.basis.cumulative_explained_variance
     return SplitResult(pred_error=pred_err, constant_error=const_err,
                        ar_error=ar_err, pca_cum_variance=pca_var)
 

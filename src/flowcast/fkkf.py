@@ -183,34 +183,34 @@ class Prediction:
 
 @dataclass
 class SpectralFrontend:
-    """Training-fitted transforms between kbit space and reduced frame space."""
+    """Training-fitted transforms between kbit space and reduced frame space.
+
+    Only the observation block's standardizer and PCA basis are kept; the
+    longer horizons' reducers shape the training states alone.
+    """
 
     chunk_cfg: ChunkConfig
     window_cfg: StateWindowConfig
-    reducers: list  # [(Standardizer, PcaBasis)] per horizon block
+    standardizer: Standardizer
+    basis: PcaBasis
 
     @property
     def obs_dim(self) -> int:
-        return self.reducers[0][1].kept_dim
+        return self.basis.kept_dim
 
     @property
-    def state_dim(self) -> int:
-        return sum(basis.kept_dim for _, basis in self.reducers)
-
-    def horizon_samples(self) -> list:
-        t_s = self.chunk_cfg.sample_interval_s
-        return [spectral.whole_multiple(h, t_s, "horizon_s")
-                for h in self.window_cfg.horizons_s]
+    def obs_width(self) -> int:
+        """Samples per observation window: the first lookahead horizon."""
+        return spectral.whole_multiple(self.window_cfg.horizons_s[0],
+                                       self.chunk_cfg.sample_interval_s, "horizon_s")
 
     def reduce_observations(self, raw_frames: np.ndarray) -> np.ndarray:
-        std, basis = self.reducers[0]
-        return reduction.project(basis, std, raw_frames)
+        return reduction.project(self.basis, self.standardizer, raw_frames)
 
     def frames_to_kbit(self, reduced_frames: np.ndarray, n_steps: int) -> np.ndarray:
         """Inverse PCA -> de-standardize -> inverse STFT -> overlap-average."""
-        std, basis = self.reducers[0]
-        raw = reduction.inverse_project(basis, std, reduced_frames)
-        chunks = spectral.inverse_frames(raw, self.horizon_samples()[0])
+        raw = reduction.inverse_project(self.basis, self.standardizer, reduced_frames)
+        chunks = spectral.inverse_frames(raw, self.obs_width)
         hop = self.chunk_cfg.hop_samples
         return spectral.overlap_average(chunks, hop, n_steps * hop)
 
@@ -226,9 +226,8 @@ class SpectralFrontend:
         """
         if cov_diag.shape[0] == 0:
             return np.empty(0)
-        std, basis = self.reducers[0]
-        unit_chunks = spectral.inverse_frames(np.eye(basis.original_dim),
-                                              self.horizon_samples()[0])
+        std, basis = self.standardizer, self.basis
+        unit_chunks = spectral.inverse_frames(np.eye(basis.original_dim), self.obs_width)
         lift = (unit_chunks.T * std.scales()[None, :]) @ basis.components  # (width, kept)
         chunk_var = (lift[None, :, :] ** 2 * cov_diag[:, None, :]).sum(axis=2)
         hop = self.chunk_cfg.hop_samples
@@ -255,27 +254,15 @@ def window_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
     return [spectral.forward_frames(series, width, hop, count) for width in widths]
 
 
-def _reduced_rows(blocks: list, reducers: list | None):
-    """(states, observations) from per-horizon blocks of one flow.
-
-    With reducers, each block is standardized and PCA-reduced on its own
-    before the blocks are concatenated.
-    """
-    if reducers is not None:
-        blocks = [reduction.project(basis, std, block)
-                  for (std, basis), block in zip(reducers, blocks)]
-    return np.hstack(blocks), blocks[0]
-
-
 def build_state_windows(series: np.ndarray, window_cfg: StateWindowConfig,
-                        chunk_cfg: ChunkConfig, reducers: list | None = None):
-    """Aligned (states, observations) rows for one flow.
+                        chunk_cfg: ChunkConfig):
+    """Aligned raw (states, observations) rows for one flow.
 
-    With reducers, each horizon block is standardized and PCA-reduced
-    independently before concatenation; without, blocks are concatenated
-    raw and the observation is the raw first-horizon frame.
+    A state concatenates the horizon blocks; the observation is the
+    first-horizon frame.
     """
-    return _reduced_rows(window_frames(series, chunk_cfg, window_cfg), reducers)
+    blocks = window_frames(series, chunk_cfg, window_cfg)
+    return np.hstack(blocks), blocks[0]
 
 
 def observation_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
@@ -356,19 +343,17 @@ class _SubspaceSolver:
 class FkkfModel:
     """Learned sub-space filter model: what filtering reads.  Immutable."""
 
-    y_train: np.ndarray           # (m, q) training observations, the centres of k_y
-    subspace_indices: np.ndarray  # (n,) inducing pair indices
-    t_sub: np.ndarray             # (n, n) transition model
-    o_sub: np.ndarray             # (m, n) observation model (G_yy O = response map)
-    ogo: np.ndarray               # (n, n) cached O' G_yy O
-    xo: np.ndarray                # (d, n) cached X @ O readout
-    v: np.ndarray                 # (n, n) transition noise covariance
-    n1_prior: np.ndarray          # (n,) initial a-priori mean coordinates
-    p1_prior: np.ndarray          # (n, n) initial a-priori covariance
+    y_train: np.ndarray   # (m, q) training observations, the centres of k_y
+    t_sub: np.ndarray     # (n, n) transition model
+    o_sub: np.ndarray     # (m, n) observation model (G_yy O = response map)
+    ogo: np.ndarray       # (n, n) cached O' G_yy O
+    xo: np.ndarray        # (d, n) cached X @ O readout
+    v: np.ndarray         # (n, n) transition noise covariance
+    n1_prior: np.ndarray  # (n,) initial a-priori mean coordinates
+    p1_prior: np.ndarray  # (n, n) initial a-priori covariance
     state_spec: KernelSpec
     obs_spec: KernelSpec
     hyper: FkkfHyperparams
-    bandwidth_seed: int
     frontend: SpectralFrontend | None = None
 
     @property
@@ -377,7 +362,7 @@ class FkkfModel:
 
     @property
     def subspace_size(self) -> int:
-        return self.subspace_indices.size
+        return self.t_sub.shape[0]
 
     @property
     def state_dim(self) -> int:
@@ -451,7 +436,6 @@ class _CoreStages:
         self.state_bw = median_heuristic(x_pred, DEFAULT_SUBSET_SIZE, bandwidth_seed)
         self.obs_bw = median_heuristic(y_train, DEFAULT_SUBSET_SIZE, bandwidth_seed)
         self.idx = _subspace_stride_indices(m, subspace_size)
-        self.bandwidth_seed = bandwidth_seed
         self.frontend = frontend
         self._state: _StateKernel | None = None
         self._obs: tuple | None = None          # (obs KernelSpec, G_yy)
@@ -463,10 +447,9 @@ class _CoreStages:
         obs_spec, g_yy = self._obs_kernel(hyper.obs_bw_scale)
         t_sub, v, n1, p1 = self._transition_ridge(state, hyper.lambda_t)
         o_sub, ogo, xo = self._observation_ridge(state, g_yy, hyper.lambda_o)
-        return FkkfModel(y_train=self.y_train, subspace_indices=self.idx, t_sub=t_sub,
-                         o_sub=o_sub, ogo=ogo, xo=xo, v=v, n1_prior=n1, p1_prior=p1,
-                         state_spec=state.spec, obs_spec=obs_spec, hyper=hyper,
-                         bandwidth_seed=self.bandwidth_seed, frontend=self.frontend)
+        return FkkfModel(y_train=self.y_train, t_sub=t_sub, o_sub=o_sub, ogo=ogo, xo=xo,
+                         v=v, n1_prior=n1, p1_prior=p1, state_spec=state.spec,
+                         obs_spec=obs_spec, hyper=hyper, frontend=self.frontend)
 
     def _state_kernel(self, scale: float) -> _StateKernel:
         if self._state is not None and self._state.spec.scale_factor == scale:
@@ -556,24 +539,31 @@ def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
                   window_cfg: StateWindowConfig, kept_dim: int):
     """Frame the flows, fit per-horizon reducers, reduce and pair the rows.
 
-    Returns (frontend, x_pred, x_succ, y_train).  Depends on no filter
+    Each horizon block is standardized and PCA-reduced on its own before
+    the blocks are concatenated into a state.  The frontend keeps only the
+    first block's reducer, the one observations go through.  Returns
+    (frontend, x_pred, x_succ, y_train).  Depends on no filter
     hyperparameter.
     """
     if not train_flows:
         raise InsufficientData("no training flows")
     per_flow_blocks = [window_frames(f.samples, chunk_cfg, window_cfg)
                        for f in train_flows]
-    n_horizons = len(window_cfg.horizons_s)
     reducers = []
-    for h in range(n_horizons):
+    for h in range(len(window_cfg.horizons_s)):
         stacked = np.vstack([blocks[h] for blocks in per_flow_blocks])
         std = reduction.fit_standardizer(stacked)
         kept = max(1, min(kept_dim, stacked.shape[1], stacked.shape[0] - 1))
         basis = reduction.fit_pca(std.apply(stacked), kept)
         reducers.append((std, basis))
+    rows = []
+    for blocks in per_flow_blocks:
+        reduced = [reduction.project(basis, std, block)
+                   for (std, basis), block in zip(reducers, blocks)]
+        rows.append((np.hstack(reduced), reduced[0]))
+    std, basis = reducers[0]
     frontend = SpectralFrontend(chunk_cfg=chunk_cfg, window_cfg=window_cfg,
-                                reducers=reducers)
-    rows = [_reduced_rows(blocks, reducers) for blocks in per_flow_blocks]
+                                standardizer=std, basis=basis)
     return (frontend, *_pairs_from_chains(rows))
 
 
@@ -584,7 +574,7 @@ def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
 
     Per-horizon standardizers and PCA bases are fitted on the training
     frames only; held-out flows must be transformed with this model's
-    frontend.  The subspace is capped at the number of training pairs.
+    frontend, which keeps the observation block's.  The subspace is capped at the number of training pairs.
     """
     return StagedLearner(train_flows, subspace_size, chunk_cfg, window_cfg,
                          kept_dim=kept_dim, bandwidth_seed=bandwidth_seed).model(hyper)
@@ -876,9 +866,8 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
 
 # Array fields with their shapes over the model sizes: m training pairs,
 # n inducing pairs, d state and q observation dimensions.
-_ARRAY_SHAPES = {"y_train": "mq", "subspace_indices": "n", "t_sub": "nn",
-                 "o_sub": "mn", "ogo": "nn", "xo": "dn", "v": "nn",
-                 "n1_prior": "n", "p1_prior": "nn"}
+_ARRAY_SHAPES = {"y_train": "mq", "t_sub": "nn", "o_sub": "mn", "ogo": "nn",
+                 "xo": "dn", "v": "nn", "n1_prior": "n", "p1_prior": "nn"}
 _ARRAY_FIELDS = tuple(_ARRAY_SHAPES)
 
 
@@ -887,14 +876,14 @@ def save_model(model: FkkfModel, path) -> None:
 
     Matrices round-trip bit-exactly; scalars, kernel specs and frontend
     configuration travel in an embedded JSON document together with a
-    format-version integer.
+    format-version integer.  Of the frontend, only the observation
+    block's standardizer and PCA basis are stored, as the block0_* arrays.
     """
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
         "hyper": model.hyper.as_tuple(),
         "state_spec": [model.state_spec.bandwidth, model.state_spec.scale_factor],
         "obs_spec": [model.obs_spec.bandwidth, model.obs_spec.scale_factor],
-        "bandwidth_seed": model.bandwidth_seed,
         "has_frontend": model.frontend is not None,
     }
     arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
@@ -904,12 +893,10 @@ def save_model(model: FkkfModel, path) -> None:
                              fe.chunk_cfg.chunk_interval_s,
                              fe.chunk_cfg.chunk_length_s]
         meta["window_cfg"] = {"horizons_s": list(fe.window_cfg.horizons_s)}
-        meta["n_blocks"] = len(fe.reducers)
-        for i, (std, basis) in enumerate(fe.reducers):
-            arrays[f"block{i}_means"] = std.means
-            arrays[f"block{i}_stds"] = std.stds
-            arrays[f"block{i}_components"] = basis.components
-            arrays[f"block{i}_evr"] = basis.explained_variance_ratio
+        arrays["block0_means"] = fe.standardizer.means
+        arrays["block0_stds"] = fe.standardizer.stds
+        arrays["block0_components"] = fe.basis.components
+        arrays["block0_evr"] = fe.basis.explained_variance_ratio
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     # write through a file object so numpy cannot append its own .npz suffix
     # (atomic-rename callers pass suffix-less temp paths)
@@ -972,19 +959,13 @@ def _model_from_archive(data, path) -> FkkfModel:
         chunk_cfg = ChunkConfig(sample_interval_s=t_s, chunk_interval_s=t_c,
                                 chunk_length_s=w)
         window_cfg = StateWindowConfig(horizons_s=tuple(meta["window_cfg"]["horizons_s"]))
-        reducers = []
-        for i in range(meta["n_blocks"]):
-            std = Standardizer(means=data[f"block{i}_means"],
-                               stds=data[f"block{i}_stds"])
-            comp = data[f"block{i}_components"]
-            basis = PcaBasis(components=comp,
-                             explained_variance_ratio=data[f"block{i}_evr"],
-                             original_dim=comp.shape[0], kept_dim=comp.shape[1])
-            reducers.append((std, basis))
-        frontend = SpectralFrontend(chunk_cfg=chunk_cfg, window_cfg=window_cfg,
-                                    reducers=reducers)
-        if (frontend.obs_dim, frontend.state_dim) != (arrays["y_train"].shape[1],
-                                                      arrays["xo"].shape[0]):
+        comp = data["block0_components"]
+        frontend = SpectralFrontend(
+            chunk_cfg=chunk_cfg, window_cfg=window_cfg,
+            standardizer=Standardizer(means=data["block0_means"], stds=data["block0_stds"]),
+            basis=PcaBasis(components=comp, explained_variance_ratio=data["block0_evr"],
+                           original_dim=comp.shape[0], kept_dim=comp.shape[1]))
+        if frontend.obs_dim != arrays["y_train"].shape[1]:
             raise ModelFileError(f"{path}: PCA blocks disagree with the model arrays")
     lam_t, lam_o, sbw, obw, kappa = meta["hyper"]
     hyper = FkkfHyperparams(lambda_t=lam_t, lambda_o=lam_o, state_bw_scale=sbw,
@@ -993,5 +974,4 @@ def _model_from_archive(data, path) -> FkkfModel:
                                            scale_factor=meta["state_spec"][1]),
                      obs_spec=KernelSpec(bandwidth=meta["obs_spec"][0],
                                          scale_factor=meta["obs_spec"][1]),
-                     hyper=hyper, bandwidth_seed=meta["bandwidth_seed"],
-                     frontend=frontend, **arrays)
+                     hyper=hyper, frontend=frontend, **arrays)

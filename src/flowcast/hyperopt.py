@@ -21,8 +21,7 @@ each ridge solution once per pair and weight; only gains and filtering
 run for every candidate.  Only the current fold's frontend and the
 current pair's kernels are kept.  Each candidate is still scored by one
 evaluation.evaluate_split call, and the stages it is first to need are
-built inside that call.  A caller-supplied error_fn gets no stages: it
-is called once per candidate and fold, as before.
+built inside that call.
 """
 
 from __future__ import annotations
@@ -73,10 +72,8 @@ def _stage_order(hyper: FkkfHyperparams) -> tuple:
             hyper.lambda_o, hyper.kappa)
 
 
-def _fold_scorer(train, test, error_fn, cfg, chunk_length_s):
-    """hyper -> validation error on one fold."""
-    if error_fn is not None:
-        return lambda hyper: error_fn(train, test, hyper, cfg, chunk_length_s)
+def _fold_scorer(train, test, cfg, chunk_length_s):
+    """hyper -> validation error on one fold, from one learner's stages."""
     learner = evaluation.split_learner(train, cfg, chunk_length_s)
     return lambda hyper: abs(evaluation.evaluate_split(
         train, test, hyper, cfg, chunk_length_s, learner=learner).pred_error)
@@ -98,13 +95,13 @@ def _validation_folds(flows, validation: str, holdout_fraction: float):
 
 
 def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_out",
-                error_fn=None, *, cfg=None, chunk_length_s: float | None = None,
+                *, cfg=None, chunk_length_s: float | None = None,
                 holdout_fraction: float = 0.25, audit_path=None):
     """Exhaustively evaluate the grid and return (best hyperparams, error).
 
-    error_fn(train, test, hyper, cfg, chunk_length_s) scores one
-    validation fold; by default it is the magnitude of the peak
-    prediction error.  Candidates that fail to learn score inf; if all
+    A candidate's error on one validation fold is the magnitude of its
+    peak prediction error (evaluation.evaluate_split); its error is the
+    mean over the folds.  Candidates that fail to learn score inf; if all
     fail, NoViableCandidate is raised.
     """
     if cfg is None:
@@ -119,7 +116,7 @@ def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_ou
     for train, test in folds:
         # rebinding score releases the previous fold's stages; this
         # fold's are built on its first candidate
-        score = _fold_scorer(train, test, error_fn, cfg, chunk_length_s)
+        score = _fold_scorer(train, test, cfg, chunk_length_s)
         for i in order:
             try:
                 fold_errors[i].append(score(candidates[i]))

@@ -51,14 +51,10 @@ def test_criterion_2_subspace_equals_full_space():
     assert m <= 300
     assert model.subspace_size == m
 
-    # the training pairs, rebuilt through the model's own reducers; the
-    # stacked observations must be the model's before the states are trusted
-    rows = [fkkf.build_state_windows(f.samples, window_cfg, chunk_cfg,
-                                     model.frontend.reducers) for f in flows]
-    rows = [(states, obs) for states, obs in rows if states.shape[0] >= 2]
-    assert np.array_equal(np.vstack([obs[:-1] for _, obs in rows]), model.y_train)
-    x_pred = np.vstack([states[:-1] for states, _ in rows])
-    x_succ = np.vstack([states[1:] for states, _ in rows])
+    # the training pairs learn reduced the flows to; the observations must
+    # be the model's before the states are trusted
+    _, x_pred, x_succ, y = fkkf._fit_frontend(flows, chunk_cfg, window_cfg, 30)
+    assert np.array_equal(y, model.y_train)
 
     test_flow = generate_group(template, 2, 3.0, 0.01, seed=99)[0]
     raw = fkkf.observation_frames(test_flow.samples, chunk_cfg, 0.2)

@@ -136,6 +136,37 @@ def test_ingest_directory_of_files(runner, tmp_path):
     assert "flows=2" in result.output
 
 
+def _store_at_interval(out, t_s):
+    """The workspace store rewritten as if sampled every t_s seconds."""
+    text = (out / "traces.csv").read_text().replace(" t_s=0.01 ", f" t_s={t_s} ")
+    store = out / f"traces_{t_s}.csv"
+    store.write_text(text)
+    return store
+
+
+def test_sweep_store_at_another_interval_exit_1(workspace, runner):
+    cfg, out = workspace
+    runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                         "cluster", str(out / "traces.csv")])
+    store = _store_at_interval(out, 0.02)
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "sweep",
+                                  str(store), "--groups", str(out / "groups.csv"),
+                                  "--group-id", "1"])
+    _assert_one_line_exit_1(result, f"flow 0 of {store} is sampled every 0.02s, "
+                                    f"but experiment.sample_interval_s is 0.01s")
+    assert not (out / "sweep_group1.csv").exists()
+
+
+def test_ingest_store_at_another_interval_exit_1(workspace, runner, tmp_path):
+    cfg, out = workspace
+    store = _store_at_interval(out, 0.02)
+    out2 = tmp_path / "out2"
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out2),
+                                  "ingest", str(store), "--format", "csv_binned"])
+    _assert_one_line_exit_1(result, f"flow 0 of {store} is sampled every 0.02s")
+    assert not (out2 / "traces.csv").exists()
+
+
 def test_cluster_recovers_groups(workspace, runner):
     cfg, out = workspace
     result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
@@ -436,13 +467,17 @@ def _config_error(workspace, runner, tmp_path, section, key, value, command):
                          "cluster", str(out / "traces.csv")])
     lines = [line for line in CONFIG_YAML.splitlines()
              if not line.strip().startswith(key + ":")]
-    lines.insert(lines.index(section + ":") + 1, f"  {key}: {value}")
+    if section is None:  # a key of the config root
+        lines.append(f"{key}: {value}")
+    else:
+        lines.insert(lines.index(section + ":") + 1, f"  {key}: {value}")
     bad = tmp_path / "bad.yaml"
     bad.write_text("\n".join(lines) + "\n")
     fresh = tmp_path / "fresh"
     traces, groups = str(out / "traces.csv"), str(out / "groups.csv")
     args = {"learn": ["learn", traces, "--groups", groups, "--group-id", "1"],
             "evaluate": ["evaluate", traces, "--groups", groups],
+            "sweep": ["sweep", traces, "--groups", groups, "--group-id", "1"],
             "cluster": ["cluster", traces],
             "synth": ["synth"]}[command]
     result = runner.invoke(main, ["--config", str(bad), "--out", str(fresh), *args])
@@ -484,7 +519,20 @@ def test_timing_off_the_sample_grid_exit_2(workspace, runner, tmp_path, section,
                           ("synth", "n_groups", "0", "synth"),
                           ("synth", "flows_per_group", "0", "synth"),
                           ("synth", "duration_s", "0", "synth"),
-                          ("synth", "peak_kbit", "0", "synth")])
+                          ("synth", "peak_kbit", "0", "synth"),
+                          # integer keys take integers: none is truncated,
+                          # rounded or left to fail with a traceback
+                          ("experiment", "observe_steps", "4.5", "evaluate"),
+                          ("experiment", "observe_steps", "4.5", "sweep"),
+                          ("experiment", "kept_dim", "30.5", "sweep"),
+                          ("experiment", "ar_order", "8.5", "sweep"),
+                          ("experiment", "bandwidth_seed", "0.5", "sweep"),
+                          ("experiment", "subspace_size", "120.5", "learn"),
+                          ("clustering", "signature_frames", "2.5", "cluster"),
+                          ("clustering", "max_groups", "1.5", "cluster"),
+                          ("synth", "n_groups", "2.5", "synth"),
+                          ("synth", "flows_per_group", "3.5", "synth"),
+                          (None, "seed", "7.9", "synth")])
 def test_value_the_run_reads_later_exit_2(workspace, runner, tmp_path, section, key,
                                           value, command):
     # each value the command reads is refused when the config is loaded,
@@ -560,6 +608,12 @@ class TestConfig:
         cfg = load_config(p)
         assert cfg.hyper.source == "grid"
         assert cfg.hyper.grid.lambda_t == (0.1,)
+
+    def test_integer_key_refuses_a_bool(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment:\n  kept_dim: true\n")
+        with pytest.raises(ParseError, match="kept_dim must be an integer, got True"):
+            load_config(p)
 
     def test_comments_allowed(self, tmp_path):
         p = tmp_path / "c.yaml"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from flowcast import fkkf
+from flowcast import fkkf, reduction
 from flowcast.errors import (BadDimension, FlowTooShort, InsufficientData,
                              ModelFileError, SubspaceTooLarge)
 from flowcast.evaluation import (ExperimentConfig, leave_one_out_splits,
@@ -143,9 +143,10 @@ class TestLearnCore:
                        HYPER, subspace_size=1)
 
     def test_stride_subspace_selection(self):
+        np.testing.assert_array_equal(fkkf._subspace_stride_indices(100, 25),
+                                      np.arange(0, 100, 4))
         x_pred, x_succ, y = _chain_data(m=100)
-        model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=25)
-        np.testing.assert_array_equal(model.subspace_indices, np.arange(0, 100, 4))
+        assert learn_core(x_pred, x_succ, y, HYPER, subspace_size=25).subspace_size == 25
 
     def test_observation_gram_after_window_truncation(self):
         # one 10 s flow: 200 chunk positions on the grid, 140 with a full
@@ -714,10 +715,10 @@ class TestStagedLearner:
                 assert np.array_equal(getattr(staged, name), getattr(fresh, name)), name
             assert (staged.state_spec, staged.obs_spec, staged.hyper) == \
                 (fresh.state_spec, fresh.obs_spec, fresh.hyper)
-            for (s_std, s_basis), (f_std, f_basis) in zip(staged.frontend.reducers,
-                                                          fresh.frontend.reducers):
-                assert np.array_equal(s_basis.components, f_basis.components)
-                assert np.array_equal(s_std.means, f_std.means)
+            assert np.array_equal(staged.frontend.basis.components,
+                                  fresh.frontend.basis.components)
+            assert np.array_equal(staged.frontend.standardizer.means,
+                                  fresh.frontend.standardizer.means)
 
     def test_nothing_built_before_the_first_model(self):
         flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=11)
@@ -731,8 +732,7 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_model(traffic_model, path)
         loaded = load_model(path)
-        for name in ("y_train", "t_sub", "o_sub", "ogo", "xo", "v", "n1_prior",
-                     "p1_prior", "subspace_indices"):
+        for name in fkkf._ARRAY_FIELDS:
             np.testing.assert_array_equal(getattr(loaded, name),
                                           getattr(traffic_model, name),
                                           err_msg=name)
@@ -741,9 +741,52 @@ class TestSerialization:
         fe_a, fe_b = loaded.frontend, traffic_model.frontend
         assert fe_a.chunk_cfg == fe_b.chunk_cfg
         assert fe_a.window_cfg == fe_b.window_cfg
-        for (std_a, basis_a), (std_b, basis_b) in zip(fe_a.reducers, fe_b.reducers):
-            np.testing.assert_array_equal(std_a.means, std_b.means)
-            np.testing.assert_array_equal(basis_a.components, basis_b.components)
+        for part in ("means", "stds"):
+            np.testing.assert_array_equal(getattr(fe_a.standardizer, part),
+                                          getattr(fe_b.standardizer, part))
+        for part in ("components", "explained_variance_ratio"):
+            np.testing.assert_array_equal(getattr(fe_a.basis, part),
+                                          getattr(fe_b.basis, part))
+
+    def test_file_holds_only_the_observation_block(self, traffic_model, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(traffic_model, path)
+        with np.load(path) as data:
+            names = sorted(data.files)
+            meta = json.loads(data["meta_json"].tobytes())
+        blocks = tuple(f"block0_{part}" for part in ("means", "stds", "components", "evr"))
+        assert names == sorted(fkkf._ARRAY_FIELDS + blocks + ("meta_json",))
+        assert "n_blocks" not in meta and "bandwidth_seed" not in meta
+
+    def test_file_with_every_horizon_block_loads(self, traffic_model, tmp_path):
+        # format-3 files written before the frontend kept only the observation
+        # block carry every horizon's reducer, the inducing indices and the
+        # bandwidth seed; loading ignores them and filters the same
+        path = tmp_path / "model.npz"
+        save_model(traffic_model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        per_flow = [window_frames(f.samples, CHUNK, WINDOW) for f in flows]
+        for h in (1, 2):
+            stacked = np.vstack([blocks[h] for blocks in per_flow])
+            std = reduction.fit_standardizer(stacked)
+            basis = reduction.fit_pca(std.apply(stacked), 30)
+            arrays.update({f"block{h}_means": std.means, f"block{h}_stds": std.stds,
+                           f"block{h}_components": basis.components,
+                           f"block{h}_evr": basis.explained_variance_ratio})
+        arrays["subspace_indices"] = np.arange(traffic_model.subspace_size)
+        meta = json.loads(arrays["meta_json"].tobytes())
+        meta.update(n_blocks=3, bandwidth_seed=0)
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        old_path = tmp_path / "older.npz"
+        np.savez_compressed(old_path, **arrays)
+        loaded = load_model(old_path)
+        test_flow = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=78)[0]
+        observed = traffic_model.frontend.reduce_observations(
+            observation_frames(test_flow.samples, CHUNK, 0.2)[:5])
+        np.testing.assert_array_equal(run_filter(loaded, observed, 10).mean_kbit,
+                                      run_filter(traffic_model, observed, 10).mean_kbit)
 
     def test_filter_results_identical_after_reload(self, traffic_model, tmp_path):
         path = tmp_path / "model.npz"

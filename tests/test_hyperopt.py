@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from flowcast.errors import EmptySpace, NoViableCandidate
+from flowcast.errors import EmptySpace, NoViableCandidate, NumericalFailure
 from flowcast.evaluation import ExperimentConfig
 from flowcast.fkkf import FkkfHyperparams
 from flowcast.hyperopt import SearchSpace, grid_search
@@ -56,62 +58,42 @@ def test_gain_zero_candidate_loses(mixed_flows):
     assert best.kappa == 1e-3
 
 
-def test_tie_breaks_lexicographically():
-    calls = []
+def _stub_scores(monkeypatch, score):
+    """Two stub flows; every grid_search candidate scores score(hyper) on
+    each of their folds, in place of evaluate_split's peak error."""
+    def fake(train, test, hyper, cfg, chunk_length_s, *, learner):
+        return SimpleNamespace(pred_error=score(hyper))
 
-    def fake_error(train, test, hyper, cfg, chunk_length_s):
-        calls.append(hyper.as_tuple())
-        return 0.5  # every candidate identical
+    monkeypatch.setattr("flowcast.hyperopt.evaluation.evaluate_split", fake)
+    return [object(), object()]
 
+
+def test_tie_breaks_lexicographically(monkeypatch):
+    flows_stub = _stub_scores(monkeypatch, lambda hyper: 0.5)  # all identical
     space = _singleton(lambda_t=(1e-2, 1e-3), kappa=(1e-1, 1e-4))
-    flows_stub = [object(), object()]
-
-    import flowcast.hyperopt as ho
-    folds = [(flows_stub[:1], flows_stub[1])]
-    orig = ho._validation_folds
-    ho._validation_folds = lambda *a, **k: folds
-    try:
-        best, error = grid_search(flows_stub, space, "leave_one_out",
-                                  error_fn=fake_error, cfg=CFG, chunk_length_s=0.6)
-    finally:
-        ho._validation_folds = orig
+    best, error = grid_search(flows_stub, space, "leave_one_out", cfg=CFG,
+                              chunk_length_s=0.6)
     assert error == 0.5
     assert best.as_tuple() == (1e-3, 1e-3, 1.0, 1.0, 1e-4)
 
 
-def test_result_invariant_to_enumeration_order():
-    def fake_error(train, test, hyper, cfg, chunk_length_s):
-        return abs(hyper.lambda_t - 1e-2) + abs(hyper.kappa - 1e-3)
-
-    flows_stub = [object(), object()]
-    import flowcast.hyperopt as ho
-    orig = ho._validation_folds
-    ho._validation_folds = lambda *a, **k: [(flows_stub[:1], flows_stub[1])]
-    try:
-        a = grid_search(flows_stub, _singleton(lambda_t=(1e-3, 1e-2), kappa=(1e-3, 1e-1)),
-                        error_fn=fake_error, cfg=CFG, chunk_length_s=0.6)
-        b = grid_search(flows_stub, _singleton(lambda_t=(1e-2, 1e-3), kappa=(1e-1, 1e-3)),
-                        error_fn=fake_error, cfg=CFG, chunk_length_s=0.6)
-    finally:
-        ho._validation_folds = orig
+def test_result_invariant_to_enumeration_order(monkeypatch):
+    flows_stub = _stub_scores(
+        monkeypatch, lambda hyper: abs(hyper.lambda_t - 1e-2) + abs(hyper.kappa - 1e-3))
+    a = grid_search(flows_stub, _singleton(lambda_t=(1e-3, 1e-2), kappa=(1e-3, 1e-1)),
+                    cfg=CFG, chunk_length_s=0.6)
+    b = grid_search(flows_stub, _singleton(lambda_t=(1e-2, 1e-3), kappa=(1e-1, 1e-3)),
+                    cfg=CFG, chunk_length_s=0.6)
     assert a[0] == b[0] and a[1] == b[1]
 
 
-def test_all_failures_raise():
-    def broken(train, test, hyper, cfg, chunk_length_s):
-        from flowcast.errors import NumericalFailure
+def test_all_failures_raise(monkeypatch):
+    def broken(hyper):
         raise NumericalFailure("test_matrix")
 
-    flows_stub = [object(), object()]
-    import flowcast.hyperopt as ho
-    orig = ho._validation_folds
-    ho._validation_folds = lambda *a, **k: [(flows_stub[:1], flows_stub[1])]
-    try:
-        with pytest.raises(NoViableCandidate):
-            grid_search(flows_stub, _singleton(), error_fn=broken, cfg=CFG,
-                        chunk_length_s=0.6)
-    finally:
-        ho._validation_folds = orig
+    flows_stub = _stub_scores(monkeypatch, broken)
+    with pytest.raises(NoViableCandidate):
+        grid_search(flows_stub, _singleton(), cfg=CFG, chunk_length_s=0.6)
 
 
 def test_empty_grid_rejected():
@@ -119,21 +101,11 @@ def test_empty_grid_rejected():
         SearchSpace(lambda_t=())
 
 
-def test_audit_log_written(tmp_path):
-    def fake_error(train, test, hyper, cfg, chunk_length_s):
-        return float(hyper.kappa)
-
-    flows_stub = [object(), object()]
-    import flowcast.hyperopt as ho
-    orig = ho._validation_folds
-    ho._validation_folds = lambda *a, **k: [(flows_stub[:1], flows_stub[1])]
+def test_audit_log_written(tmp_path, monkeypatch):
+    flows_stub = _stub_scores(monkeypatch, lambda hyper: float(hyper.kappa))
     audit = tmp_path / "audit.csv"
-    try:
-        grid_search(flows_stub, _singleton(kappa=(1e-4, 1e-3)),
-                    error_fn=fake_error, cfg=CFG, chunk_length_s=0.6,
-                    audit_path=audit)
-    finally:
-        ho._validation_folds = orig
+    grid_search(flows_stub, _singleton(kappa=(1e-4, 1e-3)), cfg=CFG,
+                chunk_length_s=0.6, audit_path=audit)
     lines = audit.read_text().splitlines()
     assert lines[0].startswith("lambda_t,")
     assert len(lines) == 3
@@ -243,18 +215,26 @@ def test_gram_builds_scale_with_folds_and_bandwidths(flows, monkeypatch):
     assert _gram_calls(monkeypatch, group, FULL_GRID) == count
 
 
-def test_custom_error_fn_called_once_per_candidate_and_fold(flows):
+def test_evaluate_split_once_per_candidate_and_fold_with_its_learner(flows,
+                                                                     monkeypatch):
     group = list(flows)
     calls = []
 
-    def record(train, test, hyper, cfg, chunk_length_s):
+    def record(train, test, hyper, cfg, chunk_length_s, *, learner):
         assert cfg is CFG and chunk_length_s == 0.6
         assert [f for f in group if f is not test] == list(train)
-        calls.append((group.index(test), hyper.as_tuple()))
-        return float(hyper.kappa)
+        assert learner.train_flows == tuple(train)
+        calls.append((group.index(test), hyper.as_tuple(), learner))
+        return SimpleNamespace(pred_error=float(hyper.kappa))
 
-    grid_search(group, FULL_GRID, "leave_one_out", error_fn=record, cfg=CFG,
-                chunk_length_s=0.6)
+    monkeypatch.setattr("flowcast.hyperopt.evaluation.evaluate_split", record)
+    grid_search(group, FULL_GRID, "leave_one_out", cfg=CFG, chunk_length_s=0.6)
     expected = {(k, h.as_tuple()) for k in range(len(group))
                 for h in FULL_GRID.candidates()}
-    assert len(calls) == len(expected) and set(calls) == expected
+    assert len(calls) == len(expected)
+    assert {(k, params) for k, params, _ in calls} == expected
+    # one learner per fold, shared by all of that fold's candidates
+    learners = {k: [lrn for fold, _, lrn in calls if fold == k] for k in range(len(group))}
+    assert all(lrn is fold_learners[0] for fold_learners in learners.values()
+               for lrn in fold_learners)
+    assert len({id(fold_learners[0]) for fold_learners in learners.values()}) == len(group)
