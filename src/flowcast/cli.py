@@ -292,7 +292,7 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
         _, horizon, pred = evaluation.forecast_flow(model, flow.samples, exp, start_step)
         steps = exp.horizon_steps
         var_kbit = fe.kbit_variance(
-            fkkf.forecast_variance(model, pred.filtered_state.p_t, steps))
+            fkkf.forecast_variance(model, pred.filtered_cov, steps))
         times = np.arange(horizon.start, horizon.stop) * fe.chunk_cfg.sample_interval_s
         actual = np.full(times.size, np.nan)
         have = flow.samples[horizon]

@@ -14,27 +14,31 @@ Updates are linear in these coordinates:
     gain:        W_t = (P-_t M + kappa I_n)^-1 P-_t,    M = O' G_yy O
     innovation:  n_t = n-_t + W_t (O' k_y - M n-_t)
                  P_t = kappa W_t
-    readout:     mu_x = X O n_t,               var_x = diag(X O P_t O' X')
+    readout:     mu_t = C n_t,                 C = (X O)[:q]
     forecast:    mu_k = C T^k n_t,             var_k = rowsum((A_k L_P)^2)
                  A_k = C T^k                     + sum_{j<k} rowsum((A_j L_V)^2)
 
 where G_yy is the m x m Gram of the training observations, k_y the
 kernel responses of the incoming observation against them, X the d x m
-matrix of training state vectors (the model keeps only X O), T the n x n
-transition model and O the m x n observation model.  The Kalman gain of
-the m-dimensional innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1,
-equals W_t O' by the push-through identity, so every per-step quantity
-is n x n and G_yy enters only through M, formed once at learning time.
+matrix of training state vectors, T the n x n transition model and O the
+m x n observation model.  The first q rows of X are the observation
+block, the only part of the state that is read out, so the model keeps
+only C, the q readout rows of X O.  The Kalman gain of the m-dimensional
+innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1, equals W_t O'
+by the push-through identity, so every per-step quantity is n x n and
+G_yy enters only through M, formed once at learning time.
 W_t is computed as L (L' M L + kappa I_n)^-1 L' from a factor P-_t = L L'
 (Cholesky, or an eigendecomposition with negative roundoff eigenvalues
 clamped to zero where Cholesky fails), which keeps W_t and the posterior
 kappa W_t positive semi-definite by construction; kappa W_t is the
 textbook posterior without its cancelling subtraction.
-The forecast reads out only the observation block, through its readout
-rows C = (X O)[:q].  run_filter computes the mean; forecast_variance the
-variance diagonal from factors L_P, L_V of the filtered posterior and V,
-stepping only the q x n rows A_k, never the n x n covariance.  Each
-variance is a sum of squares, non-negative by construction.
+Gains and covariances never depend on observed values, so project steps
+them once per model ahead of filtering.  The filter moves only the mean:
+run_filter takes innovation_update, prediction_update and reconstruct
+as its steps.  forecast_variance computes the variance diagonal from
+factors L_P, L_V of the filtered posterior and V, stepping only the
+q x n rows A_k, never the n x n covariance.  Each variance is a sum of
+squares, non-negative by construction.
 SpectralFrontend maps the forecast mean back to kbit with the inverse
 framing of spectral.py (frames_to_kbit) and its variance through the
 linear part of that same map (kbit_variance); the lookahead states and
@@ -48,9 +52,7 @@ inducing points as the ridge metric,
 
 which makes the n = m case algebraically identical to the full-sample
 recursion with T = (K_xx + lam I_m)^-1 K_xx' (and likewise O); the
-restriction is therefore exact when no subsampling happens.  Gain and
-covariance sequences never depend on observed values, so they are
-projected once per model ahead of filtering.
+restriction is therefore exact when no subsampling happens.
 
 Learning runs in stages, each depending only on the hyperparameters
 named with it:
@@ -61,8 +63,8 @@ named with it:
     2. state kernel  the state Grams and both subspace solvers
                      (state_bw_scale)
     3. obs kernel    G_yy (obs_bw_scale)
-    4. ridge         T, V and the prior per lambda_t; O, M and X O per
-                     lambda_o (both from the kept SVDs)
+    4. ridge         T, V and the prior per lambda_t; O, M and the
+                     readout rows C per lambda_o (both from the kept SVDs)
     5. gains         project and run_filter (kappa)
 
 StagedLearner runs stage 1 once and keeps each later stage while its
@@ -95,7 +97,6 @@ MODEL_FORMAT_VERSION = 3
 
 _COV_JITTER = 1e-8
 _EIG_FLOOR = 1e-14  # relative floor when whitening the inducing Gram
-_PRIOR_MATCH_RTOL = 1e-8  # see _is_projected
 
 
 @dataclass(frozen=True)
@@ -143,15 +144,14 @@ class StateWindowConfig:
 
 @dataclass
 class FilterState:
-    """Belief coordinates at one filter step.
+    """Belief mean coordinates at one filter step.
 
-    ``step`` counts completed innovations; a prior at step t consumes the
-    t-th projected gain.
+    The prior at step t takes the t-th projected gain and its posterior
+    keeps step t.  The covariances are not stepped here: they do not
+    depend on observations and live in ProjectedGains.
     """
 
     n_t: np.ndarray
-    p_t: np.ndarray
-    is_posterior: bool
     step: int = 0
 
 
@@ -174,6 +174,7 @@ class Prediction:
     mean_frames: np.ndarray   # (steps, obs_dim) predicted reduced observations
     mean_kbit: np.ndarray     # reassembled time-domain forecast (empty without frontend)
     filtered_state: FilterState
+    filtered_cov: np.ndarray  # (n, n) projected posterior of the last observed step (not a copy)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ class FkkfModel:
     t_sub: np.ndarray     # (n, n) transition model
     o_sub: np.ndarray     # (m, n) observation model (G_yy O = response map)
     ogo: np.ndarray       # (n, n) cached O' G_yy O
-    xo: np.ndarray        # (d, n) cached X @ O readout
+    xo: np.ndarray        # (q, n) readout rows (X O)[:q] of the observation block
     v: np.ndarray         # (n, n) transition noise covariance
     n1_prior: np.ndarray  # (n,) initial a-priori mean coordinates
     p1_prior: np.ndarray  # (n, n) initial a-priori covariance
@@ -365,20 +366,19 @@ class FkkfModel:
         return self.t_sub.shape[0]
 
     @property
-    def state_dim(self) -> int:
-        return self.xo.shape[0]
-
-    @property
     def obs_dim(self) -> int:
         return self.y_train.shape[1]
 
     def initial_state(self) -> FilterState:
-        return FilterState(n_t=self.n1_prior.copy(), p_t=self.p1_prior.copy(),
-                           is_posterior=False, step=0)
+        return FilterState(n_t=self.n1_prior.copy(), step=0)
 
 
 def _subspace_stride_indices(m: int, requested: int) -> np.ndarray:
-    """Every ceil(m/n)-th time-ordered pair; covers all flows, deterministic."""
+    """Every ceil(m/n)-th time-ordered pair; covers all flows, deterministic.
+
+    `requested` is a cap: the stride keeps ceil(m / ceil(m/n)) pairs, which
+    can fall well short of it (120 requested of 492 pairs gives 99).
+    """
     stride = max(1, math.ceil(m / requested))
     return np.arange(0, m, stride)
 
@@ -406,7 +406,7 @@ class _CoreStages:
         state kernel   Grams, both subspace solvers     state_bw_scale
         obs kernel     G_yy                             obs_bw_scale
         transition     T (mode-clipped), V, prior      state kernel, lambda_t
-        observation    O, M = O' G_yy O, X O           both kernels, lambda_o
+        observation    O, M = O' G_yy O, (X O)[:q]     both kernels, lambda_o
 
     One kernel of each kind is kept.  Asking for another bandwidth scale
     drops the kept kernel and every ridge solution built on it before the
@@ -426,6 +426,8 @@ class _CoreStages:
             raise BadDimension("x_pred and x_succ must have identical shape")
         if y_train.shape[0] != m:
             raise BadDimension("y_train must align with x_pred rows")
+        if y_train.shape[1] > x_pred.shape[1]:
+            raise BadDimension("the observation block cannot be wider than the state")
         if m < 2:
             raise InsufficientData(f"need >= 2 training pairs, got {m}")
         if subspace_size < 1:
@@ -503,7 +505,8 @@ class _CoreStages:
         if lam not in self._observation:
             o_sub = state.solver.dual(lam).T @ state.kbar_prime[self.idx]
             ogo = _sym(o_sub.T @ (g_yy @ o_sub))
-            self._observation[lam] = (o_sub, ogo, self.x_pred.T @ o_sub)
+            xo = (self.x_pred.T @ o_sub)[:self.y_train.shape[1]].copy()
+            self._observation[lam] = (o_sub, ogo, xo)
         return self._observation[lam]
 
 
@@ -515,7 +518,8 @@ def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
     Bandwidths come from the median heuristic on the training rows,
     scaled by the hyperparameters.  The transition/observation ridge
     systems share one factorization; V and the initial belief are taken
-    from the empirical statistics of the training coordinates.
+    from the empirical statistics of the training coordinates.  The
+    first q = y_train.shape[1] state columns are the ones read out.
     """
     return _CoreStages(x_pred, x_succ, y_train, subspace_size,
                        bandwidth_seed=bandwidth_seed).model(hyper)
@@ -574,7 +578,9 @@ def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
 
     Per-horizon standardizers and PCA bases are fitted on the training
     frames only; held-out flows must be transformed with this model's
-    frontend, which keeps the observation block's.  The subspace is capped at the number of training pairs.
+    frontend, which keeps the observation block's.  subspace_size caps the
+    inducing pairs, which are a stride over the training pairs (see
+    _subspace_stride_indices), so the model can have fewer.
     """
     return StagedLearner(train_flows, subspace_size, chunk_cfg, window_cfg,
                          kept_dim=kept_dim, bandwidth_seed=bandwidth_seed).model(hyper)
@@ -681,9 +687,8 @@ def _innovation_cov(model: FkkfModel, p_prior: np.ndarray):
     return w, model.hyper.kappa * w
 
 
-def _prediction_cov(model: FkkfModel, p_post: np.ndarray,
-                    matmul=np.matmul) -> np.ndarray:
-    return _sym(matmul(matmul(model.t_sub, p_post), model.t_sub.T) + model.v)
+def _prediction_cov(model: FkkfModel, p_post: np.ndarray) -> np.ndarray:
+    return _sym(_matmul(_matmul(model.t_sub, p_post), model.t_sub.T) + model.v)
 
 
 def project(model: FkkfModel, steps: int) -> ProjectedGains:
@@ -712,82 +717,36 @@ def project(model: FkkfModel, steps: int) -> ProjectedGains:
         w_seq.append(w)
         post_seq.append(p_post)
         prior_seq.append(p_prior)
-        p_prior = _prediction_cov(model, p_post, _matmul)
+        p_prior = _prediction_cov(model, p_post)
     return ProjectedGains(w_seq=w_seq, p_post_seq=post_seq, p_prior_seq=prior_seq)
-
-
-def _innovated_mean(n_prior: np.ndarray, y_frame: np.ndarray, w: np.ndarray,
-                    model: FkkfModel) -> np.ndarray:
-    """n + W (O' k_y - M n) for one observation frame."""
-    y_frame = np.asarray(y_frame, dtype=float).ravel()
-    if y_frame.size != model.obs_dim:
-        raise BadDimension(f"observation dim {y_frame.size} != {model.obs_dim}")
-    k_y = kernel_vector(model.y_train, y_frame, model.obs_spec)
-    return n_prior + w @ (model.o_sub.T @ k_y - model.ogo @ n_prior)
 
 
 def innovation_update(state: FilterState, y_frame: np.ndarray,
                       gains: ProjectedGains, model: FkkfModel) -> FilterState:
-    """Fold one observation into an a-priori belief.
+    """Fold one observation into the prior at state.step: n + W (O' k_y - M n).
 
-    The projected prior of the step (see _is_projected) takes the
-    projected gain and posterior, any other prior its own (_innovation_cov):
-    mean and covariance come from one gain, the posterior is PSD by construction.
+    W is the projected gain of that step.
     """
-    if state.is_posterior:
-        raise ValueError("innovation_update expects an a-priori state")
     step = state.step
     if step >= len(gains):
         raise ValueError(f"no projected gain for step {step}")
-    if _is_projected(state.p_t, gains.p_prior_seq[step]):
-        w, p_post = gains.w_seq[step], gains.p_post_seq[step].copy()
-    else:
-        w, p_post = _innovation_cov(model, state.p_t)
-    n_post = _innovated_mean(state.n_t, y_frame, w, model)
-    return FilterState(n_t=n_post, p_t=p_post, is_posterior=True, step=step)
-
-
-def _is_projected(p_t: np.ndarray, projected: np.ndarray) -> bool:
-    """Whether p_t is the projected prior, up to one prediction's roundoff.
-
-    project forms its priors with scipy's BLAS and prediction_update with
-    numpy's, so a prior stepped by hand from a projected posterior differs
-    from the projected one by roundoff, which T P T' amplifies: up to
-    1.7e-10 of its largest entry on the criterion-6 folds.  Such a prior
-    reuses the cached gain instead of factorizing its own.
-    """
-    if p_t is projected:
-        return True
-    if p_t.shape != projected.shape:
-        return False
-    scale = np.max(np.abs(projected))
-    return bool(np.max(np.abs(p_t - projected)) <= _PRIOR_MATCH_RTOL * scale)
+    y_frame = np.asarray(y_frame, dtype=float).ravel()
+    if y_frame.size != model.obs_dim:
+        raise BadDimension(f"observation dim {y_frame.size} != {model.obs_dim}")
+    k_y = kernel_vector(model.y_train, y_frame, model.obs_spec)
+    n_t = state.n_t
+    n_post = n_t + gains.w_seq[step] @ (model.o_sub.T @ k_y - model.ogo @ n_t)
+    return FilterState(n_t=n_post, step=step)
 
 
 def prediction_update(state: FilterState, model: FkkfModel) -> FilterState:
-    """Advance the belief one step through the learned dynamics."""
-    return FilterState(n_t=model.t_sub @ state.n_t,
-                       p_t=_prediction_cov(model, state.p_t),
-                       is_posterior=False, step=state.step + 1)
+    """Advance the belief mean one step through the learned dynamics."""
+    return FilterState(n_t=model.t_sub @ state.n_t, step=state.step + 1)
 
 
-def predict_p_steps(state: FilterState, p: int, model: FkkfModel) -> list:
-    """p prediction updates with no innovation; returns every intermediate prior."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    priors = []
-    current = state
-    for _ in range(p):
-        current = prediction_update(current, model)
-        priors.append(current)
-    return priors
-
-
-def reconstruct(state: FilterState, model: FkkfModel):
-    """Map belief coordinates back to the reduced state space."""
-    mu = model.xo @ state.n_t
-    sigma = _sym(model.xo @ state.p_t @ model.xo.T)
-    return mu, sigma
+def reconstruct(state: FilterState, model: FkkfModel) -> np.ndarray:
+    """The observation-block mean of a belief: C n, C = (X O)[:q]."""
+    return model.xo @ state.n_t
 
 
 def forecast_variance(model: FkkfModel, p_post: np.ndarray,
@@ -795,7 +754,7 @@ def forecast_variance(model: FkkfModel, p_post: np.ndarray,
     """Observation-block variance diagonal of `steps` open-loop priors from p_post.
 
     The k-th prior is T^k P T^k' + sum_{j<k} T^j V T^j'.  With the readout
-    rows A_k = C T^k (C = xo[:q], A_0 = C) and factors P = L_P L_P',
+    rows A_k = C T^k (C = xo, A_0 = C) and factors P = L_P L_P',
     V = L_V L_V' (_covariance_root), its readout diagonal is
 
         rowsum((A_k L_P)^2) + sum_{j<k} rowsum((A_j L_V)^2),
@@ -806,7 +765,7 @@ def forecast_variance(model: FkkfModel, p_post: np.ndarray,
     """
     q, n = model.obs_dim, model.subspace_size
     rows = np.empty((steps + 1, q, n))
-    rows[0] = model.xo[:q]
+    rows[0] = model.xo
     for k in range(steps):
         rows[k + 1] = rows[k] @ model.t_sub
     rows = rows.reshape(-1, n)
@@ -832,32 +791,26 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
         raise ValueError("observed_frames must be non-empty")
     if gains is None or len(gains) < observed.shape[0]:
         gains = project(model, observed.shape[0])
-    # only the mean depends on the observations; the filtered covariance is
-    # the projected posterior
-    n_t = model.n1_prior
+    state = model.initial_state()
     for i, frame in enumerate(observed):
         if i:
-            n_t = model.t_sub @ n_t
-        n_t = _innovated_mean(n_t, frame, gains.w_seq[i], model)
-    last = observed.shape[0] - 1
-    state = FilterState(n_t=n_t, p_t=gains.p_post_seq[last].copy(),
-                        is_posterior=True, step=last)
+            state = prediction_update(state, model)
+        state = innovation_update(state, frame, gains, model)
 
-    # only the observation block's mean is kept; its variance is
-    # forecast_variance(model, state.p_t, steps)
+    # only the mean is rolled out; the variance is
+    # forecast_variance(model, prediction.filtered_cov, steps)
     steps = max(predict_horizon_steps, 0)
-    xo_obs = model.xo[:model.obs_dim]
     mean_frames = np.empty((steps, model.obs_dim))
-    n_ahead = n_t
+    ahead = state
     for i in range(steps):
-        n_ahead = model.t_sub @ n_ahead
-        mean_frames[i] = xo_obs @ n_ahead
+        ahead = prediction_update(ahead, model)
+        mean_frames[i] = reconstruct(ahead, model)
     if model.frontend is not None and steps > 0:
         mean_kbit = model.frontend.frames_to_kbit(mean_frames, steps)
     else:
         mean_kbit = np.empty(0)
     return Prediction(mean_frames=mean_frames, mean_kbit=mean_kbit,
-                      filtered_state=state)
+                      filtered_state=state, filtered_cov=gains.p_post_seq[state.step])
 
 
 # ---------------------------------------------------------------------------
@@ -865,9 +818,9 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
 # ---------------------------------------------------------------------------
 
 # Array fields with their shapes over the model sizes: m training pairs,
-# n inducing pairs, d state and q observation dimensions.
+# n inducing pairs and q observation dimensions.
 _ARRAY_SHAPES = {"y_train": "mq", "t_sub": "nn", "o_sub": "mn", "ogo": "nn",
-                 "xo": "dn", "v": "nn", "n1_prior": "n", "p1_prior": "nn"}
+                 "xo": "qn", "v": "nn", "n1_prior": "n", "p1_prior": "nn"}
 _ARRAY_FIELDS = tuple(_ARRAY_SHAPES)
 
 
@@ -952,6 +905,10 @@ def _model_from_archive(data, path) -> FkkfModel:
         raise ModelFileError(f"{path}: model format version {version} is not supported "
                              f"(expected {MODEL_FORMAT_VERSION}); learn the model again")
     arrays = {name: data[name] for name in _ARRAY_FIELDS}
+    y_train, xo = arrays["y_train"], arrays["xo"]
+    if y_train.ndim == 2 and xo.ndim == 2:
+        # files written before xo was cut to its readout rows hold all d rows
+        arrays["xo"] = xo[:y_train.shape[1]]
     _check_shapes(arrays, path)
     frontend = None
     if meta["has_frontend"]:
@@ -959,14 +916,21 @@ def _model_from_archive(data, path) -> FkkfModel:
         chunk_cfg = ChunkConfig(sample_interval_s=t_s, chunk_interval_s=t_c,
                                 chunk_length_s=w)
         window_cfg = StateWindowConfig(horizons_s=tuple(meta["window_cfg"]["horizons_s"]))
-        comp = data["block0_components"]
+        means, stds = data["block0_means"], data["block0_stds"]
+        comp, evr = data["block0_components"], data["block0_evr"]
+        if comp.ndim != 2 or comp.shape[1] != y_train.shape[1]:
+            raise ModelFileError(f"{path}: PCA blocks disagree with the model arrays")
+        if (means.shape != (comp.shape[0],) or stds.shape != (comp.shape[0],)
+                or evr.shape != (comp.shape[1],)):
+            raise ModelFileError(
+                f"{path}: PCA block arrays disagree with each other (means "
+                f"{means.shape}, stds {stds.shape}, components {comp.shape}, "
+                f"evr {evr.shape})")
         frontend = SpectralFrontend(
             chunk_cfg=chunk_cfg, window_cfg=window_cfg,
-            standardizer=Standardizer(means=data["block0_means"], stds=data["block0_stds"]),
-            basis=PcaBasis(components=comp, explained_variance_ratio=data["block0_evr"],
+            standardizer=Standardizer(means=means, stds=stds),
+            basis=PcaBasis(components=comp, explained_variance_ratio=evr,
                            original_dim=comp.shape[0], kept_dim=comp.shape[1]))
-        if frontend.obs_dim != arrays["y_train"].shape[1]:
-            raise ModelFileError(f"{path}: PCA blocks disagree with the model arrays")
     lam_t, lam_o, sbw, obw, kappa = meta["hyper"]
     hyper = FkkfHyperparams(lambda_t=lam_t, lambda_o=lam_o, state_bw_scale=sbw,
                             obs_bw_scale=obw, kappa=kappa)

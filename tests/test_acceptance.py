@@ -62,18 +62,21 @@ def test_criterion_2_subspace_equals_full_space():
 
     oracle = FullSpaceFilter(model, x_pred, x_succ)
     o_means, o_covs, o_gains, _ = oracle.run(observed, 0)
+    # run_filter's steps: the means move, gains and posteriors are projected
     gains = fkkf.project(model, len(observed))
     state = model.initial_state()
     worst = 0.0
     for i, frame in enumerate(observed):
+        if i:
+            state = fkkf.prediction_update(state, model)
         state = fkkf.innovation_update(state, frame, gains, model)
         worst = max(worst,
                     float(np.max(np.abs(state.n_t - o_means[i]))),
-                    float(np.max(np.abs(state.p_t - o_covs[i]))),
+                    float(np.max(np.abs(gains.p_post_seq[i] - o_covs[i]))),
                     float(np.max(np.abs(gains.w_seq[i] @ model.o_sub.T
                                         - o_gains[i]))))
-        if i + 1 < len(observed):
-            state = fkkf.prediction_update(state, model)
+    filtered = fkkf.run_filter(model, observed, 0, gains=gains).filtered_state
+    assert np.array_equal(filtered.n_t, state.n_t)
     elapsed = time.time() - start
     assert worst <= 1e-8
     assert elapsed < 30.0
@@ -125,10 +128,11 @@ def test_criterion_3_classical_kalman_oracle():
     gains = fkkf.project(model, len(observed))
     state = model.initial_state()
     recon = []
-    for frame in observed:
+    for i, frame in enumerate(observed):
+        if i:
+            state = fkkf.prediction_update(state, model)
         state = fkkf.innovation_update(state, frame, gains, model)
-        recon.append(fkkf.reconstruct(state, model)[0])
-        state = fkkf.prediction_update(state, model)
+        recon.append(fkkf.reconstruct(state, model))
     recon = np.array(recon)
 
     kf = TextbookKalman(a, c, process_cov, obs_cov, np.zeros(2), np.eye(2))
@@ -243,7 +247,8 @@ def test_criterion_7_latency_budget():
     steps = 25
     gains = fkkf.project(model, steps)
 
-    # median single-step latency: innovation + prediction + reconstruction
+    # median single-step latency: innovation + prediction + readout, the
+    # steps run_filter takes
     timings = []
     for rep in range(4):
         state = model.initial_state()
@@ -251,22 +256,18 @@ def test_criterion_7_latency_budget():
             frame = y_train[(rep * steps + i) % m]
             tic = time.perf_counter()
             state = fkkf.innovation_update(state, frame, gains, model)
-            nxt = fkkf.prediction_update(state, model)
-            mu, sigma = fkkf.reconstruct(nxt, model)
+            state = fkkf.prediction_update(state, model)
+            fkkf.reconstruct(state, model)
             timings.append(time.perf_counter() - tic)
-            state = fkkf.FilterState(n_t=nxt.n_t, p_t=gains.p_prior_seq[(i + 1) % steps],
-                                     is_posterior=False, step=(i + 1) % steps)
     median_ms = 1000.0 * float(np.median(timings))
     assert median_ms <= 10.0
 
-    # 1000 consecutive predictions
-    state = model.initial_state()
-    state.is_posterior = True
+    # 1000 consecutive predictions: run_filter's open-loop rollout after one
+    # observed frame (forecast_variance would hold 1001 x d x n rows)
     tic = time.perf_counter()
-    priors = fkkf.predict_p_steps(state, 1000, model)
-    for prior in priors[::50]:
-        fkkf.reconstruct(prior, model)
+    prediction = fkkf.run_filter(model, y_train[:1], 1000, gains=gains)
     rollout_s = time.perf_counter() - tic
+    assert prediction.mean_frames.shape == (1000, d)
     assert rollout_s <= 10.0
     _report(7, f"median filter step {median_ms:.2f}ms <= 10ms at m=2000 "
                f"n=200 d=102; 1000 consecutive predictions in "

@@ -232,7 +232,7 @@ def test_predict_variance_column(workspace, runner):
     observed = fe.reduce_observations(raw[start:start + exp.observe_steps])
     pred = fkkf.run_filter(model, observed, exp.horizon_steps)
     variance = fe.kbit_variance(
-        fkkf.forecast_variance(model, pred.filtered_state.p_t, exp.horizon_steps))
+        fkkf.forecast_variance(model, pred.filtered_cov, exp.horizon_steps))
     first = (start + exp.observe_steps) * fe.chunk_cfg.hop_samples
     assert [row[0] for row in rows] == [
         format(float(t), ".12g") for t in
@@ -307,6 +307,17 @@ def test_predict_corrupt_model_exit_1(workspace, runner, tmp_path, content):
         model_path.write_bytes(content)
     result = _predict_with_model(runner, cfg, out, model_path)
     _assert_one_line_exit_1(result, "not a flowcast model archive")
+
+
+def test_predict_model_with_short_pca_means_exit_1(workspace, runner, tmp_path):
+    cfg, out = workspace
+    with np.load(_learned_model(runner, cfg, out)) as data:
+        arrays = dict(data)
+    arrays["block0_means"] = arrays["block0_means"][:-1]
+    model_path = tmp_path / "short_means.npz"
+    np.savez_compressed(model_path, **arrays)
+    result = _predict_with_model(runner, cfg, out, model_path)
+    _assert_one_line_exit_1(result, "PCA block arrays disagree with each other")
 
 
 def test_predict_model_without_frontend_exit_1(workspace, runner, tmp_path):

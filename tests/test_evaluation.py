@@ -254,8 +254,9 @@ class TestForecastFlow:
         first = (start + CFG.observe_steps) * 5
         assert horizon == slice(first, first + CFG.horizon_steps * 5)
         np.testing.assert_array_equal(prediction.mean_kbit, expected.mean_kbit)
-        np.testing.assert_array_equal(prediction.filtered_state.p_t,
-                                      expected.filtered_state.p_t)
+        np.testing.assert_array_equal(prediction.filtered_state.n_t,
+                                      expected.filtered_state.n_t)
+        np.testing.assert_array_equal(prediction.filtered_cov, expected.filtered_cov)
 
     def test_negative_start_refused(self, group_flows, group_model):
         with pytest.raises(UndefinedError, match="start step -1 is negative"):

@@ -13,9 +13,8 @@ from flowcast.evaluation import (ExperimentConfig, leave_one_out_splits,
 from flowcast.fkkf import (FilterState, FkkfHyperparams, StateWindowConfig,
                            build_state_windows, forecast_variance,
                            innovation_update, learn, learn_core, load_model,
-                           observation_frames, predict_p_steps,
-                           prediction_update, project, reconstruct, run_filter,
-                           save_model, window_frames)
+                           observation_frames, prediction_update, project,
+                           reconstruct, run_filter, save_model, window_frames)
 from flowcast.spectral import ChunkConfig
 from flowcast.synth import BurstTemplate, default_templates, generate_group
 from oracles import FullSpaceFilter, mxm_kalman_gain
@@ -120,7 +119,7 @@ class TestLearnCore:
         np.testing.assert_allclose(
             core_model.ogo, o_sub.T @ _core_oracle(core_model).g_yy @ o_sub,
             rtol=1e-9, atol=1e-9 * np.abs(core_model.ogo).max())
-        assert core_model.xo.shape == (core_model.state_dim, n)
+        assert core_model.xo.shape == (core_model.obs_dim, n)
         assert core_model.t_sub.shape == (n, n)
         assert core_model.o_sub.shape == (m, n)
         assert core_model.v.shape == (n, n)
@@ -136,6 +135,12 @@ class TestLearnCore:
         x_pred, x_succ, y = _chain_data(m=20)
         with pytest.raises(SubspaceTooLarge):
             learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
+
+    def test_observation_wider_than_state_refused(self):
+        # the readout rows are the first q state columns
+        x_pred, x_succ, y = _chain_data()
+        with pytest.raises(BadDimension, match="wider than the state"):
+            learn_core(x_pred[:, :1], x_succ[:, :1], y, HYPER, subspace_size=10)
 
     def test_too_few_pairs(self):
         with pytest.raises(InsufficientData):
@@ -175,10 +180,10 @@ class TestLearnCore:
         errors = []
         for i in range(30):
             state = innovation_update(state, y[i], gains, model)
-            nxt = prediction_update(state, model)
-            mu, _ = reconstruct(nxt, model)
-            errors.append(np.linalg.norm(mu - x_succ[i]))
-            state = nxt
+            state = prediction_update(state, model)
+            # the readout is the observation block, the first q state columns
+            truth = x_succ[i, :y.shape[1]]
+            errors.append(np.linalg.norm(reconstruct(state, model) - truth))
         rmse = np.mean(errors[5:])
         amplitude = np.abs(states).max()
         assert rmse < 0.01 * amplitude
@@ -216,12 +221,12 @@ class TestSubspaceFullSpaceEquivalence:
         gains = project(exact_model, len(observed))
         state = exact_model.initial_state()
         for i, frame in enumerate(observed):
+            if i:
+                state = prediction_update(state, exact_model)
             state = innovation_update(state, frame, gains, exact_model)
             assert np.max(np.abs(state.n_t - o_means[i])) <= 1e-8
-            assert np.max(np.abs(state.p_t - o_covs[i])) <= 1e-8
+            assert np.max(np.abs(gains.p_post_seq[i] - o_covs[i])) <= 1e-8
             assert np.max(np.abs(_gain(gains, exact_model, i) - o_gains[i])) <= 1e-8
-            if i + 1 < len(observed):
-                state = prediction_update(state, exact_model)
 
     def test_learned_matrices_match_full_space(self, exact_model):
         oracle = _core_oracle(exact_model)
@@ -325,7 +330,7 @@ class TestForecastVariance:
     def test_variances_non_negative(self, forecast_fold):
         model, observed, gains = forecast_fold
         pred = run_filter(model, observed, 20, gains=gains)
-        cov_diag = forecast_variance(model, pred.filtered_state.p_t, 20)
+        cov_diag = forecast_variance(model, pred.filtered_cov, 20)
         assert cov_diag.shape == (20, model.obs_dim)
         assert np.all(cov_diag >= 0)
         assert np.all(model.frontend.kbit_variance(cov_diag) >= 0)
@@ -337,10 +342,10 @@ class TestForecastVariance:
         # posterior, read out as diag(C P C') with C the observation rows
         model, observed, gains = forecast_fold
         pred = run_filter(model, observed, 20, gains=gains)
-        cov_diag = forecast_variance(model, pred.filtered_state.p_t, 20)
+        cov_diag = forecast_variance(model, pred.filtered_cov, 20)
         ld = np.longdouble
         t_sub, v = model.t_sub.astype(ld), model.v.astype(ld)
-        c = model.xo[:model.obs_dim].astype(ld)
+        c = model.xo.astype(ld)
         p = gains.p_post_seq[observed.shape[0] - 1].astype(ld)
         for k in range(20):
             p = t_sub @ p @ t_sub.T + v
@@ -397,54 +402,22 @@ class TestPsdByConstruction:
     def test_posteriors_psd(self, ill_conditioned_fold):
         model, observed = ill_conditioned_fold
         gains = project(model, 4)
-        filtered = run_filter(model, observed, 0, gains=gains).filtered_state.p_t
-        for p in gains.p_post_seq + [filtered]:
+        filtered = run_filter(model, observed, 0, gains=gains).filtered_cov
+        assert filtered is gains.p_post_seq[3]
+        for p in gains.p_post_seq:
             assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
-
-    def test_hand_stepped_posteriors_psd(self, ill_conditioned_fold):
-        # prediction_update's priors differ from the projected ones in the
-        # last bits; innovation_update still returns the projected posterior
-        model, observed = ill_conditioned_fold
-        gains = project(model, 4)
-        state = model.initial_state()
-        for i, frame in enumerate(observed):
-            state = innovation_update(state, frame, gains, model)
-            p = state.p_t
-            assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
-            if i + 1 < len(observed):
-                state = prediction_update(state, model)
-        assert i == 3
 
     @pytest.mark.parametrize("fold", ["ill_conditioned_fold", "forecast_fold"])
     def test_other_priors_give_psd_posteriors(self, fold, request):
-        # priors that are not the projected ones, on folds whose priors span
-        # fifteen decades: each posterior must still be PSD
-        model, observed = request.getfixturevalue(fold)[:2]
-        gains = project(model, 4)
+        # other priors on folds whose priors span fifteen decades: the
+        # learned one scaled, and the priors projected from it; each
+        # posterior must still be PSD
+        model = request.getfixturevalue(fold)[0]
         for scale in (2.0, 0.5):
-            state = model.initial_state()
-            for i, frame in enumerate(observed):
-                state = dataclasses.replace(state, p_t=scale * state.p_t)
-                state = innovation_update(state, frame, gains, model)
-                p = state.p_t
+            other = dataclasses.replace(model, p1_prior=scale * model.p1_prior)
+            for i, p in enumerate(project(other, 4).p_post_seq):
                 assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2), \
                     (scale, i)
-                if i + 1 < len(observed):
-                    state = prediction_update(state, model)
-
-    def test_other_prior_gets_its_own_gain(self, core_model):
-        # oracle: the gain and posterior project computes for that prior
-        gains = project(core_model, 2)
-        y = core_model.y_train[3]
-        other = dataclasses.replace(core_model, p1_prior=2.0 * core_model.p1_prior)
-        own = project(other, 1)
-        post = innovation_update(other.initial_state(), y, gains, core_model)
-        np.testing.assert_array_equal(post.p_t, own.p_post_seq[0])
-        np.testing.assert_array_equal(
-            post.n_t, innovation_update(other.initial_state(), y, own, other).n_t)
-        projected = innovation_update(core_model.initial_state(), y, gains, core_model)
-        np.testing.assert_array_equal(projected.p_t, gains.p_post_seq[0])
-        assert not np.array_equal(post.n_t, projected.n_t)
 
     def test_gain_matches_mxm_form_when_well_conditioned(self):
         x_pred, x_succ, y = _chain_data()
@@ -481,14 +454,14 @@ class TestUpdates:
         state = core_model.initial_state()
         state = innovation_update(state, core_model.y_train[4], gains, core_model)
         state = prediction_update(state, core_model)
-        mu_prior, _ = reconstruct(state, core_model)
+        mu_prior = reconstruct(state, core_model)
         # feed the belief's own predicted observation: reconstruct the obs
         # embedding's nearest training observation via the response map
         response = _core_oracle(core_model).g_yy @ core_model.o_sub @ state.n_t
         best = int(np.argmax(response))
         posterior = innovation_update(state, core_model.y_train[best], gains,
                                       core_model)
-        mu_post, _ = reconstruct(posterior, core_model)
+        mu_post = reconstruct(posterior, core_model)
         # zero-ish innovation: reconstruction moves far less than its norm
         assert np.linalg.norm(mu_post - mu_prior) < np.linalg.norm(mu_prior)
 
@@ -503,43 +476,18 @@ class TestUpdates:
         np.testing.assert_allclose(post.n_t, state.n_t, atol=1e-6)
 
     def test_zero_mean_propagates_to_zero(self, core_model):
-        state = FilterState(n_t=np.zeros(core_model.subspace_size),
-                            p_t=core_model.p1_prior.copy(), is_posterior=True)
-        nxt = prediction_update(state, core_model)
+        nxt = prediction_update(FilterState(n_t=np.zeros(core_model.subspace_size)),
+                                core_model)
         np.testing.assert_array_equal(nxt.n_t, 0.0)
 
     def test_identity_dynamics_fixed_point(self, core_model):
         n = core_model.subspace_size
         model = fkkf.FkkfModel(**{**core_model.__dict__,
                                   "t_sub": np.eye(n), "v": np.zeros((n, n))})
-        state = FilterState(n_t=np.ones(n), p_t=np.eye(n), is_posterior=True)
+        state = FilterState(n_t=np.ones(n))
         nxt = prediction_update(state, model)
         np.testing.assert_array_equal(nxt.n_t, state.n_t)
-        np.testing.assert_array_equal(nxt.p_t, state.p_t)
-
-    def test_repeated_prediction_equals_predict_p_steps(self, core_model):
-        state = core_model.initial_state()
-        state.is_posterior = True
-        manual = state
-        steps = []
-        for _ in range(6):
-            manual = prediction_update(manual, core_model)
-            steps.append(manual)
-        bulk = predict_p_steps(state, 6, core_model)
-        for a, b in zip(steps, bulk):
-            np.testing.assert_array_equal(a.n_t, b.n_t)
-            np.testing.assert_array_equal(a.p_t, b.p_t)
-
-    def test_variance_trace_nondecreasing_without_observations(self, core_model):
-        state = core_model.initial_state()
-        state.is_posterior = True
-        priors = predict_p_steps(state, 10, core_model)
-        # oracle: eigenvalue check -- V PSD makes T P T' + V >= T P T'
-        assert np.linalg.eigvalsh(core_model.v)[0] >= -1e-10
-        traces = [np.trace(p.p_t) for p in priors]
-        rho = np.abs(np.linalg.eigvals(core_model.t_sub)).max()
-        if rho >= 1.0 - 1e-6:
-            assert traces[-1] >= traces[0] - 1e-8
+        assert nxt.step == state.step + 1
 
     def test_dimension_check(self, core_model):
         gains = project(core_model, 1)
@@ -547,31 +495,33 @@ class TestUpdates:
         with pytest.raises(BadDimension):
             innovation_update(state, np.ones(5), gains, core_model)
 
+    def test_step_without_projected_gain_refused(self, core_model):
+        gains = project(core_model, 2)
+        state = FilterState(n_t=core_model.n1_prior, step=2)
+        with pytest.raises(ValueError, match="no projected gain for step 2"):
+            innovation_update(state, core_model.y_train[0], gains, core_model)
+
 
 class TestReconstruct:
     def test_zero_coordinates_reconstruct_to_zero(self, core_model):
-        state = FilterState(n_t=np.zeros(core_model.subspace_size),
-                            p_t=np.zeros((core_model.subspace_size,) * 2),
-                            is_posterior=True)
-        mu, sigma = reconstruct(state, core_model)
+        mu = reconstruct(FilterState(n_t=np.zeros(core_model.subspace_size)), core_model)
+        assert mu.shape == (core_model.obs_dim,)
         np.testing.assert_array_equal(mu, 0.0)
-        np.testing.assert_array_equal(sigma, 0.0)
 
     def test_linearity(self, core_model):
         rng = np.random.default_rng(5)
         n = core_model.subspace_size
         s1 = rng.normal(size=n)
         s2 = rng.normal(size=n)
-        p = np.eye(n)
-        mk = lambda v: FilterState(n_t=v, p_t=p, is_posterior=True)
-        mu1, _ = reconstruct(mk(s1), core_model)
-        mu2, _ = reconstruct(mk(s2), core_model)
-        mu12, _ = reconstruct(mk(2.0 * s1 - 3.0 * s2), core_model)
+        mu1 = reconstruct(FilterState(n_t=s1), core_model)
+        mu2 = reconstruct(FilterState(n_t=s2), core_model)
+        mu12 = reconstruct(FilterState(n_t=2.0 * s1 - 3.0 * s2), core_model)
         np.testing.assert_allclose(mu12, 2.0 * mu1 - 3.0 * mu2, rtol=1e-9,
                                    atol=1e-12)
 
     def test_training_state_roundtrip(self):
-        # a belief concentrated on training pair j reconstructs near column j.
+        # a belief concentrated on training pair j reads out near the
+        # observation block of training state j.
         # oracle: direct lookup of the training state.
         x_pred, x_succ, y = _chain_data(m=150, noise=0.5)
         hyper = FkkfHyperparams(lambda_t=1e-6, lambda_o=1e-6, state_bw_scale=0.5,
@@ -581,50 +531,54 @@ class TestReconstruct:
         coords = np.linalg.solve(
             fkkf.gram(x_succ, x_succ, model.state_spec) + 1e-9 * np.eye(150),
             fkkf.gram(x_succ, x_pred[j][None, :], model.state_spec))[:, 0]
-        state = FilterState(n_t=coords, p_t=np.eye(150), is_posterior=True)
-        mu, _ = reconstruct(state, model)
-        rel = np.linalg.norm(mu - x_pred[j]) / np.linalg.norm(x_pred[j])
+        mu = reconstruct(FilterState(n_t=coords), model)
+        truth = x_pred[j, :y.shape[1]]
+        rel = np.linalg.norm(mu - truth) / np.linalg.norm(truth)
         assert rel < 0.01
-
-    def test_sigma_psd_through_filtering(self, core_model):
-        _, _, y = _chain_data()
-        gains = project(core_model, 8)
-        state = core_model.initial_state()
-        for i in range(8):
-            state = innovation_update(state, y[i], gains, core_model)
-            _, sigma = reconstruct(state, core_model)
-            assert np.linalg.eigvalsh(sigma)[0] >= -1e-8
-            state = prediction_update(state, core_model)
 
 
 class TestRunFilter:
     def test_horizon_zero_gives_filtered_state_only(self, core_model):
         _, _, y = _chain_data()
-        pred = run_filter(core_model, y[:5], 0)
+        gains = project(core_model, 5)
+        pred = run_filter(core_model, y[:5], 0, gains=gains)
         assert pred.mean_frames.shape[0] == 0
         assert pred.mean_kbit.size == 0
-        assert pred.filtered_state.is_posterior
+        assert pred.filtered_state.step == 4
+        assert pred.filtered_cov is gains.p_post_seq[4]
 
     def test_minimum_prefix_of_three(self, core_model):
         _, _, y = _chain_data()
         pred = run_filter(core_model, y[:3], 2)
         assert pred.mean_frames.shape == (2, core_model.obs_dim)
 
-    def test_readout_matches_full_reconstruction(self, traffic_model):
-        # oracle: the observation block of the full d x d reconstruction
+    def test_stepping_filtered_state_reproduces_mean_frames(self, traffic_model):
+        # oracle: the open-loop rollout stepped by hand from the filtered state
         flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
         raw = observation_frames(flows[0].samples, CHUNK, 0.2)
         observed = traffic_model.frontend.reduce_observations(raw[:4])
         pred = run_filter(traffic_model, observed, 6)
-        cov_diag = forecast_variance(traffic_model, pred.filtered_state.p_t, 6)
-        q = traffic_model.obs_dim
-        priors = predict_p_steps(pred.filtered_state, 6, traffic_model)
-        for i, prior in enumerate(priors):
-            mu, sigma = reconstruct(prior, traffic_model)
-            np.testing.assert_allclose(pred.mean_frames[i], mu[:q], rtol=1e-12,
-                                       atol=1e-12 * np.abs(mu).max())
-            np.testing.assert_allclose(cov_diag[i], np.diag(sigma)[:q],
-                                       rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
+        state = pred.filtered_state
+        for i in range(6):
+            state = prediction_update(state, traffic_model)
+            np.testing.assert_array_equal(pred.mean_frames[i],
+                                          reconstruct(state, traffic_model))
+
+    def test_steps_through_the_public_updates(self, traffic_model, monkeypatch):
+        # the step functions are the filter recursion: 4 innovations, 3
+        # predictions between them and 6 ahead, one readout per forecast step
+        flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
+        observed = traffic_model.frontend.reduce_observations(
+            observation_frames(flows[0].samples, CHUNK, 0.2)[:4])
+        calls = []
+        for name in ("innovation_update", "prediction_update", "reconstruct"):
+            def counted(*args, _step=getattr(fkkf, name), _name=name):
+                calls.append(_name)
+                return _step(*args)
+            monkeypatch.setattr(fkkf, name, counted)
+        run_filter(traffic_model, observed, 6)
+        assert [calls.count(name) for name in
+                ("innovation_update", "prediction_update", "reconstruct")] == [4, 9, 6]
 
     def test_shared_gains_give_fresh_forecast_variance(self, traffic_model):
         flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
@@ -636,10 +590,10 @@ class TestRunFilter:
         first = run_filter(traffic_model, observed, 6, gains=gains)
         second = run_filter(traffic_model, other, 6, gains=gains)
         assert not np.array_equal(second.mean_frames, fresh.mean_frames)
-        fresh_var = forecast_variance(traffic_model, fresh.filtered_state.p_t, 6)
+        fresh_var = forecast_variance(traffic_model, fresh.filtered_cov, 6)
         for pred in (first, second):
             np.testing.assert_array_equal(
-                forecast_variance(traffic_model, pred.filtered_state.p_t, 6), fresh_var)
+                forecast_variance(traffic_model, pred.filtered_cov, 6), fresh_var)
 
     def test_kbit_variance_matches_jacobian_oracle(self, traffic_model):
         # oracle: J, the Jacobian of frames_to_kbit over the (steps x kept)
@@ -649,7 +603,7 @@ class TestRunFilter:
         raw = observation_frames(flows[0].samples, CHUNK, 0.2)
         frontend = traffic_model.frontend
         pred = run_filter(traffic_model, frontend.reduce_observations(raw[:4]), 6)
-        cov_diag = forecast_variance(traffic_model, pred.filtered_state.p_t, 6)
+        cov_diag = forecast_variance(traffic_model, pred.filtered_cov, 6)
         steps, kept = cov_diag.shape
         at_zero = frontend.frames_to_kbit(np.zeros((steps, kept)), steps)
         jac = np.empty((at_zero.size, steps * kept))
@@ -672,16 +626,13 @@ class TestRunFilter:
             state = model.initial_state()
             filt_sq, open_sq = [], []
             open_state = model.initial_state()
-            open_state.is_posterior = True
             for i in range(40):
                 state = innovation_update(state, y[i], gains, model)
                 one_ahead = prediction_update(state, model)
                 open_state = prediction_update(open_state, model)
-                truth = x_succ[i]
-                filt_sq.append(np.sum(
-                    (reconstruct(one_ahead, model)[0] - truth) ** 2))
-                open_sq.append(np.sum(
-                    (reconstruct(open_state, model)[0] - truth) ** 2))
+                truth = x_succ[i, :2]  # the observation block
+                filt_sq.append(np.sum((reconstruct(one_ahead, model) - truth) ** 2))
+                open_sq.append(np.sum((reconstruct(open_state, model) - truth) ** 2))
                 state = one_ahead
             wins += np.sqrt(np.mean(filt_sq)) < np.sqrt(np.mean(open_sq))
         assert wins >= 0.9 * trials
@@ -692,7 +643,7 @@ class TestRunFilter:
         observed = traffic_model.frontend.reduce_observations(raw[:6])
         pred = run_filter(traffic_model, observed, 20)
         assert pred.mean_kbit.size == 100  # 20 steps * 0.05 s / 0.01 s
-        cov_diag = forecast_variance(traffic_model, pred.filtered_state.p_t, 20)
+        cov_diag = forecast_variance(traffic_model, pred.filtered_cov, 20)
         assert cov_diag.shape == (20, traffic_model.obs_dim)
 
 
@@ -759,14 +710,20 @@ class TestSerialization:
         assert "n_blocks" not in meta and "bandwidth_seed" not in meta
 
     def test_file_with_every_horizon_block_loads(self, traffic_model, tmp_path):
-        # format-3 files written before the frontend kept only the observation
-        # block carry every horizon's reducer, the inducing indices and the
-        # bandwidth seed; loading ignores them and filters the same
+        # format-3 files written before the model kept only what filtering
+        # reads carry every horizon's reducer, the inducing indices, the
+        # bandwidth seed and all d rows of X O; loading ignores them and
+        # filters the same
         path = tmp_path / "model.npz"
         save_model(traffic_model, path)
         with np.load(path) as data:
             arrays = dict(data)
         flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        _, x_pred, _, _ = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
+        arrays["xo"] = x_pred.T @ traffic_model.o_sub
+        assert arrays["xo"].shape[0] > traffic_model.obs_dim
+        np.testing.assert_array_equal(arrays["xo"][:traffic_model.obs_dim],
+                                      traffic_model.xo)
         per_flow = [window_frames(f.samples, CHUNK, WINDOW) for f in flows]
         for h in (1, 2):
             stacked = np.vstack([blocks[h] for blocks in per_flow])
@@ -816,7 +773,7 @@ class TestSerialization:
         assert sorted(shapes) == sorted(fkkf._ARRAY_FIELDS + ("meta_json",))
         assert all(shape.count(model.n_pairs) < 2 for shape in shapes.values()), shapes
         # the training states and successors are not stored
-        assert (model.n_pairs, model.state_dim) not in shapes.values(), shapes
+        assert (model.n_pairs, x_pred.shape[1]) not in shapes.values(), shapes
 
     @pytest.mark.parametrize("edit, message", [
         (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 1)),
@@ -834,6 +791,19 @@ class TestSerialization:
         edit(arrays)
         np.savez(path, **arrays)
         with pytest.raises(ModelFileError, match=message) as info:
+            load_model(path)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("name", ["block0_means", "block0_stds", "block0_evr"])
+    def test_pca_block_arrays_disagreeing_with_each_other_refused(
+            self, traffic_model, tmp_path, name):
+        path = tmp_path / "model.npz"
+        save_model(traffic_model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = arrays[name][:-1]
+        np.savez(path, **arrays)
+        with pytest.raises(ModelFileError, match="PCA block arrays disagree") as info:
             load_model(path)
         assert "\n" not in str(info.value)
 
