@@ -177,7 +177,7 @@ def cluster(ctx, traces_path):
         groups, _ = clustering.cluster(flows, clu.max_groups,
                                        clu.distance_threshold, chunk_cfg,
                                        clu.signature_frames)
-        rows = clustering.assignment_rows(flows, groups, chunk_cfg, clu.signature_frames)
+        rows = clustering.assignment_rows(len(flows), groups)
         out = ctx.out_dir / "groups.csv"
 
         def write(tmp):
@@ -257,9 +257,7 @@ def learn(ctx, traces_path, groups_path, group_id, chunk_length):
         length = exp.chunk_lengths_s[0]
         group_flows = _group_flows(ctx, traces_path, groups_path, group_id)
         hyper = _resolve_hyper(ctx, group_flows, length)
-        model = fkkf.learn(group_flows, hyper, exp.subspace_size,
-                           exp.chunk_config(length), exp.window_config(length),
-                           kept_dim=exp.kept_dim, bandwidth_seed=exp.bandwidth_seed)
+        model = evaluation.split_learner(group_flows, exp, length).model(hyper)
         out = ctx.out_dir / f"model_group{group_id}.npz"
         _atomic_write(out, lambda tmp: fkkf.save_model(model, tmp))
         click.echo(f"model={out} pairs={model.n_pairs} subspace={model.subspace_size}")

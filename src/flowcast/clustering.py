@@ -25,18 +25,15 @@ DEFAULT_SIGNATURE_FRAMES = 20
 @dataclass
 class FlowSignature:
     vector: np.ndarray
-    flow: FlowTrace
 
 
 @dataclass
 class FlowGroup:
     group_id: int
-    members: list
+    members: list          # the member flows, in input order
+    indices: list          # their positions in cluster's input
+    vectors: np.ndarray    # their signatures, one row each
     centroid: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def signature(flow: FlowTrace, chunk_cfg: ChunkConfig,
@@ -51,10 +48,8 @@ def signature(flow: FlowTrace, chunk_cfg: ChunkConfig,
     active = np.nonzero(flow.samples > 0)[0]
     start = (int(active[0]) // chunk_cfg.hop_samples * chunk_cfg.hop_samples
              if active.size else 0)
-    series = transform(flow.samples[start:], chunk_cfg)
-    take = min(frame_count, series.frames.shape[0])
-    vector = np.abs(series.frames[:take]).mean(axis=0)
-    return FlowSignature(vector=vector, flow=flow)
+    frames = transform(flow.samples[start:], chunk_cfg)
+    return FlowSignature(vector=np.abs(frames[:frame_count]).mean(axis=0))
 
 
 def cluster(flows, max_groups: int, distance_threshold: float,
@@ -83,32 +78,24 @@ def cluster(flows, max_groups: int, distance_threshold: float,
     groups, leftovers = [], []
     for idxs in ordered:
         if len(idxs) >= 2 and len(groups) < max_groups:
-            members = [flows[i] for i in idxs]
-            centroid = sigs[idxs].mean(axis=0)
-            groups.append(FlowGroup(group_id=len(groups) + 1, members=members,
-                                    centroid=centroid))
+            vectors = sigs[idxs]
+            groups.append(FlowGroup(group_id=len(groups) + 1,
+                                    members=[flows[i] for i in idxs], indices=idxs,
+                                    vectors=vectors, centroid=vectors.mean(axis=0)))
         else:
             leftovers.extend(flows[i] for i in idxs)
     return groups, leftovers
 
 
-def assignment_rows(flows, groups, chunk_cfg: ChunkConfig,
-                    frame_count: int = DEFAULT_SIGNATURE_FRAMES):
+def assignment_rows(flow_count: int, groups):
     """(flow_index, group_id, distance_to_centroid) rows for the CSV interface.
 
-    Flows outside every retained group carry group_id -1 and distance NaN.
+    groups are cluster's over flow_count flows; each member's distance
+    comes from the signature cluster computed.  Flows outside every
+    retained group carry group_id -1 and distance NaN.
     """
-    membership = {}
+    rows = [(i, -1, float("nan")) for i in range(flow_count)]
     for group in groups:
-        for member in group.members:
-            membership[id(member)] = group
-    rows = []
-    for i, flow in enumerate(flows):
-        group = membership.get(id(flow))
-        if group is None:
-            rows.append((i, -1, float("nan")))
-        else:
-            vec = signature(flow, chunk_cfg, frame_count).vector
-            dist = float(np.linalg.norm(vec - group.centroid))
-            rows.append((i, group.group_id, dist))
+        for i, vector in zip(group.indices, group.vectors):
+            rows[i] = (i, group.group_id, float(np.linalg.norm(vector - group.centroid)))
     return rows

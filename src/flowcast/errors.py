@@ -64,10 +64,6 @@ class FlowTooShort(FlowcastError):
     """A flow is too short to cover the configured windows."""
 
 
-class SubspaceTooLarge(FlowcastError):
-    """Requested more inducing samples than training pairs exist."""
-
-
 class ModelFileError(FlowcastError):
     """A model file is not a readable flowcast model of the supported
     format version."""

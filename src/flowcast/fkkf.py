@@ -87,7 +87,7 @@ import scipy.linalg
 
 from . import reduction, spectral
 from .errors import (BadDimension, FlowTooShort, InsufficientData,
-                     ModelFileError, NumericalFailure, SubspaceTooLarge)
+                     ModelFileError, NumericalFailure)
 from .kernelcore import (DEFAULT_SUBSET_SIZE, KernelSpec, gram, kernel_vector,
                          median_heuristic)
 from .reduction import PcaBasis, Standardizer
@@ -161,7 +161,6 @@ class ProjectedGains:
 
     w_seq: list          # n x n gain factors W_t; the Kalman gain is W_t O'
     p_post_seq: list     # posterior covariance per step
-    p_prior_seq: list    # prior covariance per step (entry 0 = learned prior)
 
     def __len__(self):
         return len(self.w_seq)
@@ -253,17 +252,6 @@ def window_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
         raise FlowTooShort(
             f"series of {series.size} samples cannot cover a {h_max}-sample lookahead")
     return [spectral.forward_frames(series, width, hop, count) for width in widths]
-
-
-def build_state_windows(series: np.ndarray, window_cfg: StateWindowConfig,
-                        chunk_cfg: ChunkConfig):
-    """Aligned raw (states, observations) rows for one flow.
-
-    A state concatenates the horizon blocks; the observation is the
-    first-horizon frame.
-    """
-    blocks = window_frames(series, chunk_cfg, window_cfg)
-    return np.hstack(blocks), blocks[0]
 
 
 def observation_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
@@ -432,8 +420,6 @@ class _CoreStages:
             raise InsufficientData(f"need >= 2 training pairs, got {m}")
         if subspace_size < 1:
             raise ValueError("subspace_size must be >= 1")
-        if subspace_size > m:
-            raise SubspaceTooLarge(f"subspace {subspace_size} > {m} training pairs")
         self.x_pred, self.x_succ, self.y_train = x_pred, x_succ, y_train
         self.state_bw = median_heuristic(x_pred, DEFAULT_SUBSET_SIZE, bandwidth_seed)
         self.obs_bw = median_heuristic(y_train, DEFAULT_SUBSET_SIZE, bandwidth_seed)
@@ -520,6 +506,8 @@ def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
     systems share one factorization; V and the initial belief are taken
     from the empirical statistics of the training coordinates.  The
     first q = y_train.shape[1] state columns are the ones read out.
+    subspace_size caps the inducing pairs as in learn; a cap of m or more
+    keeps all m.
     """
     return _CoreStages(x_pred, x_succ, y_train, subspace_size,
                        bandwidth_seed=bandwidth_seed).model(hyper)
@@ -611,8 +599,7 @@ class StagedLearner:
             subspace_size, chunk_cfg, window_cfg, kept_dim, bandwidth_seed = self.settings
             frontend, x_pred, x_succ, y_train = _fit_frontend(
                 list(self.train_flows), chunk_cfg, window_cfg, kept_dim)
-            self._core = _CoreStages(x_pred, x_succ, y_train,
-                                     min(subspace_size, x_pred.shape[0]),
+            self._core = _CoreStages(x_pred, x_succ, y_train, subspace_size,
                                      bandwidth_seed=bandwidth_seed, frontend=frontend)
         return self._core.model(hyper)
 
@@ -699,7 +686,7 @@ def project(model: FkkfModel, steps: int) -> ProjectedGains:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    w_seq, post_seq, prior_seq = [], [], []
+    w_seq, post_seq = [], []
     p_prior = model.p1_prior
     n = model.subspace_size
     eye = np.eye(n)
@@ -716,9 +703,8 @@ def project(model: FkkfModel, steps: int) -> ProjectedGains:
                                    "lost positive semi-definiteness") from None
         w_seq.append(w)
         post_seq.append(p_post)
-        prior_seq.append(p_prior)
         p_prior = _prediction_cov(model, p_post)
-    return ProjectedGains(w_seq=w_seq, p_post_seq=post_seq, p_prior_seq=prior_seq)
+    return ProjectedGains(w_seq=w_seq, p_post_seq=post_seq)
 
 
 def innovation_update(state: FilterState, y_frame: np.ndarray,
@@ -781,7 +767,9 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
                gains: ProjectedGains | None = None) -> Prediction:
     """Filter an observed prefix, then forecast ahead without observations.
 
-    Every observed frame triggers an innovation.  Each forecast state is
+    Every observed frame triggers an innovation with its step's gain from
+    `gains`, which are projected here when not given; given gains shorter
+    than the prefix raise ValueError.  Each forecast state is
     reconstructed; with a spectral frontend the observation-horizon block
     is mapped back to a kbit series via inverse PCA, de-standardization
     and inverse STFT with overlap-averaging.
@@ -789,7 +777,7 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
     observed = np.atleast_2d(np.asarray(observed_frames, dtype=float))
     if observed.size == 0:
         raise ValueError("observed_frames must be non-empty")
-    if gains is None or len(gains) < observed.shape[0]:
+    if gains is None:
         gains = project(model, observed.shape[0])
     state = model.initial_state()
     for i, frame in enumerate(observed):

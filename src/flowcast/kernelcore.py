@@ -65,7 +65,7 @@ def gram(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     diagonal (both hold mathematically; this removes float drift).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    same = b is None or b is a
+    same = b is a
     b2 = a if same else np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b2.shape[1]:
         raise BadDimension(f"column mismatch: {a.shape[1]} vs {b2.shape[1]}")

@@ -13,7 +13,8 @@ least-squares inverse of the framing (Griffin & Lim 1984).
 Two callers frame differently:
 
     transform      zero-pads past the series end, so a series of N
-                   samples always yields ceil(N / (T_C/T_S)) frames
+                   samples always yields ceil(N / (T_C/T_S)) frames; it
+                   returns the frame matrix, one row per frame
                    (clustering signatures)
     fkkf           keeps only the windows that fit inside the series
                    (the model's lookahead states and observations)
@@ -80,30 +81,6 @@ class ChunkConfig:
         """Samples per chunk (w / T_S)."""
         return whole_multiple(self.chunk_length_s, self.sample_interval_s, "chunk_length_s")
 
-    @property
-    def frame_dim(self) -> int:
-        """Interleaved frame length for a chunk of L samples: 2*(floor(L/2)+1)."""
-        return 2 * (self.chunk_samples // 2 + 1)
-
-
-@dataclass
-class SpectralSeries:
-    """Frequency-domain view of one flow: one interleaved frame per chunk."""
-
-    frames: np.ndarray  # (n_frames, frame_dim)
-    config: ChunkConfig
-    origin_length: int
-
-    def __post_init__(self):
-        self.frames = np.atleast_2d(np.asarray(self.frames, dtype=float))
-        if self.frames.shape[1] != self.config.frame_dim:
-            raise FrameDimMismatch(
-                f"frame dim {self.frames.shape[1]} != configured {self.config.frame_dim}")
-
-    @property
-    def frame_dim(self) -> int:
-        return self.frames.shape[1]
-
 
 def forward_frames(series: np.ndarray, width: int, hop: int, count: int) -> np.ndarray:
     """Interleaved DFT frames of `count` windows of `width` samples, one every `hop`.
@@ -131,12 +108,12 @@ def inverse_frames(frames: np.ndarray, width: int) -> np.ndarray:
     return np.fft.irfft(spec, n=width, axis=1)
 
 
-def transform(series: np.ndarray, config: ChunkConfig) -> SpectralSeries:
-    """Frames of a whole series, zero-padded past its end.
+def transform(series: np.ndarray, config: ChunkConfig) -> np.ndarray:
+    """Frame matrix of a whole series, zero-padded past its end.
 
-    Frame i covers samples [i*hop, i*hop + chunk_samples); there are
-    ceil(len(series) / hop) frames, so every sample starts exactly one
-    frame's worth of positions.
+    Row i is the interleaved frame of samples [i*hop, i*hop + chunk_samples);
+    there are ceil(len(series) / hop) rows, so every sample starts exactly
+    one frame's worth of positions.
     """
     series = np.asarray(series, dtype=float).ravel()
     if series.size == 0:
@@ -146,8 +123,7 @@ def transform(series: np.ndarray, config: ChunkConfig) -> SpectralSeries:
     n_chunks = -(-series.size // hop)  # ceil
     padded = np.zeros((n_chunks - 1) * hop + width)
     padded[:series.size] = series
-    return SpectralSeries(frames=forward_frames(padded, width, hop, n_chunks),
-                          config=config, origin_length=series.size)
+    return forward_frames(padded, width, hop, n_chunks)
 
 
 def _overlap_sums(chunks: np.ndarray, hop: int):
@@ -179,8 +155,10 @@ def overlap_variance(chunk_vars: np.ndarray, hop: int, out_length: int) -> np.nd
     return (acc / cover ** 2)[:out_length]
 
 
-def reassemble(series: SpectralSeries) -> np.ndarray:
-    """Inverse-transform every frame and overlap-average back to kbit samples."""
-    cfg = series.config
-    chunks = inverse_frames(series.frames, cfg.chunk_samples)
-    return overlap_average(chunks, cfg.hop_samples, series.origin_length)
+def reassemble(frames: np.ndarray, config: ChunkConfig, n_samples: int) -> np.ndarray:
+    """The first n_samples of the series transform(series, config) framed.
+
+    Every frame is inverse-transformed and the chunks are overlap-averaged.
+    """
+    chunks = inverse_frames(frames, config.chunk_samples)
+    return overlap_average(chunks, config.hop_samples, n_samples)

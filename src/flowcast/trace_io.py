@@ -65,6 +65,8 @@ class FlowTrace:
         if not self.sample_interval_s > 0:
             raise ValueError("sample_interval_s must be positive")
         self.samples = np.asarray(self.samples, dtype=float).ravel()
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("samples must be finite")
         if self.samples.size and self.samples.min() < 0:
             raise ValueError("samples must be non-negative")
 
@@ -88,9 +90,13 @@ def bin_packets(events, key: FlowKey, sample_interval_s: float,
     if start_time is None:
         start_time = float(events[0][0])
     last_ts = float(events[-1][0])
+    if not (math.isfinite(start_time) and math.isfinite(last_ts)):
+        raise MalformedEvent(f"non-finite time bounds [{start_time}, {last_ts}]")
     n_bins = int(math.floor((last_ts - start_time) / sample_interval_s + 1e-9)) + 1
     byte_bins = np.zeros(n_bins)
     for ts, nbytes in events:
+        if not (math.isfinite(ts) and math.isfinite(nbytes)):
+            raise MalformedEvent(f"non-finite event: {nbytes} bytes at t={ts}")
         if nbytes < 0:
             raise MalformedEvent(f"negative byte count {nbytes} at t={ts}")
         idx = int(math.floor((float(ts) - start_time) / sample_interval_s + 1e-9))
@@ -163,6 +169,8 @@ def _load_events(path, sample_interval_s: float):
                 nbytes = float(fields["bytes"])
             except ValueError as exc:
                 raise ParseError(f"non-numeric ts_s/bytes: {exc}", line=lineno) from exc
+            if not (math.isfinite(ts) and math.isfinite(nbytes)):
+                raise ParseError(f"non-finite ts_s/bytes: {ts}, {nbytes}", line=lineno)
             if nbytes < 0:
                 raise MalformedEvent(f"line {lineno}: negative byte count {nbytes}")
             per_flow.setdefault(key, []).append((ts, nbytes))
@@ -200,6 +208,9 @@ def _load_binned(path):
                     start = float(meta.get("start", "0"))
                 except (KeyError, ValueError) as exc:
                     raise ParseError(f"bad #flow metadata: {exc}", line=lineno) from exc
+                if not (0 < t_s < math.inf and math.isfinite(start)):
+                    raise ParseError(f"bad #flow metadata: t_s={t_s}, start={start}",
+                                     line=lineno)
                 current = (key, t_s, start, {})
                 continue
             if current is None:
@@ -214,6 +225,9 @@ def _load_binned(path):
                 raise ParseError(f"non-numeric row: {exc}", line=lineno) from exc
             if t_index < 0:
                 raise ParseError(f"negative t_index {t_index}", line=lineno)
+            if not 0 <= kbit < math.inf:
+                raise ParseError(f"kbit {kbit} is not a finite non-negative number",
+                                 line=lineno)
             bins = current[3]
             bins[t_index] = bins.get(t_index, 0.0) + kbit
     if current is not None:

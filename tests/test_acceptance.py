@@ -154,9 +154,9 @@ def test_criterion_4_spectral_roundtrip_and_dimensionality():
     flow = rng.uniform(0.0, 120.0, size=1000)  # 10 s at T_S = 0.01
     cfg = ChunkConfig(sample_interval_s=0.01, chunk_interval_s=0.05,
                       chunk_length_s=1.0)
-    series = transform(flow, cfg)
-    assert series.frames.shape == (200, 102)
-    back = reassemble(series)
+    frames = transform(flow, cfg)
+    assert frames.shape == (200, 102)
+    back = reassemble(frames, cfg, flow.size)
     rel = np.linalg.norm(back - flow) / np.linalg.norm(flow)
     elapsed = time.time() - start
     assert rel <= 1e-6
@@ -186,7 +186,7 @@ def test_criterion_5_pca_contract():
                              inter_burst_gap_s=1.8)
     flows = generate_group(template, 8, 10.0, 0.01, seed=500)
     cfg = ChunkConfig(0.01, 0.05, 1.0)
-    frames = np.vstack([transform(f.samples, cfg).frames for f in flows])
+    frames = np.vstack([transform(f.samples, cfg) for f in flows])
     g_std = reduction.fit_standardizer(frames)
     basis = reduction.fit_pca(g_std.apply(frames), 80)
     cum = basis.cumulative_explained_variance

@@ -190,6 +190,79 @@ def test_cluster_recovers_groups(workspace, runner):
     assert got_sets == truth_sets
 
 
+def test_cluster_computes_each_signature_once(workspace, runner, monkeypatch):
+    # the assignment distances reuse the signatures cluster grouped by
+    from flowcast import clustering
+    calls = []
+    for name in ("signature", "transform"):
+        def counted(*args, _fn=getattr(clustering, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(clustering, name, counted)
+    cfg, out = workspace
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                  "cluster", str(out / "traces.csv")])
+    assert result.exit_code == 0, result.output
+    assert (calls.count("signature"), calls.count("transform")) == (8, 8)
+
+
+def _assert_parse_error_exit_2(result, text):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    lines = result.output.strip().splitlines()
+    assert lines[-1].startswith("parse error: ") and text in lines[-1]
+
+
+def _store_with_kbit(out, kbit):
+    """The workspace store with flow 0's sample 50 replaced by kbit."""
+    lines = (out / "traces.csv").read_text().splitlines()
+    row = 52  # after the header and the #flow line
+    assert lines[row].startswith("0,50,")
+    lines[row] = f"0,50,{kbit}"
+    store = out / "traces_bad.csv"
+    store.write_text("\n".join(lines) + "\n")
+    return store, row + 1
+
+
+@pytest.mark.parametrize("kbit", ["nan", "inf", "-1.0"])
+@pytest.mark.parametrize("command", ["cluster", "learn", "evaluate", "sweep"])
+def test_store_value_not_finite_non_negative_exit_2(workspace, runner, kbit, command):
+    cfg, out = workspace
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                  "cluster", str(out / "traces.csv")])
+    assert result.exit_code == 0, result.output
+    store, line = _store_with_kbit(out, kbit)
+    written = {"cluster": "groups.csv", "learn": "model_group1.npz",
+               "evaluate": "report.csv", "sweep": "sweep_group1.csv"}[command]
+    before = (out / written).read_bytes() if (out / written).exists() else None
+    args = [] if command == "cluster" else ["--groups", str(out / "groups.csv")]
+    args += ["--group-id", "1"] if command in ("learn", "sweep") else []
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                  command, str(store)] + args)
+    _assert_parse_error_exit_2(result, f"line {line}: kbit {float(kbit)} is not")
+    after = (out / written).read_bytes() if (out / written).exists() else None
+    assert after == before
+
+
+@pytest.mark.parametrize("ts, nbytes, code, text", [
+    ("0.02", "nan", 2, "line 3: non-finite ts_s/bytes"),
+    ("nan", "500", 2, "line 3: non-finite ts_s/bytes"),
+    ("inf", "500", 2, "line 3: non-finite ts_s/bytes"),
+    ("0.02", "-1", 1, "line 3: negative byte count"),
+])
+def test_ingest_event_value_refused(runner, tmp_path, ts, nbytes, code, text):
+    events = tmp_path / "events.csv"
+    events.write_text("src,src_port,dst,dst_port,proto,ts_s,bytes\n"
+                      "10.0.0.1,5001,10.0.0.2,80,TCP,0.00,500\n"
+                      f"10.0.0.1,5001,10.0.0.2,80,TCP,{ts},{nbytes}\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "ingest", str(events)])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert text in result.output.strip().splitlines()[-1]
+    assert not (out / "traces.csv").exists()
+
+
 def test_learn_and_predict(workspace, runner):
     cfg, out = workspace
     runner.invoke(main, ["--config", str(cfg), "--out", str(out),
@@ -342,7 +415,7 @@ def test_numerical_failure_exit_4(workspace, runner, monkeypatch):
     def broken_learn(*args, **kwargs):
         raise NumericalFailure("innovation_gain")
 
-    monkeypatch.setattr(cli_mod.fkkf, "learn", broken_learn)
+    monkeypatch.setattr(cli_mod.fkkf.StagedLearner, "model", broken_learn)
     result = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
                                   "learn", str(out / "traces.csv"),
                                   "--groups", str(out / "groups.csv"),

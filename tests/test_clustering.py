@@ -32,8 +32,9 @@ class TestSignature:
         np.testing.assert_allclose(b.vector, 2.0 * a.vector, rtol=1e-9)
 
     def test_signature_dimension_is_frame_dim(self):
+        # interleaved re/im of the 100-sample chunk's 51 coefficients
         sig = signature(_flow(_tone(5.0)), CFG)
-        assert sig.vector.size == CFG.frame_dim
+        assert sig.vector.size == 2 * (CFG.chunk_samples // 2 + 1) == 102
 
     def test_distinct_frequencies_far_apart(self):
         # oracle: direct distance computation on generated flows
@@ -64,7 +65,7 @@ class TestCluster:
         groups, leftovers = cluster(flows, max_groups=10, distance_threshold=5.0,
                                     chunk_cfg=CFG)
         assert len(groups) == 2 and not leftovers
-        sizes = sorted(g.size for g in groups)
+        sizes = sorted(len(g.members) for g in groups)
         assert sizes == [3, 3]
         members = {id(m) for g in groups for m in g.members}
         first_group_of = {id(f): None for f in flows}
@@ -77,7 +78,7 @@ class TestCluster:
     def test_identical_flows_single_group(self):
         flows = [_flow(_tone(5.0), i) for i in range(5)]
         groups, leftovers = cluster(flows, 10, 1e-6, CFG)
-        assert len(groups) == 1 and groups[0].size == 5 and not leftovers
+        assert len(groups) == 1 and len(groups[0].members) == 5 and not leftovers
 
     def test_max_groups_cap(self):
         rng = np.random.default_rng(2)
@@ -93,7 +94,7 @@ class TestCluster:
         groups, leftovers = cluster(flows, max_groups=4, distance_threshold=100.0,
                                     chunk_cfg=CFG)
         assert len(groups) <= 4
-        assert len(leftovers) + sum(g.size for g in groups) == len(flows)
+        assert len(leftovers) + sum(len(g.members) for g in groups) == len(flows)
 
     def test_partition_property(self):
         rng = np.random.default_rng(3)
@@ -126,9 +127,30 @@ def test_assignment_rows_cover_all_flows():
              for i in range(4)]
     flows.append(_flow(np.abs(_tone(33.0)), 99))
     groups, leftovers = cluster(flows, 10, 4.0, CFG)
-    rows = assignment_rows(flows, groups, CFG)
+    rows = assignment_rows(len(flows), groups)
     assert len(rows) == 5
     assigned = [r for r in rows if r[1] != -1]
-    assert len(assigned) == sum(g.size for g in groups)
+    assert len(assigned) == sum(len(g.members) for g in groups)
     for _, _, dist in assigned:
         assert dist >= 0.0
+
+
+def test_assignment_distances_match_recomputed_signatures():
+    # oracle: each member's signature computed again, its distance to the
+    # group's mean signature
+    rng = np.random.default_rng(6)
+    flows = [_flow(np.abs(_tone(5.0 if i < 3 else 20.0) + 0.01 * rng.normal(size=500)), i)
+             for i in range(6)]
+    flows.append(_flow(np.abs(_tone(33.0)), 99))
+    groups, leftovers = cluster(flows, 10, 4.0, CFG)
+    assert len(groups) == 2 and leftovers == [flows[6]]
+    rows = assignment_rows(len(flows), groups)
+    for group in groups:
+        vectors = [signature(flows[i], CFG).vector for i in group.indices]
+        centroid = np.mean(vectors, axis=0)
+        assert all(flows[i] is m for i, m in zip(group.indices, group.members))
+        for i, vector in zip(group.indices, vectors):
+            assert rows[i][:2] == (i, group.group_id)
+            assert rows[i][2] == pytest.approx(np.linalg.norm(vector - centroid),
+                                               rel=1e-12)
+    assert rows[6][1] == -1 and np.isnan(rows[6][2])

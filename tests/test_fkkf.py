@@ -7,12 +7,12 @@ import scipy.linalg
 
 from flowcast import fkkf, reduction
 from flowcast.errors import (BadDimension, FlowTooShort, InsufficientData,
-                             ModelFileError, SubspaceTooLarge)
+                             ModelFileError)
 from flowcast.evaluation import (ExperimentConfig, leave_one_out_splits,
                                  locate_peak_rise)
 from flowcast.fkkf import (FilterState, FkkfHyperparams, StateWindowConfig,
-                           build_state_windows, forecast_variance,
-                           innovation_update, learn, learn_core, load_model,
+                           forecast_variance, innovation_update, learn,
+                           learn_core, load_model,
                            observation_frames, prediction_update, project,
                            reconstruct, run_filter, save_model, window_frames)
 from flowcast.spectral import ChunkConfig
@@ -49,6 +49,22 @@ def _chain_data(m=120, dim=3, noise=0.5, seed=7):
     return states[:-1], states[1:], obs[:-1]
 
 
+def _states_and_observations(series, window_cfg, chunk_cfg):
+    """Raw (states, observations) rows: the horizon blocks side by side,
+    and the first block alone."""
+    blocks = window_frames(series, chunk_cfg, window_cfg)
+    return np.hstack(blocks), blocks[0]
+
+
+def _priors(model, gains):
+    """The prior of each projected step: P1, then T P_post T' + V."""
+    priors = [model.p1_prior]
+    for p_post in gains.p_post_seq[:-1]:
+        p = model.t_sub @ p_post @ model.t_sub.T + model.v
+        priors.append(0.5 * (p + p.T))
+    return priors
+
+
 def _core_oracle(model):
     """The full-space oracle of a model learned on the default _chain_data."""
     x_pred, x_succ, _ = _chain_data()
@@ -74,7 +90,7 @@ class TestStateWindows:
         cfg = ChunkConfig(0.01, 0.05, 1.0)
         window = StateWindowConfig(horizons_s=(1.0, 2.0, 3.0))
         series = np.random.default_rng(0).uniform(0, 10, size=1000)
-        states, obs = build_state_windows(series, window, cfg)
+        states, obs = _states_and_observations(series, window, cfg)
         assert states.shape[0] == 140
         assert obs.shape[0] == 140
         assert states.shape[1] == 102 + 202 + 302
@@ -84,11 +100,11 @@ class TestStateWindows:
         cfg = ChunkConfig(0.01, 0.05, 0.2)
         window = StateWindowConfig(horizons_s=(0.2,))
         series = np.random.default_rng(1).uniform(0, 10, size=300)
-        states, obs = build_state_windows(series, window, cfg)
+        states, obs = _states_and_observations(series, window, cfg)
         np.testing.assert_array_equal(states, obs)
 
     def test_all_zero_flow(self):
-        states, obs = build_state_windows(np.zeros(500), WINDOW, CHUNK)
+        states, obs = _states_and_observations(np.zeros(500), WINDOW, CHUNK)
         np.testing.assert_array_equal(states, 0.0)
         np.testing.assert_array_equal(obs, 0.0)
 
@@ -132,9 +148,19 @@ class TestLearnCore:
                                    atol=1e-8)
 
     def test_subspace_too_large(self):
+        # subspace_size is a cap: asking for more inducing pairs than exist
+        # keeps all m, the same model as asking for exactly m
         x_pred, x_succ, y = _chain_data(m=20)
-        with pytest.raises(SubspaceTooLarge):
-            learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
+        capped = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
+        assert capped.subspace_size == capped.n_pairs == 20
+        exact = learn_core(x_pred, x_succ, y, HYPER, subspace_size=20)
+        for name in fkkf._ARRAY_FIELDS:
+            np.testing.assert_array_equal(getattr(capped, name), getattr(exact, name))
+
+    def test_subspace_size_below_one_refused(self):
+        x_pred, x_succ, y = _chain_data(m=20)
+        with pytest.raises(ValueError, match="subspace_size"):
+            learn_core(x_pred, x_succ, y, HYPER, subspace_size=0)
 
     def test_observation_wider_than_state_refused(self):
         # the readout rows are the first q state columns
@@ -160,7 +186,7 @@ class TestLearnCore:
         window = StateWindowConfig(horizons_s=(1.0, 2.0, 3.0))
         flow = generate_group(TEMPLATE, 2, 10.0, 0.01, seed=13)[0]
         from flowcast.spectral import transform
-        assert transform(flow.samples, cfg).frames.shape[0] == 200
+        assert transform(flow.samples, cfg).shape[0] == 200
         model = learn([flow], HYPER, 50, cfg, window, kept_dim=20)
         assert model.n_pairs == 139
         assert model.o_sub.shape == (139, model.subspace_size)
@@ -170,7 +196,7 @@ class TestLearnCore:
         # oracle: the ground-truth next frame.
         t = np.arange(600) * 0.01
         series = 50.0 * (1.0 + np.sin(2 * np.pi * 2.0 * t))
-        states, obs = build_state_windows(series, WINDOW, CHUNK)
+        states, obs = _states_and_observations(series, WINDOW, CHUNK)
         x_pred, x_succ, y = states[:-1], states[1:], obs[:-1]
         hyper = FkkfHyperparams(lambda_t=1e-4, lambda_o=1e-4, state_bw_scale=1.0,
                                 obs_bw_scale=1.0, kappa=1e-4)
@@ -278,7 +304,7 @@ class TestProject:
 
     def test_covariances_stay_psd(self, core_model):
         gains = project(core_model, 25)
-        for p in gains.p_post_seq + gains.p_prior_seq:
+        for p in gains.p_post_seq + _priors(core_model, gains):
             assert np.linalg.eigvalsh(p)[0] >= -1e-8
             np.testing.assert_allclose(p, p.T, atol=1e-8)
 
@@ -425,8 +451,8 @@ class TestPsdByConstruction:
         assert model.subspace_size < model.n_pairs
         g_yy = FullSpaceFilter(model, x_pred, x_succ).g_yy
         gains = project(model, 6)
-        for i in range(6):
-            expected = mxm_kalman_gain(gains.p_prior_seq[i], model.o_sub, g_yy,
+        for i, p_prior in enumerate(_priors(model, gains)):
+            expected = mxm_kalman_gain(p_prior, model.o_sub, g_yy,
                                        model.hyper.kappa)
             assert np.max(np.abs(_gain(gains, model, i) - expected)) <= 1e-8
 
@@ -546,6 +572,12 @@ class TestRunFilter:
         assert pred.mean_kbit.size == 0
         assert pred.filtered_state.step == 4
         assert pred.filtered_cov is gains.p_post_seq[4]
+
+    def test_too_few_gains_refused(self, core_model):
+        # given gains are used as they are, never projected again
+        _, _, y = _chain_data()
+        with pytest.raises(ValueError, match="no projected gain for step 3"):
+            run_filter(core_model, y[:5], 2, gains=project(core_model, 3))
 
     def test_minimum_prefix_of_three(self, core_model):
         _, _, y = _chain_data()

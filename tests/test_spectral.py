@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcast.errors import EmptySeries, FrameDimMismatch
-from flowcast.spectral import (ChunkConfig, SpectralSeries, forward_frames,
-                               inverse_frames, overlap_average, reassemble,
-                               transform)
+from flowcast.spectral import (ChunkConfig, forward_frames, inverse_frames,
+                               overlap_average, reassemble, transform)
 from oracles import naive_dft
 
 CFG = ChunkConfig(sample_interval_s=0.01, chunk_interval_s=0.05, chunk_length_s=1.0)
@@ -34,7 +33,6 @@ class TestChunkConfig:
     def test_defaults(self):
         assert CFG.hop_samples == 5
         assert CFG.chunk_samples == 100
-        assert CFG.frame_dim == 102
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -51,29 +49,27 @@ class TestChunk:
 
     def test_paper_dimensionality_1000_samples(self):
         # 10 s flow at T_S=0.01 with T_C=0.05, w=1 -> 200 chunks of 100
-        out = transform(np.arange(1000.0), CFG)
-        assert out.frames.shape == (200, 102)
-        assert out.origin_length == 1000
+        assert transform(np.arange(1000.0), CFG).shape == (200, 102)
 
     def test_single_chunk_identity(self):
         cfg = ChunkConfig(0.01, 1.0, 1.0)
         series = np.arange(100.0)
         out = transform(series, cfg)
-        assert out.frames.shape == (1, 102)
-        np.testing.assert_allclose(out.frames[0], dft_frame(series), atol=1e-9)
+        assert out.shape == (1, 102)
+        np.testing.assert_allclose(out[0], dft_frame(series), atol=1e-9)
 
     def test_partial_tail_zero_padded(self):
         # oracle: index arithmetic -- chunk i covers [5i, 5i+100), zero past 120
         series = np.ones(120)
         out = transform(series, CFG)
-        assert out.frames.shape == (24, 102)
+        assert out.shape == (24, 102)
         for i in range(24):
             starts = 5 * i
             valid = max(0, min(100, 120 - starts))
             chunk = np.concatenate([np.ones(valid), np.zeros(100 - valid)])
-            np.testing.assert_allclose(out.frames[i], dft_frame(chunk), atol=1e-9)
-        assert out.frames[4, 0] == pytest.approx(100.0)  # chunk 4 still fully covered
-        assert out.frames[5, 0] == pytest.approx(95.0)   # chunks 5..23 partially padded
+            np.testing.assert_allclose(out[i], dft_frame(chunk), atol=1e-9)
+        assert out[4, 0] == pytest.approx(100.0)  # chunk 4 still fully covered
+        assert out[5, 0] == pytest.approx(95.0)   # chunks 5..23 partially padded
 
     def test_empty_series(self):
         with pytest.raises(EmptySeries):
@@ -87,7 +83,7 @@ class TestChunk:
             chunk = np.zeros(100)
             covered = series[5 * i:5 * i + 100]
             chunk[:covered.size] = covered
-            np.testing.assert_allclose(out.frames[i], dft_frame(chunk), atol=1e-9)
+            np.testing.assert_allclose(out[i], dft_frame(chunk), atol=1e-9)
 
 
 class TestForwardFrame:
@@ -110,7 +106,7 @@ class TestForwardFrame:
 
     def test_frame_dim_for_100_samples(self):
         assert one_frame(np.random.default_rng(0).uniform(size=100)).size == 102
-        assert ChunkConfig(0.01, 0.05, 1.0).frame_dim == 102
+        assert transform(np.ones(100), ChunkConfig(0.01, 0.05, 1.0)).shape[1] == 102
 
     def test_too_short(self):
         # a one-sample chunk cannot be configured: T_C > T_S and w >= T_C
@@ -154,30 +150,27 @@ class TestReassemble:
     def test_roundtrip_via_transform(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 100, size=1000)
-        series = transform(x, CFG)
-        back = reassemble(series)
+        back = reassemble(transform(x, CFG), CFG, 1000)
         assert back.size == 1000
         np.testing.assert_allclose(back, x, rtol=1e-6, atol=1e-9)
 
     def test_single_frame_truncated(self):
         cfg = ChunkConfig(0.01, 1.0, 1.0)
         x = np.arange(60.0)
-        series = transform(x, cfg)
-        assert series.frames.shape[0] == 1
-        back = reassemble(series)
+        frames = transform(x, cfg)
+        assert frames.shape[0] == 1
+        back = reassemble(frames, cfg, 60)
         assert back.size == 60
         np.testing.assert_allclose(back, x, rtol=1e-9, atol=1e-9)
 
     def test_equal_overlaps_average_to_same(self):
         frame = one_frame(np.full(100, 3.0))
-        series = SpectralSeries(frames=np.vstack([frame, frame]), config=CFG,
-                                origin_length=105)
-        back = reassemble(series)
+        back = reassemble(np.vstack([frame, frame]), CFG, 105)
         np.testing.assert_allclose(back, np.full(105, 3.0), rtol=1e-9)
 
     def test_inconsistent_dims(self):
         with pytest.raises(FrameDimMismatch):
-            SpectralSeries(frames=np.zeros((2, 50)), config=CFG, origin_length=10)
+            reassemble(np.zeros((2, 50)), CFG, 10)
 
 
 def test_parseval():
@@ -197,7 +190,7 @@ def test_frame_count_monotone_in_chunk_interval():
     counts = []
     for t_c in (0.02, 0.05, 0.1, 0.25):
         cfg = ChunkConfig(0.01, t_c, 1.0)
-        counts.append(transform(x, cfg).frames.shape[0])
+        counts.append(transform(x, cfg).shape[0])
     assert counts == sorted(counts, reverse=True)
 
 

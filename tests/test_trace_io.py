@@ -25,6 +25,13 @@ def test_bin_packets_negative_bytes():
         bin_packets([(0.0, -1)], KEY, 0.01)
 
 
+@pytest.mark.parametrize("event", [(0.0, float("nan")), (0.0, float("inf")),
+                                   (float("nan"), 10), (float("inf"), 10)])
+def test_bin_packets_non_finite_event(event):
+    with pytest.raises(MalformedEvent, match="non-finite"):
+        bin_packets([(0.0, 10), event], KEY, 0.01, start_time=0.0)
+
+
 def test_bin_packets_uniform_rate_oracle():
     # 10 s of events at 1250 bytes per 0.01 s -> 1000 bins of 10 kbit.
     # Oracle: direct summation over the event list.
@@ -65,6 +72,9 @@ def test_flow_trace_validation():
         FlowTrace(KEY, 0.0, -0.01, np.ones(3))
     with pytest.raises(ValueError):
         FlowTrace(KEY, 0.0, 0.01, np.array([1.0, -2.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FlowTrace(KEY, 0.0, 0.01, np.array([1.0, bad]))
     trace = FlowTrace(KEY, 0.0, 0.01, np.ones(250))
     assert trace.duration_s == pytest.approx(2.5)
 
@@ -141,6 +151,17 @@ class TestEventsCsv:
             load_traces(path, "csv_events")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("ts, nbytes", [("0.01", "nan"), ("0.01", "inf"),
+                                            ("nan", "100"), ("inf", "100")])
+    def test_non_finite_field_reports_line(self, tmp_path, ts, nbytes):
+        path = tmp_path / "events.csv"
+        path.write_text(self.HEADER
+                        + "10.0.0.1,5001,10.0.0.2,80,TCP,0.000,100\n"
+                        + f"10.0.0.1,5001,10.0.0.2,80,TCP,{ts},{nbytes}\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            load_traces(path, "csv_events")
+        assert err.value.line == 3
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -182,6 +203,25 @@ class TestBinnedRoundtrip:
         path = tmp_path / "store.csv"
         path.write_text("")
         assert load_traces(path, "csv_binned") == []
+
+    @pytest.mark.parametrize("kbit", ["nan", "inf", "-inf", "-1.0"])
+    def test_kbit_not_finite_non_negative_reports_line(self, tmp_path, kbit):
+        path = tmp_path / "store.csv"
+        write_binned([FlowTrace(KEY, 0.0, 0.01, np.ones(3))], path)
+        lines = path.read_text().splitlines()
+        lines[3] = f"0,1,{kbit}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 4"):
+            load_traces(path, "csv_binned")
+
+    @pytest.mark.parametrize("timing", ["t_s=nan start=0.0", "t_s=0.0 start=0.0",
+                                        "t_s=inf start=0.0", "t_s=0.01 start=inf"])
+    def test_bad_flow_timing_reports_line(self, tmp_path, timing):
+        path = tmp_path / "store.csv"
+        path.write_text("flow_id,t_index,kbit\n#flow id=0 src=10.0.0.1 src_port=5001 "
+                        f"dst=10.0.0.2 dst_port=80 proto=TCP {timing}\n0,0,1.0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_traces(path, "csv_binned")
 
     def test_row_before_metadata(self, tmp_path):
         path = tmp_path / "store.csv"
