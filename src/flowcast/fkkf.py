@@ -93,7 +93,7 @@ from .kernelcore import (DEFAULT_SUBSET_SIZE, KernelSpec, gram, kernel_vector,
 from .reduction import PcaBasis, Standardizer
 from .spectral import ChunkConfig
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 _COV_JITTER = 1e-8
 _EIG_FLOOR = 1e-14  # relative floor when whitening the inducing Gram
@@ -690,7 +690,9 @@ def project(model: FkkfModel, steps: int) -> ProjectedGains:
     p_prior = model.p1_prior
     n = model.subspace_size
     eye = np.eye(n)
-    for _ in range(steps):
+    for step in range(steps):
+        if step:
+            p_prior = _prediction_cov(model, post_seq[-1])
         w, p_post = _innovation_cov(model, p_prior)
         # Cholesky of P + tol*I certifies min eigenvalue >= -tol; the
         # tolerance is relative to the covariance scale (the factorized
@@ -703,7 +705,6 @@ def project(model: FkkfModel, steps: int) -> ProjectedGains:
                                    "lost positive semi-definiteness") from None
         w_seq.append(w)
         post_seq.append(p_post)
-        p_prior = _prediction_cov(model, p_post)
     return ProjectedGains(w_seq=w_seq, p_post_seq=post_seq)
 
 
@@ -806,10 +807,14 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
 # ---------------------------------------------------------------------------
 
 # Array fields with their shapes over the model sizes: m training pairs,
-# n inducing pairs and q observation dimensions.
+# n inducing pairs and q observation dimensions.  The file holds each
+# symmetric n x n matrix as its upper triangle, n(n+1)/2 entries in
+# np.triu_indices order; t_sub comes first, so n is known when the
+# triangles are checked.
 _ARRAY_SHAPES = {"y_train": "mq", "t_sub": "nn", "o_sub": "mn", "ogo": "nn",
                  "xo": "qn", "v": "nn", "n1_prior": "n", "p1_prior": "nn"}
 _ARRAY_FIELDS = tuple(_ARRAY_SHAPES)
+_SYMMETRIC_FIELDS = ("ogo", "v", "p1_prior")
 
 
 def save_model(model: FkkfModel, path) -> None:
@@ -819,6 +824,9 @@ def save_model(model: FkkfModel, path) -> None:
     configuration travel in an embedded JSON document together with a
     format-version integer.  Of the frontend, only the observation
     block's standardizer and PCA basis are stored, as the block0_* arrays.
+    ogo, v and p1_prior are stored as one triangle each; a model in which
+    one of them is not exactly symmetric raises ValueError, so no file
+    loses a bit.
     """
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -828,6 +836,8 @@ def save_model(model: FkkfModel, path) -> None:
         "has_frontend": model.frontend is not None,
     }
     arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
+    for name in _SYMMETRIC_FIELDS:
+        arrays[name] = _upper_triangle(name, arrays[name])
     if model.frontend is not None:
         fe = model.frontend
         meta["chunk_cfg"] = [fe.chunk_cfg.sample_interval_s,
@@ -843,6 +853,20 @@ def save_model(model: FkkfModel, path) -> None:
     # (atomic-rename callers pass suffix-less temp paths)
     with open(path, "wb") as fh:
         np.savez_compressed(fh, **arrays)
+
+
+def _upper_triangle(name: str, mat: np.ndarray) -> np.ndarray:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.tobytes() != mat.T.tobytes():
+        raise ValueError(f"cannot save the model: {name} is not exactly symmetric")
+    return mat[np.triu_indices(mat.shape[0])]
+
+
+def _mirrored(triangle: np.ndarray, n: int) -> np.ndarray:
+    mat = np.empty((n, n), dtype=triangle.dtype)
+    rows, cols = np.triu_indices(n)
+    mat[rows, cols] = triangle
+    mat[cols, rows] = triangle
+    return mat
 
 
 def load_model(path) -> FkkfModel:
@@ -880,8 +904,13 @@ def _check_shapes(arrays: dict, path) -> None:
     sizes = {}
     for name, axes in _ARRAY_SHAPES.items():
         shape = arrays[name].shape
-        if len(shape) != len(axes) or any(sizes.setdefault(axis, size) != size
-                                          for axis, size in zip(axes, shape)):
+        if name in _SYMMETRIC_FIELDS:
+            n = sizes["n"]
+            wrong = shape != (n * (n + 1) // 2,)
+        else:
+            wrong = len(shape) != len(axes) or any(sizes.setdefault(axis, size) != size
+                                                   for axis, size in zip(axes, shape))
+        if wrong:
             raise ModelFileError(f"{path}: array {name} has shape {shape}, which "
                                  f"disagrees with the other model arrays")
 
@@ -893,11 +922,9 @@ def _model_from_archive(data, path) -> FkkfModel:
         raise ModelFileError(f"{path}: model format version {version} is not supported "
                              f"(expected {MODEL_FORMAT_VERSION}); learn the model again")
     arrays = {name: data[name] for name in _ARRAY_FIELDS}
-    y_train, xo = arrays["y_train"], arrays["xo"]
-    if y_train.ndim == 2 and xo.ndim == 2:
-        # files written before xo was cut to its readout rows hold all d rows
-        arrays["xo"] = xo[:y_train.shape[1]]
     _check_shapes(arrays, path)
+    for name in _SYMMETRIC_FIELDS:
+        arrays[name] = _mirrored(arrays[name], arrays["t_sub"].shape[0])
     frontend = None
     if meta["has_frontend"]:
         t_s, t_c, w = meta["chunk_cfg"]
@@ -906,7 +933,7 @@ def _model_from_archive(data, path) -> FkkfModel:
         window_cfg = StateWindowConfig(horizons_s=tuple(meta["window_cfg"]["horizons_s"]))
         means, stds = data["block0_means"], data["block0_stds"]
         comp, evr = data["block0_components"], data["block0_evr"]
-        if comp.ndim != 2 or comp.shape[1] != y_train.shape[1]:
+        if comp.ndim != 2 or comp.shape[1] != arrays["y_train"].shape[1]:
             raise ModelFileError(f"{path}: PCA blocks disagree with the model arrays")
         if (means.shape != (comp.shape[0],) or stds.shape != (comp.shape[0],)
                 or evr.shape != (comp.shape[1],)):

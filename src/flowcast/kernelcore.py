@@ -71,12 +71,19 @@ def gram(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise BadDimension(f"column mismatch: {a.shape[1]} vs {b2.shape[1]}")
     na = np.einsum("ij,ij->i", a, a)
     nb = na if same else np.einsum("ij,ij->i", b2, b2)
-    d2 = na[:, None] + nb[None, :] - 2.0 * (a @ b2.T)
-    np.clip(d2, 0.0, None, out=d2)
-    denom = 2.0 * spec.effective_bandwidth ** 2
-    g = np.exp(-d2 / denom)
+    # exp(-(na + nb - 2 a b') / denom) in two buffers; each in-place step is
+    # the IEEE operation of the plain expression, in the same order
+    cross = a @ b2.T
+    cross *= 2.0
+    g = na[:, None] + nb[None, :]
+    g -= cross
+    del cross
+    np.clip(g, 0.0, None, out=g)
+    g /= -(2.0 * spec.effective_bandwidth ** 2)
+    np.exp(g, out=g)
     if same:
-        g = 0.5 * (g + g.T)
+        g += g.T  # numpy buffers the overlapping operand
+        g *= 0.5
         np.fill_diagonal(g, 1.0)
     return g
 

@@ -32,6 +32,11 @@ KBIT_PER_BYTE = 8.0 / 1000.0
 EVENTS_HEADER = ["src", "src_port", "dst", "dst_port", "proto", "ts_s", "bytes"]
 BINNED_HEADER = ["flow_id", "t_index", "kbit"]
 
+# Most bins one flow may span: 1 GiB of float64, 15.5 days at 0.01 s.
+# The bins are allocated from the span, so a far-off timestamp would
+# otherwise ask for petabytes before any other check.
+MAX_FLOW_BINS = 2 ** 27
+
 
 class Protocol(str, enum.Enum):
     TCP = "TCP"
@@ -93,16 +98,22 @@ def bin_packets(events, key: FlowKey, sample_interval_s: float,
     if not (math.isfinite(start_time) and math.isfinite(last_ts)):
         raise MalformedEvent(f"non-finite time bounds [{start_time}, {last_ts}]")
     n_bins = int(math.floor((last_ts - start_time) / sample_interval_s + 1e-9)) + 1
-    byte_bins = np.zeros(n_bins)
-    for ts, nbytes in events:
+    if n_bins > MAX_FLOW_BINS:
+        raise MalformedEvent(f"flow {key} spans {last_ts - start_time} s, more than "
+                             f"{MAX_FLOW_BINS} bins of {sample_interval_s} s")
+    ts, nbytes = np.array(events, dtype=float).T
+    idx = np.floor((ts - start_time) / sample_interval_s + 1e-9)
+    # a non-finite time has a nan or infinite bin, which is out of range
+    valid = np.isfinite(nbytes) & (nbytes >= 0) & (idx >= 0) & (idx < n_bins)
+    if not valid.all():
+        ts, nbytes = events[int(valid.argmin())]  # the first invalid event
         if not (math.isfinite(ts) and math.isfinite(nbytes)):
             raise MalformedEvent(f"non-finite event: {nbytes} bytes at t={ts}")
         if nbytes < 0:
             raise MalformedEvent(f"negative byte count {nbytes} at t={ts}")
-        idx = int(math.floor((float(ts) - start_time) / sample_interval_s + 1e-9))
-        if idx < 0 or idx >= n_bins:
-            raise MalformedEvent(f"event at t={ts} outside [start, last] (unsorted input?)")
-        byte_bins[idx] += float(nbytes)
+        raise MalformedEvent(f"event at t={ts} outside [start, last] (unsorted input?)")
+    byte_bins = np.zeros(n_bins)
+    np.add.at(byte_bins, idx.astype(np.intp), nbytes)  # in event order
     return FlowTrace(key=key, start_time=start_time,
                      sample_interval_s=sample_interval_s,
                      samples=byte_bins * KBIT_PER_BYTE)
@@ -225,6 +236,9 @@ def _load_binned(path):
                 raise ParseError(f"non-numeric row: {exc}", line=lineno) from exc
             if t_index < 0:
                 raise ParseError(f"negative t_index {t_index}", line=lineno)
+            if t_index >= MAX_FLOW_BINS:
+                raise ParseError(f"t_index {t_index} is at or above the limit of "
+                                 f"{MAX_FLOW_BINS} bins per flow", line=lineno)
             if not 0 <= kbit < math.inf:
                 raise ParseError(f"kbit {kbit} is not a finite non-negative number",
                                  line=lineno)

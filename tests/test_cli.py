@@ -9,7 +9,7 @@ from flowcast.cli import main
 from flowcast.config import load_config
 from flowcast.errors import ParseError
 from flowcast.evaluation import locate_peak_rise
-from flowcast.trace_io import load_traces
+from flowcast.trace_io import MAX_FLOW_BINS, load_traces
 
 
 @pytest.fixture()
@@ -165,6 +165,33 @@ def test_ingest_store_at_another_interval_exit_1(workspace, runner, tmp_path):
                                   "ingest", str(store), "--format", "csv_binned"])
     _assert_one_line_exit_1(result, f"flow 0 of {store} is sampled every 0.02s")
     assert not (out2 / "traces.csv").exists()
+
+
+def test_ingest_events_spanning_more_than_the_bin_cap_exit_1(runner, tmp_path):
+    # 1e13 s at 0.01 s would be 7 PiB of bins; refused before any allocation
+    events = tmp_path / "events.csv"
+    events.write_text("src,src_port,dst,dst_port,proto,ts_s,bytes\n"
+                      "10.0.0.1,5001,10.0.0.2,80,TCP,0.00,500\n"
+                      "10.0.0.1,5001,10.0.0.2,80,TCP,1e13,500\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "ingest", str(events)])
+    _assert_one_line_exit_1(result, f"more than {MAX_FLOW_BINS} bins of 0.01 s")
+    assert "src_addr='10.0.0.1'" in result.output
+    assert not (out / "traces.csv").exists()
+
+
+def test_ingest_binned_t_index_at_the_bin_cap_exit_2(runner, tmp_path):
+    store = tmp_path / "store.csv"
+    store.write_text("flow_id,t_index,kbit\n"
+                     "#flow id=0 src=10.0.0.1 src_port=5001 dst=10.0.0.2 dst_port=80 "
+                     "proto=TCP t_s=0.01 start=0.0\n"
+                     "0,0,1.0\n"
+                     f"0,{MAX_FLOW_BINS},1.0\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "ingest", str(store),
+                                  "--format", "csv_binned"])
+    _assert_parse_error_exit_2(result, f"line 4: t_index {MAX_FLOW_BINS} is at or above")
+    assert not (out / "traces.csv").exists()
 
 
 def test_cluster_recovers_groups(workspace, runner):
@@ -357,7 +384,7 @@ def _assert_one_line_exit_1(result, text):
     assert lines[-1].startswith("error: ") and text in lines[-1]
 
 
-@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+@pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
 def test_predict_old_format_model_exit_1(workspace, runner, tmp_path, version):
     cfg, out = workspace
     model_path = tmp_path / f"model_v{version}.npz"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from flowcast import fkkf, reduction
+from flowcast import fkkf
 from flowcast.errors import (BadDimension, FlowTooShort, InsufficientData,
                              ModelFileError)
 from flowcast.evaluation import (ExperimentConfig, leave_one_out_splits,
@@ -301,6 +301,14 @@ class TestProject:
                  for i in range(39)]
         assert diffs[-1] < diffs[2]
         assert diffs[-1] < 1e-3 * max(diffs)
+
+    def test_no_prior_formed_after_the_last_innovation(self, core_model, monkeypatch):
+        calls = []
+        real = fkkf._prediction_cov
+        monkeypatch.setattr(fkkf, "_prediction_cov",
+                            lambda *args: calls.append(1) or real(*args))
+        project(core_model, 5)
+        assert len(calls) == 4
 
     def test_covariances_stay_psd(self, core_model):
         gains = project(core_model, 25)
@@ -716,9 +724,9 @@ class TestSerialization:
         save_model(traffic_model, path)
         loaded = load_model(path)
         for name in fkkf._ARRAY_FIELDS:
-            np.testing.assert_array_equal(getattr(loaded, name),
-                                          getattr(traffic_model, name),
-                                          err_msg=name)
+            a, b = getattr(loaded, name), getattr(traffic_model, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert a.flags.c_contiguous == b.flags.c_contiguous, name
         assert loaded.hyper == traffic_model.hyper
         assert loaded.state_spec == traffic_model.state_spec
         fe_a, fe_b = loaded.frontend, traffic_model.frontend
@@ -741,41 +749,25 @@ class TestSerialization:
         assert names == sorted(fkkf._ARRAY_FIELDS + blocks + ("meta_json",))
         assert "n_blocks" not in meta and "bandwidth_seed" not in meta
 
-    def test_file_with_every_horizon_block_loads(self, traffic_model, tmp_path):
-        # format-3 files written before the model kept only what filtering
-        # reads carry every horizon's reducer, the inducing indices, the
-        # bandwidth seed and all d rows of X O; loading ignores them and
-        # filters the same
+    def test_symmetric_matrices_stored_as_one_triangle(self, traffic_model, tmp_path):
         path = tmp_path / "model.npz"
         save_model(traffic_model, path)
+        n = traffic_model.subspace_size
+        upper = np.triu_indices(n)
         with np.load(path) as data:
-            arrays = dict(data)
-        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
-        _, x_pred, _, _ = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
-        arrays["xo"] = x_pred.T @ traffic_model.o_sub
-        assert arrays["xo"].shape[0] > traffic_model.obs_dim
-        np.testing.assert_array_equal(arrays["xo"][:traffic_model.obs_dim],
-                                      traffic_model.xo)
-        per_flow = [window_frames(f.samples, CHUNK, WINDOW) for f in flows]
-        for h in (1, 2):
-            stacked = np.vstack([blocks[h] for blocks in per_flow])
-            std = reduction.fit_standardizer(stacked)
-            basis = reduction.fit_pca(std.apply(stacked), 30)
-            arrays.update({f"block{h}_means": std.means, f"block{h}_stds": std.stds,
-                           f"block{h}_components": basis.components,
-                           f"block{h}_evr": basis.explained_variance_ratio})
-        arrays["subspace_indices"] = np.arange(traffic_model.subspace_size)
-        meta = json.loads(arrays["meta_json"].tobytes())
-        meta.update(n_blocks=3, bandwidth_seed=0)
-        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        old_path = tmp_path / "older.npz"
-        np.savez_compressed(old_path, **arrays)
-        loaded = load_model(old_path)
-        test_flow = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=78)[0]
-        observed = traffic_model.frontend.reduce_observations(
-            observation_frames(test_flow.samples, CHUNK, 0.2)[:5])
-        np.testing.assert_array_equal(run_filter(loaded, observed, 10).mean_kbit,
-                                      run_filter(traffic_model, observed, 10).mean_kbit)
+            for name in ("ogo", "v", "p1_prior"):
+                assert data[name].shape == (n * (n + 1) // 2,), name
+                np.testing.assert_array_equal(data[name],
+                                              getattr(traffic_model, name)[upper])
+            assert data["t_sub"].shape == (n, n)
+
+    def test_asymmetric_matrix_refused_on_save(self, core_model, tmp_path):
+        v = core_model.v.copy()
+        v[0, 1] = np.nextafter(v[0, 1], np.inf)
+        path = tmp_path / "core.npz"
+        with pytest.raises(ValueError, match="v is not exactly symmetric"):
+            save_model(dataclasses.replace(core_model, v=v), path)
+        assert not path.exists()
 
     def test_filter_results_identical_after_reload(self, traffic_model, tmp_path):
         path = tmp_path / "model.npz"
@@ -812,7 +804,11 @@ class TestSerialization:
          "format version 1"),
         (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 2)),
          "format version 2"),
+        (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 3)),
+         "format version 3"),
         (lambda arrays: arrays.update(ogo=arrays["ogo"][:-1]), "array ogo"),
+        (lambda arrays: arrays.update(p1_prior=np.eye(arrays["t_sub"].shape[0])),
+         "array p1_prior"),
         (lambda arrays: arrays.update(xo=arrays["xo"].T), "array xo"),
     ])
     def test_refused_with_one_line(self, core_model, tmp_path, edit, message):

@@ -52,6 +52,22 @@ class TestGram:
         g = gram(np.array([[0.0], [d]]), np.array([[0.0], [d]]), spec)
         assert g[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("same", [True, False], ids=["a_is_b", "distinct"])
+    def test_bit_equal_to_the_plain_expression(self, same):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(70, 12)) * 3.0
+        b = a if same else rng.normal(size=(55, 12))
+        spec = KernelSpec(bandwidth=1.7, scale_factor=0.8)
+        # the expression gram evaluated before it reused its buffers
+        na, nb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+        d2 = na[:, None] + nb[None, :] - 2.0 * (a @ b.T)
+        np.clip(d2, 0.0, None, out=d2)
+        expected = np.exp(-d2 / (2.0 * spec.effective_bandwidth ** 2))
+        if same:
+            expected = 0.5 * (expected + expected.T)
+            np.fill_diagonal(expected, 1.0)
+        assert gram(a, b, spec).tobytes() == expected.tobytes()
+
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(50, 10))

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from flowcast.errors import (EmptyFlow, InsufficientGroup, IoError,
                              MalformedEvent, ParseError)
-from flowcast.trace_io import (FlowKey, FlowTrace, Protocol, bin_packets,
-                               leave_one_out_splits, load_traces, write_binned)
+from flowcast.trace_io import (KBIT_PER_BYTE, MAX_FLOW_BINS, FlowKey, FlowTrace,
+                               Protocol, bin_packets, leave_one_out_splits,
+                               load_traces, write_binned)
 
 KEY = FlowKey("10.0.0.1", 5001, "10.0.0.2", 80, Protocol.TCP)
 KEY2 = FlowKey("10.0.0.3", 5002, "10.0.0.2", 80, Protocol.UDP)
@@ -30,6 +33,56 @@ def test_bin_packets_negative_bytes():
 def test_bin_packets_non_finite_event(event):
     with pytest.raises(MalformedEvent, match="non-finite"):
         bin_packets([(0.0, 10), event], KEY, 0.01, start_time=0.0)
+
+
+def _loop_bin_packets(events, sample_interval_s, start_time):
+    """Reference: one event at a time, checks in the order bin_packets gives them."""
+    n_bins = int(math.floor((float(events[-1][0]) - start_time) / sample_interval_s
+                            + 1e-9)) + 1
+    byte_bins = np.zeros(max(n_bins, 0))
+    for ts, nbytes in events:
+        if not (math.isfinite(ts) and math.isfinite(nbytes)):
+            raise MalformedEvent(f"non-finite event: {nbytes} bytes at t={ts}")
+        if nbytes < 0:
+            raise MalformedEvent(f"negative byte count {nbytes} at t={ts}")
+        idx = int(math.floor((float(ts) - start_time) / sample_interval_s + 1e-9))
+        if idx < 0 or idx >= n_bins:
+            raise MalformedEvent(f"event at t={ts} outside [start, last] (unsorted input?)")
+        byte_bins[idx] += float(nbytes)
+    return byte_bins * KBIT_PER_BYTE
+
+
+def _outcome(fn):
+    try:
+        return fn().tobytes()
+    except MalformedEvent as exc:
+        return str(exc)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("bad", [
+    {}, {50: (0.5, NAN)}, {50: (0.5, -5.0)}, {50: (NAN, 10.0)}, {50: (3.0, 10.0)},
+    {80: (0.8, -5.0), 40: (NAN, 10.0)}, {60: (3.0, -5.0)}, {60: (NAN, -5.0)},
+], ids=["clean", "nan_bytes", "negative", "nan_time", "out_of_order", "first_wins",
+        "negative_before_range", "non_finite_before_negative"])
+def test_bin_packets_matches_event_loop(bad):
+    rng = np.random.default_rng(5)
+    ts = np.sort(rng.uniform(0.0, 2.0, size=300)).round(3)  # many events share a bin
+    events = [(float(t), float(b)) for t, b in zip(ts, rng.exponential(700.0, 300))]
+    for i, event in bad.items():
+        events[i] = event
+    got = _outcome(lambda: bin_packets(events, KEY, 0.01, start_time=0.0).samples)
+    assert got == _outcome(lambda: _loop_bin_packets(events, 0.01, 0.0))
+
+
+def test_bin_packets_span_beyond_the_bin_cap():
+    with pytest.raises(MalformedEvent, match=f"more than {MAX_FLOW_BINS} bins"):
+        bin_packets([(0.0, 10.0), (1e13, 10.0)], KEY, 0.01)
+    # one bin past the cap, at a unit interval where the bin count is exact
+    with pytest.raises(MalformedEvent, match="more than"):
+        bin_packets([(0.0, 10.0)], KEY, 1.0, start_time=-float(MAX_FLOW_BINS))
 
 
 def test_bin_packets_uniform_rate_oracle():
@@ -221,6 +274,15 @@ class TestBinnedRoundtrip:
         path.write_text("flow_id,t_index,kbit\n#flow id=0 src=10.0.0.1 src_port=5001 "
                         f"dst=10.0.0.2 dst_port=80 proto=TCP {timing}\n0,0,1.0\n")
         with pytest.raises(ParseError, match="line 2"):
+            load_traces(path, "csv_binned")
+
+    def test_t_index_at_the_bin_cap_reports_line(self, tmp_path):
+        path = tmp_path / "store.csv"
+        write_binned([FlowTrace(KEY, 0.0, 0.01, np.ones(3))], path)
+        lines = path.read_text().splitlines()
+        lines[3] = f"0,{MAX_FLOW_BINS},1.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"line 4: t_index {MAX_FLOW_BINS} is at or above"):
             load_traces(path, "csv_binned")
 
     def test_row_before_metadata(self, tmp_path):
