@@ -260,7 +260,7 @@ def learn(ctx, traces_path, groups_path, group_id, chunk_length):
         model = evaluation.split_learner(group_flows, exp, length).model(hyper)
         out = ctx.out_dir / f"model_group{group_id}.npz"
         _atomic_write(out, lambda tmp: fkkf.save_model(model, tmp))
-        click.echo(f"model={out} pairs={model.n_pairs} subspace={model.subspace_size}")
+        click.echo(f"model={out} centres={model.n_centres} subspace={model.subspace_size}")
         return [out]
 
     _run(ctx, "learn", work)

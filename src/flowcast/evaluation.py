@@ -11,6 +11,7 @@ prefix maximum as if it were the forecast.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +113,14 @@ class SplitResult:
 class GroupExperimentResult:
     chunk_length_s: float
     splits: list = field(default_factory=list)
-    skipped: int = 0
+    # folds skipped per reason: the exception class, plus .matrix for a
+    # NumericalFailure ("NumericalFailure.posterior_covariance")
+    skips: Counter = field(default_factory=Counter)
+
+    @property
+    def skipped(self) -> int:
+        """Folds skipped for any reason."""
+        return sum(self.skips.values())
 
     def _mean(self, attr: str) -> float:
         vals = [getattr(s, attr) for s in self.splits]
@@ -312,13 +320,21 @@ def _same_flows(kept: tuple, train_flows) -> bool:
         a is b for a, b in zip(kept, train_flows))
 
 
+def _skip_reason(exc: Exception) -> str:
+    """The GroupExperimentResult.skips key of a fold that raised exc."""
+    if isinstance(exc, NumericalFailure):
+        return f"{type(exc).__name__}.{exc.matrix}"
+    return type(exc).__name__
+
+
 def run_group_experiment(group_flows, hyper: FkkfHyperparams,
                          cfg: ExperimentConfig,
                          chunk_length_s: float) -> GroupExperimentResult:
     """All leave-one-out folds of one group at a fixed chunk length.
 
-    Folds whose test flow has no usable peak are skipped and counted;
-    signed errors are averaged across the remaining folds.
+    Folds whose test flow has no usable peak, or whose filter fails
+    numerically, are skipped and counted per reason; signed errors
+    are averaged across the remaining folds.
     """
     flows = list(group_flows)
     if len(flows) < 2:
@@ -328,8 +344,8 @@ def run_group_experiment(group_flows, hyper: FkkfHyperparams,
         try:
             result.splits.append(evaluate_split(train, test, hyper, cfg,
                                                 chunk_length_s))
-        except (UndefinedError, NumericalFailure):
-            result.skipped += 1
+        except (UndefinedError, NumericalFailure) as exc:
+            result.skips[_skip_reason(exc)] += 1
     if not result.splits:
         raise InsufficientGroup("every fold was skipped (no usable peaks)")
     return result

@@ -23,7 +23,13 @@ kernel responses of the incoming observation against them, X the d x m
 matrix of training state vectors, T the n x n transition model and O the
 m x n observation model.  The first q rows of X are the observation
 block, the only part of the state that is read out, so the model keeps
-only C, the q readout rows of X O.  The Kalman gain of the m-dimensional
+only C, the q readout rows of X O.  Idle stretches of bursty flows
+repeat observation windows exactly, so the m training observations hold
+only c distinct rows u, the kernel centres.  The response is taken over
+them, O' k_y = sum_i O[i] k(y_i, y) = sum_u Obar[u] k(u, y), where
+Obar[u] sums the rows of O whose observation is u; the model keeps the
+c centres and the c x n Obar, while M, T, V, the prior and C come from
+the full m-row O.  The Kalman gain of the m-dimensional
 innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1, equals W_t O'
 by the push-through identity, so every per-step quantity is n x n and
 G_yy enters only through M, formed once at learning time.
@@ -63,8 +69,8 @@ named with it:
     2. state kernel  the state Grams and both subspace solvers
                      (state_bw_scale)
     3. obs kernel    G_yy (obs_bw_scale)
-    4. ridge         T, V and the prior per lambda_t; O, M and the
-                     readout rows C per lambda_o (both from the kept SVDs)
+    4. ridge         T, V and the prior per lambda_t; O, M, the readout
+                     rows C and Obar per lambda_o (both from the kept SVDs)
     5. gains         project and run_filter (kappa)
 
 StagedLearner runs stage 1 once and keeps each later stage while its
@@ -84,6 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import reduction, spectral
 from .errors import (BadDimension, FlowTooShort, InsufficientData,
@@ -93,7 +100,7 @@ from .kernelcore import (DEFAULT_SUBSET_SIZE, KernelSpec, gram, kernel_vector,
 from .reduction import PcaBasis, Standardizer
 from .spectral import ChunkConfig
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 _COV_JITTER = 1e-8
 _EIG_FLOOR = 1e-14  # relative floor when whitening the inducing Gram
@@ -332,9 +339,9 @@ class _SubspaceSolver:
 class FkkfModel:
     """Learned sub-space filter model: what filtering reads.  Immutable."""
 
-    y_train: np.ndarray   # (m, q) training observations, the centres of k_y
+    y_train: np.ndarray   # (c, q) distinct training observations, the centres of k_y
     t_sub: np.ndarray     # (n, n) transition model
-    o_sub: np.ndarray     # (m, n) observation model (G_yy O = response map)
+    o_sub: np.ndarray     # (c, n) observation model rows summed per centre (Obar)
     ogo: np.ndarray       # (n, n) cached O' G_yy O
     xo: np.ndarray        # (q, n) readout rows (X O)[:q] of the observation block
     v: np.ndarray         # (n, n) transition noise covariance
@@ -346,7 +353,7 @@ class FkkfModel:
     frontend: SpectralFrontend | None = None
 
     @property
-    def n_pairs(self) -> int:
+    def n_centres(self) -> int:
         return self.y_train.shape[0]
 
     @property
@@ -371,6 +378,23 @@ def _subspace_stride_indices(m: int, requested: int) -> np.ndarray:
     return np.arange(0, m, stride)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """The bit-for-bit distinct rows, in first-occurrence order.
+
+    Returns (first, centre_of): the index of each distinct row's first
+    occurrence, ascending, and for every row the position in `first` of
+    the row equal to it.  Rows are compared as raw bytes, so 0.0 and -0.0
+    differ and equal rows always share a centre.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
 @dataclass
 class _StateKernel:
     """Everything learning needs from the state kernel at one bandwidth scale."""
@@ -387,14 +411,16 @@ class _CoreStages:
     """learn_core's work, split by the hyperparameters each part depends on.
 
     Construction validates the training rows and computes what no
-    hyperparameter changes: both median-heuristic bandwidths and the
-    inducing indices.  The rest is built on first use and kept while its
-    inputs stay the same:
+    hyperparameter changes: both median-heuristic bandwidths, the
+    inducing indices and the kernel centres (the distinct observations)
+    with the map from each pair to its centre.  The rest is built on
+    first use and kept while its inputs stay the same:
 
         state kernel   Grams, both subspace solvers     state_bw_scale
-        obs kernel     G_yy                             obs_bw_scale
+        obs kernel     G_yy over all m observations     obs_bw_scale
         transition     T (mode-clipped), V, prior      state kernel, lambda_t
-        observation    O, M = O' G_yy O, (X O)[:q]     both kernels, lambda_o
+        observation    O, M = O' G_yy O, (X O)[:q],    both kernels, lambda_o
+                       Obar (O summed per centre)
 
     One kernel of each kind is kept.  Asking for another bandwidth scale
     drops the kept kernel and every ridge solution built on it before the
@@ -424,6 +450,13 @@ class _CoreStages:
         self.state_bw = median_heuristic(x_pred, DEFAULT_SUBSET_SIZE, bandwidth_seed)
         self.obs_bw = median_heuristic(y_train, DEFAULT_SUBSET_SIZE, bandwidth_seed)
         self.idx = _subspace_stride_indices(m, subspace_size)
+        first, centre_of = _distinct_rows(y_train)
+        self.centres = y_train[first]
+        # c x m membership matrix: row u has a one in each pair column whose
+        # observation is centre u, so Obar = S O sums each centre's rows in
+        # pair order (scipy's CSR product adds a row's entries in index order)
+        self.centre_sum = scipy.sparse.csr_array(
+            (np.ones(m), (centre_of, np.arange(m))), shape=(first.size, m))
         self.frontend = frontend
         self._state: _StateKernel | None = None
         self._obs: tuple | None = None          # (obs KernelSpec, G_yy)
@@ -435,7 +468,7 @@ class _CoreStages:
         obs_spec, g_yy = self._obs_kernel(hyper.obs_bw_scale)
         t_sub, v, n1, p1 = self._transition_ridge(state, hyper.lambda_t)
         o_sub, ogo, xo = self._observation_ridge(state, g_yy, hyper.lambda_o)
-        return FkkfModel(y_train=self.y_train, t_sub=t_sub, o_sub=o_sub, ogo=ogo, xo=xo,
+        return FkkfModel(y_train=self.centres, t_sub=t_sub, o_sub=o_sub, ogo=ogo, xo=xo,
                          v=v, n1_prior=n1, p1_prior=p1, state_spec=state.spec,
                          obs_spec=obs_spec, hyper=hyper, frontend=self.frontend)
 
@@ -489,10 +522,10 @@ class _CoreStages:
     def _observation_ridge(self, state: _StateKernel, g_yy: np.ndarray,
                            lam: float) -> tuple:
         if lam not in self._observation:
-            o_sub = state.solver.dual(lam).T @ state.kbar_prime[self.idx]
-            ogo = _sym(o_sub.T @ (g_yy @ o_sub))
-            xo = (self.x_pred.T @ o_sub)[:self.y_train.shape[1]].copy()
-            self._observation[lam] = (o_sub, ogo, xo)
+            o_full = state.solver.dual(lam).T @ state.kbar_prime[self.idx]
+            ogo = _sym(o_full.T @ (g_yy @ o_full))
+            xo = (self.x_pred.T @ o_full)[:self.y_train.shape[1]].copy()
+            self._observation[lam] = (self.centre_sum @ o_full, ogo, xo)
         return self._observation[lam]
 
 
@@ -507,7 +540,9 @@ def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
     from the empirical statistics of the training coordinates.  The
     first q = y_train.shape[1] state columns are the ones read out.
     subspace_size caps the inducing pairs as in learn; a cap of m or more
-    keeps all m.
+    keeps all m.  The model's kernel centres are the distinct rows of
+    y_train in first-occurrence order, so it holds c <= m of them, with
+    o_sub the rows of O summed per centre.
     """
     return _CoreStages(x_pred, x_succ, y_train, subspace_size,
                        bandwidth_seed=bandwidth_seed).model(hyper)
@@ -568,7 +603,9 @@ def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
     frames only; held-out flows must be transformed with this model's
     frontend, which keeps the observation block's.  subspace_size caps the
     inducing pairs, which are a stride over the training pairs (see
-    _subspace_stride_indices), so the model can have fewer.
+    _subspace_stride_indices), so the model can have fewer.  Observation
+    windows that repeat exactly, as idle stretches do, share one kernel
+    centre, so the model stores c centres for its m training pairs.
     """
     return StagedLearner(train_flows, subspace_size, chunk_cfg, window_cfg,
                          kept_dim=kept_dim, bandwidth_seed=bandwidth_seed).model(hyper)
@@ -806,12 +843,12 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
 # serialization
 # ---------------------------------------------------------------------------
 
-# Array fields with their shapes over the model sizes: m training pairs,
-# n inducing pairs and q observation dimensions.  The file holds each
-# symmetric n x n matrix as its upper triangle, n(n+1)/2 entries in
-# np.triu_indices order; t_sub comes first, so n is known when the
-# triangles are checked.
-_ARRAY_SHAPES = {"y_train": "mq", "t_sub": "nn", "o_sub": "mn", "ogo": "nn",
+# Array fields with their shapes over the model sizes: c kernel centres
+# (distinct training observations), n inducing pairs and q observation
+# dimensions.  The file holds each symmetric n x n matrix as its upper
+# triangle, n(n+1)/2 entries in np.triu_indices order; t_sub comes first,
+# so n is known when the triangles are checked.
+_ARRAY_SHAPES = {"y_train": "cq", "t_sub": "nn", "o_sub": "cn", "ogo": "nn",
                  "xo": "qn", "v": "nn", "n1_prior": "n", "p1_prior": "nn"}
 _ARRAY_FIELDS = tuple(_ARRAY_SHAPES)
 _SYMMETRIC_FIELDS = ("ogo", "v", "p1_prior")

@@ -47,6 +47,29 @@ def mxm_kalman_gain(p_prior, o_mat, g_yy, kappa):
     return np.linalg.solve(inner.T, o_mat @ p_prior).T
 
 
+def distinct_rows(rows):
+    """The rows that differ bit for bit from every earlier row, in order."""
+    seen, kept = set(), []
+    for row in rows:
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            kept.append(row)
+    return np.array(kept)
+
+
+def sum_per_centre(cols, y_train, centres):
+    """Columns of cols, one per training pair, summed per kernel centre.
+
+    Column i goes to the centre equal to y_train[i] bit for bit; each
+    centre's columns are added in pair order.
+    """
+    position = {row.tobytes(): u for u, row in enumerate(centres)}
+    out = np.zeros((cols.shape[0], len(centres)))
+    for i, row in enumerate(y_train):
+        out[:, position[row.tobytes()]] += cols[:, i]
+    return out
+
+
 class FullSpaceFilter:
     """Direct full-sample finite recursion, no inducing-point machinery.
 
@@ -54,20 +77,21 @@ class FullSpaceFilter:
     O = (K_xx + lam_O I)^-1 K_xx', the m x m gain solve, and the
     X O m_t reconstruction.  Noise V and the initial belief are taken
     from the model under test (the recursion, not their estimation, is
-    what this oracle pins down); the training states and successors the
-    model was learned from come from the caller, since the model keeps
-    only X O.
+    what this oracle pins down); the training states, successors and
+    observations the model was learned from come from the caller, since
+    the model keeps only X O and one row per distinct observation.
     """
 
-    def __init__(self, model, x_pred, x_succ):
+    def __init__(self, model, x_pred, x_succ, y_train):
         self.model = model
         self.x_pred = x_pred
+        self.y_train = y_train
         s_spec, o_spec = model.state_spec, model.obs_spec
         lam_t, lam_o = model.hyper.lambda_t, model.hyper.lambda_o
         self.kappa = model.hyper.kappa
         k_xx = gram(x_pred, x_pred, s_spec)
         k_xxp = gram(x_pred, x_succ, s_spec)
-        self.g_yy = gram(model.y_train, model.y_train, o_spec)
+        self.g_yy = gram(y_train, y_train, o_spec)
         m = k_xx.shape[0]
         eye = np.eye(m)
         self.t_mat = np.linalg.solve(k_xx + lam_t * eye, k_xxp)
@@ -86,7 +110,7 @@ class FullSpaceFilter:
         means, covs, gains = [], [], []
         for i, y in enumerate(np.atleast_2d(observed)):
             q = mxm_kalman_gain(st, self.o_mat, self.g_yy, self.kappa)
-            k_y = kernel_vector(model.y_train, y, model.obs_spec)
+            k_y = kernel_vector(self.y_train, y, model.obs_spec)
             mt = mt + q @ (k_y - self.go @ mt)
             st = st - q @ self.go @ st
             st = 0.5 * (st + st.T)

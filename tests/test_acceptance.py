@@ -17,7 +17,8 @@ from flowcast.evaluation import (ExperimentConfig, chunk_length_sweep,
                                  quality_label)
 from flowcast.spectral import ChunkConfig, reassemble, transform
 from flowcast.synth import BurstTemplate, generate_group
-from oracles import FullSpaceFilter, TextbookKalman
+from oracles import (FullSpaceFilter, TextbookKalman, distinct_rows,
+                     sum_per_centre)
 
 
 def _report(criterion, message):
@@ -47,20 +48,20 @@ def test_criterion_2_subspace_equals_full_space():
                                  kappa=1e-3)
     model = fkkf.learn(flows, hyper, subspace_size=10 ** 6, chunk_cfg=chunk_cfg,
                        window_cfg=window_cfg, kept_dim=30)
-    m = model.n_pairs
+    # the training pairs learn reduced the flows to; the model's kernel
+    # centres must be their distinct observations before the states are
+    # trusted
+    _, x_pred, x_succ, y = fkkf._fit_frontend(flows, chunk_cfg, window_cfg, 30)
+    m = x_pred.shape[0]
     assert m <= 300
     assert model.subspace_size == m
-
-    # the training pairs learn reduced the flows to; the observations must
-    # be the model's before the states are trusted
-    _, x_pred, x_succ, y = fkkf._fit_frontend(flows, chunk_cfg, window_cfg, 30)
-    assert np.array_equal(y, model.y_train)
+    assert np.array_equal(distinct_rows(y), model.y_train)
 
     test_flow = generate_group(template, 2, 3.0, 0.01, seed=99)[0]
     raw = fkkf.observation_frames(test_flow.samples, chunk_cfg, 0.2)
     observed = model.frontend.reduce_observations(raw[:15])
 
-    oracle = FullSpaceFilter(model, x_pred, x_succ)
+    oracle = FullSpaceFilter(model, x_pred, x_succ, y)
     o_means, o_covs, o_gains, _ = oracle.run(observed, 0)
     # run_filter's steps: the means move, gains and posteriors are projected
     gains = fkkf.project(model, len(observed))
@@ -74,13 +75,14 @@ def test_criterion_2_subspace_equals_full_space():
                     float(np.max(np.abs(state.n_t - o_means[i]))),
                     float(np.max(np.abs(gains.p_post_seq[i] - o_covs[i]))),
                     float(np.max(np.abs(gains.w_seq[i] @ model.o_sub.T
-                                        - o_gains[i]))))
+                                        - sum_per_centre(o_gains[i], y,
+                                                         model.y_train)))))
     filtered = fkkf.run_filter(model, observed, 0, gains=gains).filtered_state
     assert np.array_equal(filtered.n_t, state.n_t)
     elapsed = time.time() - start
     assert worst <= 1e-8
     assert elapsed < 30.0
-    _report(2, f"n=m={m} filter matches full-space recursion, "
+    _report(2, f"n=m={m} ({model.n_centres} centres) filter matches full-space recursion, "
                f"max |diff| {worst:.2e} <= 1e-8 in {elapsed:.1f}s < 30s")
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcast import fkkf, synth
-from flowcast.errors import InsufficientGroup, UndefinedError
-from flowcast.evaluation import (ExperimentConfig, GroupReport, ar_baseline,
-                                 build_group_report, chunk_length_sweep,
-                                 constant_error, evaluate_split, forecast_flow,
+from flowcast import evaluation, fkkf, synth
+from flowcast.errors import InsufficientGroup, NumericalFailure, UndefinedError
+from flowcast.evaluation import (ExperimentConfig, GroupReport, SplitResult,
+                                 ar_baseline, build_group_report,
+                                 chunk_length_sweep, constant_error,
+                                 evaluate_split, forecast_flow,
                                  locate_peak_rise, peak_prediction_error,
                                  quality_label, run_group_experiment,
                                  split_learner, write_report_csv)
@@ -215,6 +216,25 @@ class TestGroupExperiment:
         assert split.constant_error == constant_error(prefix, actual)
         assert split.ar_error == peak_prediction_error(
             ar_baseline(prefix, actual.size, CFG.ar_order), actual)
+
+    @pytest.mark.parametrize("error, reason", [
+        (UndefinedError("no peak rise"), "UndefinedError"),
+        (NumericalFailure("innovation_gain"), "NumericalFailure.innovation_gain"),
+        (NumericalFailure("posterior_covariance"),
+         "NumericalFailure.posterior_covariance"),
+    ])
+    def test_skips_counted_per_reason(self, group_flows, monkeypatch, error, reason):
+        def first_two_folds_fail(train, test, *args):
+            if test is group_flows[0] or test is group_flows[2]:
+                raise error
+            return SplitResult(pred_error=0.1, constant_error=-0.5, ar_error=-0.5,
+                               pca_cum_variance=0.9)
+
+        monkeypatch.setattr(evaluation, "evaluate_split", first_two_folds_fail)
+        result = run_group_experiment(group_flows, HYPER, CFG, 0.6)
+        assert result.skips == {reason: 2}
+        assert result.skipped == 2
+        assert len(result.splits) == 2
 
     def test_too_small_group(self):
         with pytest.raises(InsufficientGroup):

@@ -17,7 +17,8 @@ from flowcast.fkkf import (FilterState, FkkfHyperparams, StateWindowConfig,
                            reconstruct, run_filter, save_model, window_frames)
 from flowcast.spectral import ChunkConfig
 from flowcast.synth import BurstTemplate, default_templates, generate_group
-from oracles import FullSpaceFilter, mxm_kalman_gain
+from oracles import (FullSpaceFilter, distinct_rows, mxm_kalman_gain,
+                     sum_per_centre)
 
 CHUNK = ChunkConfig(sample_interval_s=0.01, chunk_interval_s=0.05, chunk_length_s=0.2)
 WINDOW = StateWindowConfig(horizons_s=(0.2, 0.4, 0.6))
@@ -67,8 +68,7 @@ def _priors(model, gains):
 
 def _core_oracle(model):
     """The full-space oracle of a model learned on the default _chain_data."""
-    x_pred, x_succ, _ = _chain_data()
-    return FullSpaceFilter(model, x_pred, x_succ)
+    return FullSpaceFilter(model, *_chain_data())
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ class TestStateWindows:
 
 class TestLearnCore:
     def test_shapes(self, core_model):
-        m = core_model.n_pairs
+        m = core_model.n_centres
         n = core_model.subspace_size
         assert core_model.ogo.shape == (n, n)
         o_sub = core_model.o_sub
@@ -152,7 +152,7 @@ class TestLearnCore:
         # keeps all m, the same model as asking for exactly m
         x_pred, x_succ, y = _chain_data(m=20)
         capped = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
-        assert capped.subspace_size == capped.n_pairs == 20
+        assert capped.subspace_size == len(x_pred) == 20
         exact = learn_core(x_pred, x_succ, y, HYPER, subspace_size=20)
         for name in fkkf._ARRAY_FIELDS:
             np.testing.assert_array_equal(getattr(capped, name), getattr(exact, name))
@@ -187,9 +187,11 @@ class TestLearnCore:
         flow = generate_group(TEMPLATE, 2, 10.0, 0.01, seed=13)[0]
         from flowcast.spectral import transform
         assert transform(flow.samples, cfg).shape[0] == 200
+        _, x_pred, _, y = fkkf._fit_frontend([flow], cfg, window, 20)
+        assert x_pred.shape[0] == y.shape[0] == 139
         model = learn([flow], HYPER, 50, cfg, window, kept_dim=20)
-        assert model.n_pairs == 139
-        assert model.o_sub.shape == (139, model.subspace_size)
+        assert model.n_centres == len(distinct_rows(y)) <= 139
+        assert model.o_sub.shape == (model.n_centres, model.subspace_size)
 
     def test_training_flow_one_step_prediction(self):
         # single noiseless periodic signal: one-step self-prediction is sharp.
@@ -213,6 +215,88 @@ class TestLearnCore:
         rmse = np.mean(errors[5:])
         amplitude = np.abs(states).max()
         assert rmse < 0.01 * amplitude
+
+
+def _one_centre_per_pair(rows):
+    """_distinct_rows for a learner that keeps every training observation."""
+    every = np.arange(len(rows))
+    return every, every
+
+
+@pytest.fixture(scope="module")
+def centred_models():
+    """(observations, model, model with one centre per pair) of bursty flows
+    whose idle gaps repeat observation windows exactly."""
+    flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+    _, _, _, y = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
+    model = learn(flows, HYPER, 40, CHUNK, WINDOW, kept_dim=30)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fkkf, "_distinct_rows", _one_centre_per_pair)
+        unmerged = learn(flows, HYPER, 40, CHUNK, WINDOW, kept_dim=30)
+    return y, model, unmerged
+
+
+class TestKernelCentres:
+    def test_centres_are_the_distinct_observations(self, centred_models):
+        y, model, unmerged = centred_models
+        assert np.array_equal(model.y_train, distinct_rows(y))
+        assert model.n_centres < 0.8 * len(y)
+        assert len({row.tobytes() for row in model.y_train}) == model.n_centres
+        assert np.array_equal(unmerged.y_train, y)
+
+    def test_observation_rows_summed_per_centre(self, centred_models):
+        # oracle: a loop over the pairs adding each row of O to its centre
+        y, model, unmerged = centred_models
+        assert model.o_sub.shape == (model.n_centres, model.subspace_size)
+        np.testing.assert_array_equal(
+            model.o_sub, sum_per_centre(unmerged.o_sub.T, y, model.y_train).T)
+
+    def test_gains_and_covariances_bit_identical(self, centred_models):
+        _, model, unmerged = centred_models
+        for name in set(fkkf._ARRAY_FIELDS) - {"y_train", "o_sub"}:
+            assert np.array_equal(getattr(model, name), getattr(unmerged, name)), name
+        gains, other = project(model, 4), project(unmerged, 4)
+        for seq in ("w_seq", "p_post_seq"):
+            for a, b in zip(getattr(gains, seq), getattr(other, seq)):
+                np.testing.assert_array_equal(a, b)
+
+    def test_innovation_matches_unmerged_response(self, centred_models):
+        # only the summation order of the response O' k_y differs; the
+        # posterior sees that roundoff through the gain W
+        y, model, unmerged = centred_models
+        flow = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)[0]
+        frames = model.frontend.reduce_observations(
+            observation_frames(flow.samples, CHUNK, 0.2))
+        gains = project(model, 1)
+        w_norm = np.abs(gains.w_seq[0]).sum(axis=1).max()
+        state = model.initial_state()
+        for frame in np.vstack([frames, y[::7]]):
+            responses = [m.o_sub.T @ fkkf.kernel_vector(m.y_train, frame, m.obs_spec)
+                         for m in (model, unmerged)]
+            scale = np.max(np.abs(responses[1]))
+            assert np.max(np.abs(responses[0] - responses[1])) <= 1e-12 * scale
+            a = innovation_update(state, frame, gains, model).n_t
+            b = innovation_update(state, frame, gains, unmerged).n_t
+            assert np.max(np.abs(a - b)) <= 1e-12 * w_norm * scale
+
+    def test_centre_map_built_once_per_training_set(self, monkeypatch):
+        calls = []
+        real = fkkf._distinct_rows
+        monkeypatch.setattr(fkkf, "_distinct_rows",
+                            lambda rows: calls.append(1) or real(rows))
+        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=20)
+        for hyper in (HYPER, dataclasses.replace(HYPER, lambda_o=1e-1),
+                      dataclasses.replace(HYPER, obs_bw_scale=2.0),
+                      dataclasses.replace(HYPER, state_bw_scale=2.0)):
+            learner.model(hyper)
+        assert len(calls) == 1
+
+    def test_rows_compared_bit_for_bit(self):
+        rows = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [-0.0, 0.0], [0.0, 0.0]])
+        first, centre_of = fkkf._distinct_rows(rows)
+        np.testing.assert_array_equal(first, [0, 1, 3])
+        np.testing.assert_array_equal(centre_of, [0, 1, 0, 2, 1])
 
 
 # bandwidth scale chosen so the state Gram stays well-conditioned: the
@@ -456,8 +540,8 @@ class TestPsdByConstruction:
     def test_gain_matches_mxm_form_when_well_conditioned(self):
         x_pred, x_succ, y = _chain_data()
         model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
-        assert model.subspace_size < model.n_pairs
-        g_yy = FullSpaceFilter(model, x_pred, x_succ).g_yy
+        assert model.subspace_size < len(x_pred)
+        g_yy = FullSpaceFilter(model, x_pred, x_succ, y).g_yy
         gains = project(model, 6)
         for i, p_prior in enumerate(_priors(model, gains)):
             expected = mxm_kalman_gain(p_prior, model.o_sub, g_yy,
@@ -475,7 +559,7 @@ class TestPsdByConstruction:
             np.linalg.cholesky(model.p1_prior)
         gains = project(model, 2)
         expected = mxm_kalman_gain(model.p1_prior, model.o_sub,
-                                   FullSpaceFilter(model, x_pred, x_succ).g_yy,
+                                   FullSpaceFilter(model, x_pred, x_succ, y).g_yy,
                                    model.hyper.kappa)
         assert np.max(np.abs(_gain(gains, model, 0) - expected)) <= 1e-8
         p = gains.p_post_seq[0]
@@ -795,9 +879,10 @@ class TestSerialization:
         with np.load(path) as data:
             shapes = {name: data[name].shape for name in data.files}
         assert sorted(shapes) == sorted(fkkf._ARRAY_FIELDS + ("meta_json",))
-        assert all(shape.count(model.n_pairs) < 2 for shape in shapes.values()), shapes
+        m = len(x_pred)
+        assert all(shape.count(m) < 2 for shape in shapes.values()), shapes
         # the training states and successors are not stored
-        assert (model.n_pairs, x_pred.shape[1]) not in shapes.values(), shapes
+        assert (m, x_pred.shape[1]) not in shapes.values(), shapes
 
     @pytest.mark.parametrize("edit, message", [
         (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 1)),
@@ -806,6 +891,9 @@ class TestSerialization:
          "format version 2"),
         (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 3)),
          "format version 3"),
+        (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 4)),
+         "format version 4"),
+        (lambda arrays: arrays.update(o_sub=arrays["o_sub"][:-1]), "array o_sub"),
         (lambda arrays: arrays.update(ogo=arrays["ogo"][:-1]), "array ogo"),
         (lambda arrays: arrays.update(p1_prior=np.eye(arrays["t_sub"].shape[0])),
          "array p1_prior"),
