@@ -43,12 +43,13 @@ def _atomic_write(path: Path, writer) -> None:
             os.unlink(tmp)
 
 
-def _write_manifest(ctx: _Ctx, command: str, outputs) -> None:
+def _write_manifest(ctx: _Ctx, command: str, outputs, record: dict) -> None:
     manifest = {
         "command": command,
         "config_hash": ctx.config.config_hash(),
         "seed": ctx.config.seed,
         "outputs": [str(p) for p in outputs],
+        **record,
     }
     path = ctx.out_dir / f"manifest_{command}.json"
     _atomic_write(path, lambda tmp: Path(tmp).write_text(
@@ -106,7 +107,18 @@ def main(ctx, config_path, seed, out_dir):
     ctx.obj = _Ctx(config=config, out_dir=out)
 
 
-def _run(ctx_obj, command, fn):
+def _skips_per_length(per_length: dict) -> dict:
+    """Each chunk length's skipped folds per reason, for the manifest."""
+    return {format(length, ".12g"): dict(sorted(per_length[length].skips.items()))
+            for length in sorted(per_length)}
+
+
+def _run(ctx_obj, command, fn, record: dict | None = None):
+    """Run a command's work and write its manifest.
+
+    fn returns the output paths; what it puts into `record` meanwhile
+    becomes extra manifest keys.
+    """
     try:
         outputs = fn()
     except ParseError as exc:
@@ -121,7 +133,7 @@ def _run(ctx_obj, command, fn):
     except FlowcastError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    _write_manifest(ctx_obj, command, outputs)
+    _write_manifest(ctx_obj, command, outputs, record or {})
 
 
 @main.command()
@@ -309,8 +321,13 @@ def predict(ctx, traces_path, model_path, flow_id, start_step):
 @click.option("--groups", "groups_path", type=click.Path(), required=True)
 @click.pass_obj
 def evaluate(ctx, traces_path, groups_path):
-    """Leave-one-out evaluation of every group; write the table-style report."""
+    """Leave-one-out evaluation of every group; write the table-style report.
+
+    The manifest records each group's skipped folds per chunk length and
+    reason under "skips"; report.csv does not.
+    """
     _echo_hash(ctx)
+    skips = {}
 
     def work():
         flows = _load_store(ctx, traces_path)
@@ -323,7 +340,9 @@ def evaluate(ctx, traces_path, groups_path):
             if len(members) < 2:
                 continue
             hyper = _resolve_hyper(ctx, members, exp.chunk_lengths_s[0])
-            report, _ = evaluation.build_group_report(group_id, members, hyper, exp)
+            report, per_length = evaluation.build_group_report(group_id, members,
+                                                               hyper, exp)
+            skips[str(group_id)] = _skips_per_length(per_length)
             reports.append(report)
             optimal_lengths.append(report.optimal_chunk_len_s)
             click.echo(f"group {group_id}: pred_error={report.pred_error_optimal:+.3f} "
@@ -338,7 +357,7 @@ def evaluate(ctx, traces_path, groups_path):
             click.echo(f"mean_optimal_chunk_len_s={np.mean(optimal_lengths):.3f}")
         return [out]
 
-    _run(ctx, "evaluate", work)
+    _run(ctx, "evaluate", work, {"skips": skips})
 
 
 @main.command()
@@ -347,14 +366,20 @@ def evaluate(ctx, traces_path, groups_path):
 @click.option("--group-id", type=int, required=True)
 @click.pass_obj
 def sweep(ctx, traces_path, groups_path, group_id):
-    """Chunk-length sweep for one group; write per-length errors."""
+    """Chunk-length sweep for one group; write per-length errors.
+
+    The manifest records the skipped folds per chunk length and reason
+    under "skips", keyed by the group id as in evaluate's.
+    """
     _echo_hash(ctx)
+    skips = {}
 
     def work():
         group_flows = _group_flows(ctx, traces_path, groups_path, group_id)
         exp = ctx.config.experiment
         hyper = _resolve_hyper(ctx, group_flows, exp.chunk_lengths_s[0])
         optimal, per_length = evaluation.chunk_length_sweep(group_flows, hyper, exp)
+        skips[str(group_id)] = _skips_per_length(per_length)
         out = ctx.out_dir / f"sweep_group{group_id}.csv"
 
         def write(tmp):
@@ -370,7 +395,7 @@ def sweep(ctx, traces_path, groups_path, group_id):
         click.echo(f"optimal_chunk_len_s={optimal}")
         return [out]
 
-    _run(ctx, "sweep", work)
+    _run(ctx, "sweep", work, {"skips": skips})
 
 
 @main.command(name="synth")

@@ -28,8 +28,11 @@ repeat observation windows exactly, so the m training observations hold
 only c distinct rows u, the kernel centres.  The response is taken over
 them, O' k_y = sum_i O[i] k(y_i, y) = sum_u Obar[u] k(u, y), where
 Obar[u] sums the rows of O whose observation is u; the model keeps the
-c centres and the c x n Obar, while M, T, V, the prior and C come from
-the full m-row O.  The Kalman gain of the m-dimensional
+c centres and the c x n Obar.  M is formed over them too: G_yy[i, j] =
+G_cc[u(i), u(j)] for the c x c Gram G_cc of the centres, so
+M = Obar' G_cc Obar exactly.  T and C come from the full m-row O, and V
+and the prior from the coordinates of the training states, computed once
+per distinct state.  The Kalman gain of the m-dimensional
 innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1, equals W_t O'
 by the push-through identity, so every per-step quantity is n x n and
 G_yy enters only through M, formed once at learning time.
@@ -66,11 +69,12 @@ named with it:
     1. frontend      framing, standardize + PCA, the reduced training
                      pairs and both median-heuristic bandwidths (no
                      hyperparameter)
-    2. state kernel  the state Grams and both subspace solvers
+    2. state kernel  three m x n Grams, the successors against the s
+                     distinct states and both subspace solvers
                      (state_bw_scale)
-    3. obs kernel    G_yy (obs_bw_scale)
-    4. ridge         T, V and the prior per lambda_t; O, M, the readout
-                     rows C and Obar per lambda_o (both from the kept SVDs)
+    3. obs kernel    G_cc over the c centres (obs_bw_scale)
+    4. ridge         T, V and the prior per lambda_t; O, Obar, M and the
+                     readout rows C per lambda_o (both from the kept SVDs)
     5. gains         project and run_filter (kappa)
 
 StagedLearner runs stage 1 once and keeps each later stage while its
@@ -397,14 +401,19 @@ def _distinct_rows(rows: np.ndarray) -> tuple:
 
 @dataclass
 class _StateKernel:
-    """Everything learning needs from the state kernel at one bandwidth scale."""
+    """Everything learning needs from the state kernel at one bandwidth scale.
+
+    The training coordinates of V and the prior are taken against the s
+    distinct rows among the 2m predecessors and successors, so one m x s
+    Gram stands in for K(x_succ, x_pred) and K(x_succ, x_succ): their
+    columns are the ones _CoreStages.pred_col and succ_col select.
+    """
 
     spec: KernelSpec
     kbar_prime: np.ndarray      # (m, n) K(x_pred, inducing successors)
     solver: _SubspaceSolver     # factorization of K(x_pred, inducing predecessors)
     succ_solver: _SubspaceSolver
-    k_succ_pred: np.ndarray     # (m, m) K(x_succ, x_pred)
-    k_succ_succ: np.ndarray     # (m, m) K(x_succ, x_succ)
+    k_states: np.ndarray        # (m, s) K(x_succ, distinct states)
 
 
 class _CoreStages:
@@ -412,15 +421,24 @@ class _CoreStages:
 
     Construction validates the training rows and computes what no
     hyperparameter changes: both median-heuristic bandwidths, the
-    inducing indices and the kernel centres (the distinct observations)
-    with the map from each pair to its centre.  The rest is built on
-    first use and kept while its inputs stay the same:
+    inducing indices, the kernel centres (the distinct observations)
+    with the map from each pair to its centre, and the distinct states
+    among the predecessors and successors with the column of each.  The
+    rest is built on first use and kept while its inputs stay the same:
 
-        state kernel   Grams, both subspace solvers     state_bw_scale
-        obs kernel     G_yy over all m observations     obs_bw_scale
+        state kernel   three m x n Grams, the m x s      state_bw_scale
+                       K(x_succ, states), both subspace
+                       solvers
+        obs kernel     G_cc over the c centres          obs_bw_scale
         transition     T (mode-clipped), V, prior      state kernel, lambda_t
-        observation    O, M = O' G_yy O, (X O)[:q],    both kernels, lambda_o
-                       Obar (O summed per centre)
+        observation    O, Obar (O summed per centre),  both kernels, lambda_o
+                       M = Obar' G_cc Obar, (X O)[:q]
+
+    Idle stretches repeat rows exactly, so c and s fall well short of m
+    and 2m, and with n < m no stage holds an m x m array: M = O' G_yy O
+    equals Obar' G_cc Obar because G_yy[i, j] = G_cc[u(i), u(j)], and
+    each distinct state's coordinates are computed once, then selected
+    per pair.
 
     One kernel of each kind is kept.  Asking for another bandwidth scale
     drops the kept kernel and every ridge solution built on it before the
@@ -457,17 +475,23 @@ class _CoreStages:
         # pair order (scipy's CSR product adds a row's entries in index order)
         self.centre_sum = scipy.sparse.csr_array(
             (np.ones(m), (centre_of, np.arange(m))), shape=(first.size, m))
+        # successors are mostly the next pair's predecessor, so the 2m rows
+        # hold about m + (number of flows) distinct states
+        stacked = np.vstack([x_pred, x_succ])
+        first, state_of = _distinct_rows(stacked)
+        self.states = stacked[first]
+        self.pred_col, self.succ_col = state_of[:m], state_of[m:]
         self.frontend = frontend
         self._state: _StateKernel | None = None
-        self._obs: tuple | None = None          # (obs KernelSpec, G_yy)
+        self._obs: tuple | None = None          # (obs KernelSpec, G_cc)
         self._transition: dict = {}             # lambda_t -> (T, V, n1, P1)
-        self._observation: dict = {}            # lambda_o -> (O, M, X O)
+        self._observation: dict = {}            # lambda_o -> (Obar, M, X O)
 
     def model(self, hyper: FkkfHyperparams) -> FkkfModel:
         state = self._state_kernel(hyper.state_bw_scale)
-        obs_spec, g_yy = self._obs_kernel(hyper.obs_bw_scale)
+        obs_spec, g_cc = self._obs_kernel(hyper.obs_bw_scale)
         t_sub, v, n1, p1 = self._transition_ridge(state, hyper.lambda_t)
-        o_sub, ogo, xo = self._observation_ridge(state, g_yy, hyper.lambda_o)
+        o_sub, ogo, xo = self._observation_ridge(state, g_cc, hyper.lambda_o)
         return FkkfModel(y_train=self.centres, t_sub=t_sub, o_sub=o_sub, ogo=ogo, xo=xo,
                          v=v, n1_prior=n1, p1_prior=p1, state_spec=state.spec,
                          obs_spec=obs_spec, hyper=hyper, frontend=self.frontend)
@@ -492,8 +516,7 @@ class _CoreStages:
             spec=spec, kbar_prime=kbar_prime,
             solver=_SubspaceSolver(kbar, kbar[idx]),
             succ_solver=_SubspaceSolver(k_succ, k_succ[idx]),
-            k_succ_pred=gram(x_succ, x_pred, spec),
-            k_succ_succ=k_succ if full else gram(x_succ, x_succ, spec))
+            k_states=gram(x_succ, self.states, spec))
         return self._state
 
     def _obs_kernel(self, scale: float) -> tuple:
@@ -502,16 +525,16 @@ class _CoreStages:
         self._obs = None
         self._observation.clear()
         spec = KernelSpec(bandwidth=self.obs_bw, scale_factor=scale)
-        self._obs = (spec, gram(self.y_train, self.y_train, spec))
+        self._obs = (spec, gram(self.centres, self.centres, spec))
         return self._obs
 
     def _transition_ridge(self, state: _StateKernel, lam: float) -> tuple:
         if lam not in self._transition:
             t_sub = _clip_unstable_modes(state.solver.dual(lam) @ state.kbar_prime)
-            coord_map = state.succ_solver.dual(lam)
-            coords_pred = coord_map @ state.k_succ_pred
-            coords_succ = coord_map @ state.k_succ_succ
-            resid = coords_succ - t_sub @ coords_pred
+            # coordinates of the s distinct states, then one column per pair
+            coords = state.succ_solver.dual(lam) @ state.k_states
+            coords_pred = coords[:, self.pred_col]
+            resid = coords[:, self.succ_col] - (t_sub @ coords)[:, self.pred_col]
             n = self.idx.size
             v = _sym(np.cov(resid)) + _COV_JITTER * np.eye(n)
             n1 = coords_pred.mean(axis=1)
@@ -519,13 +542,14 @@ class _CoreStages:
             self._transition[lam] = (t_sub, v, n1, p1)
         return self._transition[lam]
 
-    def _observation_ridge(self, state: _StateKernel, g_yy: np.ndarray,
+    def _observation_ridge(self, state: _StateKernel, g_cc: np.ndarray,
                            lam: float) -> tuple:
         if lam not in self._observation:
             o_full = state.solver.dual(lam).T @ state.kbar_prime[self.idx]
-            ogo = _sym(o_full.T @ (g_yy @ o_full))
+            o_bar = self.centre_sum @ o_full
+            ogo = _sym(o_bar.T @ (g_cc @ o_bar))
             xo = (self.x_pred.T @ o_full)[:self.y_train.shape[1]].copy()
-            self._observation[lam] = (self.centre_sum @ o_full, ogo, xo)
+            self._observation[lam] = (o_bar, ogo, xo)
         return self._observation[lam]
 
 

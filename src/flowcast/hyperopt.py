@@ -10,13 +10,14 @@ the stages that depend on it:
     validation fold        everything: framing, standardize + PCA,
                            median-heuristic bandwidths
     state_bw_scale         state Grams and both subspace factorizations
-    obs_bw_scale           observation Gram G_yy
+    obs_bw_scale           observation Gram G_cc over the distinct
+                           observations
     lambda_t, lambda_o     ridge solutions (products on the kept SVDs)
     kappa                  nothing learned; gains and filtering only
 
 so the search visits fold -> (state_bw_scale, obs_bw_scale) ->
 (lambda_t, lambda_o, kappa).  Per fold it builds the frontend once, the
-state kernel once per state_bw_scale, G_yy once per bandwidth pair and
+state kernel once per state_bw_scale, G_cc once per bandwidth pair and
 each ridge solution once per pair and weight; only gains and filtering
 run for every candidate.  Only the current fold's frontend and the
 current pair's kernels are kept.  Each candidate is still scored by one

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from flowcast import fkkf
+from flowcast import evaluation, fkkf
 from flowcast.cli import main
 from flowcast.config import load_config
-from flowcast.errors import ParseError
+from flowcast.errors import ParseError, UndefinedError
 from flowcast.evaluation import locate_peak_rise
 from flowcast.trace_io import MAX_FLOW_BINS, load_traces
 
@@ -449,6 +449,37 @@ def test_numerical_failure_exit_4(workspace, runner, monkeypatch):
                                   "--group-id", "1"])
     assert result.exit_code == 4
     assert "innovation_gain" in result.output
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_manifest_records_skipped_folds(workspace, runner, monkeypatch, command):
+    # the fold holding out each group's first flow (by key) has no
+    # locatable peak; the manifest counts it per group and chunk length,
+    # and report.csv stays as it was
+    cfg, out = workspace
+    runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                         "cluster", str(out / "traces.csv")])
+    real = evaluation.evaluate_split
+
+    def first_flow_undefined(train, test, *args, **kwargs):
+        if all(test.key < flow.key for flow in train):
+            raise UndefinedError("no peak rise")
+        return real(train, test, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate_split", first_flow_undefined)
+    args = [command, str(out / "traces.csv"), "--groups", str(out / "groups.csv")]
+    if command == "sweep":
+        args += ["--group-id", "1"]
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out)] + args)
+    assert result.exit_code == 0, result.output
+    skips = json.loads((out / f"manifest_{command}.json").read_text())["skips"]
+    # evaluate adds the report's 1 s column to the configured 0.6 s
+    groups, lengths = ((["1", "2"], ["0.6", "1"]) if command == "evaluate"
+                       else (["1"], ["0.6"]))
+    assert skips == {group: {length: {"UndefinedError": 1} for length in lengths}
+                     for group in groups}
+    if command == "evaluate":
+        assert "skip" not in (out / "report.csv").read_text().lower()
 
 
 def _learned_model(runner, cfg, out):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ import scipy.linalg
 from flowcast import fkkf
 from flowcast.errors import (BadDimension, FlowTooShort, InsufficientData,
                              ModelFileError)
-from flowcast.evaluation import (ExperimentConfig, leave_one_out_splits,
-                                 locate_peak_rise)
+from flowcast.evaluation import (ExperimentConfig, evaluate_split,
+                                 leave_one_out_splits, locate_peak_rise)
 from flowcast.fkkf import (FilterState, FkkfHyperparams, StateWindowConfig,
                            forecast_variance, innovation_update, learn,
                            learn_core, load_model,
                            observation_frames, prediction_update, project,
                            reconstruct, run_filter, save_model, window_frames)
+from flowcast.kernelcore import KernelSpec, gram
 from flowcast.spectral import ChunkConfig
 from flowcast.synth import BurstTemplate, default_templates, generate_group
 from oracles import (FullSpaceFilter, distinct_rows, mxm_kalman_gain,
@@ -252,13 +254,18 @@ class TestKernelCentres:
             model.o_sub, sum_per_centre(unmerged.o_sub.T, y, model.y_train).T)
 
     def test_gains_and_covariances_bit_identical(self, centred_models):
+        # T and C never see a merged row.  M is summed per centre, and V and
+        # the prior take each distinct state's coordinates once, so these
+        # and the gains built on M agree with one centre per pair to roundoff
         _, model, unmerged = centred_models
-        for name in set(fkkf._ARRAY_FIELDS) - {"y_train", "o_sub"}:
+        for name in ("t_sub", "xo"):
             assert np.array_equal(getattr(model, name), getattr(unmerged, name)), name
+        for name in ("ogo", "v", "n1_prior", "p1_prior"):
+            _assert_relative(getattr(model, name), getattr(unmerged, name), 1e-12)
         gains, other = project(model, 4), project(unmerged, 4)
         for seq in ("w_seq", "p_post_seq"):
             for a, b in zip(getattr(gains, seq), getattr(other, seq)):
-                np.testing.assert_array_equal(a, b)
+                _assert_relative(a, b, GAIN_RTOL)
 
     def test_innovation_matches_unmerged_response(self, centred_models):
         # only the summation order of the response O' k_y differs; the
@@ -280,23 +287,156 @@ class TestKernelCentres:
             assert np.max(np.abs(a - b)) <= 1e-12 * w_norm * scale
 
     def test_centre_map_built_once_per_training_set(self, monkeypatch):
+        # the centre map and the distinct-state map, never per hyperparameter
         calls = []
         real = fkkf._distinct_rows
         monkeypatch.setattr(fkkf, "_distinct_rows",
-                            lambda rows: calls.append(1) or real(rows))
+                            lambda rows: calls.append(len(rows)) or real(rows))
         flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
         learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=20)
         for hyper in (HYPER, dataclasses.replace(HYPER, lambda_o=1e-1),
                       dataclasses.replace(HYPER, obs_bw_scale=2.0),
                       dataclasses.replace(HYPER, state_bw_scale=2.0)):
             learner.model(hyper)
-        assert len(calls) == 1
+        m = len(learner._core.x_pred)
+        assert calls == [m, 2 * m]
 
     def test_rows_compared_bit_for_bit(self):
         rows = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [-0.0, 0.0], [0.0, 0.0]])
         first, centre_of = fkkf._distinct_rows(rows)
         np.testing.assert_array_equal(first, [0, 1, 3])
         np.testing.assert_array_equal(centre_of, [0, 1, 0, 2, 1])
+
+
+def _assert_relative(actual, expected, rtol):
+    """max |actual - expected| <= rtol * max |expected|."""
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+# M summed per centre moves by 2.2e-15 relative on the idle-gap flows, and
+# their 4-step gains and posteriors by 3.4e-13: each W solves with
+# L' M L + kappa I at kappa = 1e-3
+GAIN_RTOL = 1e-10
+
+
+def _mxm_reference(x_pred, x_succ, y, hyper, subspace_size):
+    """The learned arrays computed from m x m Grams over every training pair.
+
+    The subspace solvers come from the learner; everything built on them
+    here uses G_yy over all m observations, M = O' G_yy O on the unmerged
+    O, and the coordinates of K(x_succ, x_pred) and K(x_succ, x_succ).
+    """
+    core = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
+    state = core._state_kernel(hyper.state_bw_scale)
+    obs_spec = KernelSpec(bandwidth=core.obs_bw, scale_factor=hyper.obs_bw_scale)
+    n = core.idx.size
+    t_sub = fkkf._clip_unstable_modes(
+        state.solver.dual(hyper.lambda_t) @ state.kbar_prime)
+    coord_map = state.succ_solver.dual(hyper.lambda_t)
+    coords_pred = coord_map @ gram(x_succ, x_pred, state.spec)
+    coords_succ = coord_map @ gram(x_succ, x_succ, state.spec)
+    resid = coords_succ - t_sub @ coords_pred
+    o_full = state.solver.dual(hyper.lambda_o).T @ state.kbar_prime[core.idx]
+    jitter = fkkf._COV_JITTER * np.eye(n)
+    return {"t_sub": t_sub,
+            "o_sub": sum_per_centre(o_full.T, y, distinct_rows(y)).T,
+            "xo": (x_pred.T @ o_full)[:y.shape[1]],
+            "ogo": fkkf._sym(o_full.T @ (gram(y, y, obs_spec) @ o_full)),
+            "v": fkkf._sym(np.cov(resid)) + jitter,
+            "n1_prior": coords_pred.mean(axis=1),
+            "p1_prior": fkkf._sym(np.cov(coords_pred)) + jitter}
+
+
+@pytest.fixture(scope="module", params=["chain", "idle_gaps"])
+def distinct_row_data(request):
+    """(x_pred, x_succ, y, model, m x m reference) of _chain_data and of
+    bursty flows whose idle gaps repeat rows exactly."""
+    if request.param == "chain":
+        x_pred, x_succ, y = _chain_data()
+    else:
+        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        _, x_pred, x_succ, y = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
+        assert len(distinct_rows(y)) < len(y)
+    assert len(distinct_rows(np.vstack([x_pred, x_succ]))) < 2 * len(x_pred)
+    model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
+    return x_pred, x_succ, y, model, _mxm_reference(x_pred, x_succ, y, HYPER, 40)
+
+
+class TestDistinctRowGrams:
+    """The learner's Grams over distinct rows against m x m Grams built here."""
+
+    def test_innovation_matrix_equals_full_observation_gram(self, distinct_row_data):
+        *_, model, reference = distinct_row_data
+        _assert_relative(model.ogo, reference["ogo"], 1e-12)
+
+    def test_noise_and_prior_equal_mxm_coordinates(self, distinct_row_data):
+        *_, model, reference = distinct_row_data
+        for name in ("v", "n1_prior", "p1_prior"):
+            _assert_relative(getattr(model, name), reference[name], 1e-12)
+
+    def test_transition_and_observation_bit_identical(self, distinct_row_data):
+        *_, model, reference = distinct_row_data
+        for name in ("t_sub", "o_sub", "xo"):
+            assert np.array_equal(getattr(model, name), reference[name]), name
+
+    def test_states_are_the_distinct_rows(self, distinct_row_data):
+        x_pred, x_succ, y, _, _ = distinct_row_data
+        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        stacked = np.vstack([x_pred, x_succ])
+        np.testing.assert_array_equal(core.states, distinct_rows(stacked))
+        np.testing.assert_array_equal(core.states[core.pred_col], x_pred)
+        np.testing.assert_array_equal(core.states[core.succ_col], x_succ)
+
+
+def _held_arrays(obj, seen=None):
+    """Every numpy array reachable from obj's attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__") and type(obj).__module__ == fkkf.__name__:
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [a for child in children for a in _held_arrays(child, seen)]
+
+
+class TestLearnerMemory:
+    def test_no_stage_holds_an_mxm_array(self):
+        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=30)
+        learner.model(HYPER)
+        learner.model(dataclasses.replace(HYPER, lambda_t=1e-1, lambda_o=1e-1))
+        m = len(learner._core.x_pred)
+        held = _held_arrays(learner._core)
+        assert len(held) > 10
+        assert not [a.shape for a in held if a.shape == (m, m)]
+
+    def test_criterion6_fold_peak_allocation(self):
+        # g2 fold 0 at 0.4 s: m = 1225 pairs, c = 491 centres, s = 834
+        # states.  The m x m Grams peaked at 62 MB; over distinct rows the
+        # split peaks at 35 MB
+        cfg = ExperimentConfig(observe_steps=4, chunk_lengths_s=(0.4,),
+                               subspace_size=250, kept_dim=50, peak_window_s=0.15)
+        hyper = FkkfHyperparams(lambda_t=0.05, lambda_o=1e-3, state_bw_scale=1.0,
+                                obs_bw_scale=1.0, kappa=1e-3)
+        flows = generate_group(default_templates(10)[2], 8, 10.0, 0.01, seed=102,
+                               group_id=2)
+        train, test = next(iter(leave_one_out_splits(flows)))
+        tracemalloc.start()
+        try:
+            evaluate_split(train, test, hyper, cfg, 0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6, f"{peak / 1e6:.1f} MB"
 
 
 # bandwidth scale chosen so the state Gram stays well-conditioned: the
