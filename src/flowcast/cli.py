@@ -385,7 +385,8 @@ def sweep(ctx, traces_path, groups_path, group_id):
         def write(tmp):
             with open(tmp, "w", newline="") as fh:
                 fh.write("chunk_length_s,pred_error,constant_error,ar_error\n")
-                for length in sorted(per_length):
+                # a length whose every fold was skipped shows in the manifest only
+                for length in sorted(L for L in per_length if per_length[L].splits):
                     r = per_length[length]
                     fh.write(f"{format(length, '.12g')},{format(r.pred_error, '.12g')},"
                              f"{format(r.constant_error, '.12g')},"

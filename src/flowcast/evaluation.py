@@ -334,8 +334,16 @@ def run_group_experiment(group_flows, hyper: FkkfHyperparams,
 
     Folds whose test flow has no usable peak, or whose filter fails
     numerically, are skipped and counted per reason; signed errors
-    are averaged across the remaining folds.
+    are averaged across the remaining folds.  InsufficientGroup when
+    every fold was skipped.
     """
+    result = _run_folds(group_flows, hyper, cfg, chunk_length_s)
+    if not result.splits:
+        raise InsufficientGroup("every fold was skipped (no usable peaks)")
+    return result
+
+
+def _run_folds(group_flows, hyper, cfg, chunk_length_s) -> GroupExperimentResult:
     flows = list(group_flows)
     if len(flows) < 2:
         raise InsufficientGroup(f"group has {len(flows)} flows, need >= 2")
@@ -346,8 +354,6 @@ def run_group_experiment(group_flows, hyper: FkkfHyperparams,
                                                 chunk_length_s))
         except (UndefinedError, NumericalFailure) as exc:
             result.skips[_skip_reason(exc)] += 1
-    if not result.splits:
-        raise InsufficientGroup("every fold was skipped (no usable peaks)")
     return result
 
 
@@ -355,22 +361,19 @@ def chunk_length_sweep(group_flows, hyper: FkkfHyperparams,
                        cfg: ExperimentConfig, lengths=None):
     """Evaluate each chunk length; optimal = smallest |mean error|, ties shorter.
 
-    A length at which every fold fails is dropped from the sweep; the
-    group only fails when no length survives.
+    A length at which every fold was skipped keeps its result, with no
+    splits (NaN errors) and its skips counted, but is never optimal; the
+    group only fails when no length has a usable fold.
     """
     lengths = list(lengths if lengths is not None else cfg.chunk_lengths_s)
     if not lengths:
         raise ValueError("lengths must be non-empty")
-    per_length = {}
-    for length in lengths:
-        try:
-            per_length[length] = run_group_experiment(group_flows, hyper, cfg,
-                                                      length)
-        except InsufficientGroup:
-            continue
-    if not per_length:
+    per_length = {length: _run_folds(group_flows, hyper, cfg, length)
+                  for length in lengths}
+    usable = [length for length in sorted(per_length) if per_length[length].splits]
+    if not usable:
         raise InsufficientGroup("no chunk length produced a usable fold")
-    optimal = min(sorted(per_length), key=lambda L: (abs(per_length[L].pred_error), L))
+    optimal = min(usable, key=lambda L: (abs(per_length[L].pred_error), L))
     return optimal, per_length
 
 
@@ -379,13 +382,12 @@ def build_group_report(group_id: int, group_flows, hyper: FkkfHyperparams,
     """Sweep chunk lengths and assemble one report row.
 
     The 1 s-chunk column is evaluated even when 1.0 is not part of the
-    configured sweep.
+    configured sweep; it is NaN when every 1 s fold was skipped.
     """
     optimal, per_length = chunk_length_sweep(group_flows, hyper, cfg,
                                              cfg.report_lengths())
     best = per_length[optimal]
-    one_second = per_length.get(1.0)
-    error_1s = one_second.pred_error if one_second is not None else float("nan")
+    error_1s = per_length[1.0].pred_error
     report = GroupReport(group_id=group_id, flow_count=len(list(group_flows)),
                          pca_cum_variance_at_80=best.pca_cum_variance,
                          constant_error=best.constant_error,

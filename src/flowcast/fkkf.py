@@ -61,7 +61,9 @@ inducing points as the ridge metric,
 
 which makes the n = m case algebraically identical to the full-sample
 recursion with T = (K_xx + lam I_m)^-1 K_xx' (and likewise O); the
-restriction is therefore exact when no subsampling happens.
+restriction is therefore exact when no subsampling happens.  D(lam) is
+never formed: the SVD of the whitened Kbar gives it as an n x n factor
+times U', and each stage keeps U' times the Gram D(lam) is applied to.
 
 Learning runs in stages, each depending only on the hyperparameters
 named with it:
@@ -69,12 +71,13 @@ named with it:
     1. frontend      framing, standardize + PCA, the reduced training
                      pairs and both median-heuristic bandwidths (no
                      hyperparameter)
-    2. state kernel  three m x n Grams, the successors against the s
-                     distinct states and both subspace solvers
-                     (state_bw_scale)
+    2. state kernel  two m x n Grams and the m x s Gram of the
+                     successors against the s distinct states, both
+                     subspace SVDs and their U' products (state_bw_scale)
     3. obs kernel    G_cc over the c centres (obs_bw_scale)
-    4. ridge         T, V and the prior per lambda_t; O, Obar, M and the
-                     readout rows C per lambda_o (both from the kept SVDs)
+    4. ridge         T, V and the prior per lambda_t (n x n x s products
+                     and the mode clip); O, Obar, M and the readout rows C
+                     per lambda_o (one m x n x n product)
     5. gains         project and run_filter (kappa)
 
 StagedLearner runs stage 1 once and keeps each later stage while its
@@ -303,35 +306,46 @@ def _clip_unstable_modes(t_sub: np.ndarray) -> np.ndarray:
         return t_sub
     clipped = evals * np.minimum(1.0, 1.0 / magnitude)
     try:
-        # the real view of a complex result is strided; copy so BLAS gets a
+        # V diag(c) V^-1 = X solves X V = V diag(c), i.e. V' X' = (V diag(c))';
+        # the real view of the complex result is strided, so copy it for a
         # contiguous operand in the per-step hot path
-        return np.ascontiguousarray(
-            np.real(evecs @ np.diag(clipped) @ np.linalg.inv(evecs)))
+        scaled = evecs * clipped
+        return np.ascontiguousarray(np.real(np.linalg.solve(evecs.T, scaled.T).T))
     except np.linalg.LinAlgError:
         return t_sub / rho
 
 
 class _SubspaceSolver:
-    """Factorization shared by the transition and observation regressions.
+    """Factors of the ridge operator shared by the transition and observation
+    regressions.
 
-    Whitening the inducing Gram K_nn and taking an SVD of the whitened
-    cross-Gram gives D(lam) = (Kbar' Kbar + lam K_nn)^-1 Kbar' without
-    ever forming the squared system explicitly.
+    Whitening the inducing Gram, R = K_nn^-1/2, and taking the SVD of the
+    m x n whitened cross-Gram Kbar R = U diag(s) W' gives
+
+        D(lam) = (Kbar' Kbar + lam K_nn)^-1 Kbar' = weights(lam) U',
+        weights(lam) = R W diag(s / (s^2 + lam)),
+
+    without ever forming the squared system, whose conditioning is the
+    square of Kbar R's.  D(lam) itself (n x m) is never formed: callers
+    keep U' times what it is applied to, an n-row product, so a new lam
+    costs an n x n scaling and one product with it.
     """
 
     def __init__(self, kbar: np.ndarray, knn: np.ndarray):
         evals, evecs = np.linalg.eigh(_sym(knn))
         floor = max(evals.max(), 0.0) * _EIG_FLOOR + 1e-300
         evals = np.maximum(evals, floor)
-        self._root_inv = (evecs * (evals ** -0.5)) @ evecs.T
-        m = kbar @ self._root_inv
-        self._u, self._s, wt = np.linalg.svd(m, full_matrices=False)
-        self._w = wt.T
+        root_inv = (evecs * (evals ** -0.5)) @ evecs.T
+        self.u, self.s, wt = np.linalg.svd(kbar @ root_inv, full_matrices=False)
+        self.rw = root_inv @ wt.T   # R W
 
-    def dual(self, lam: float) -> np.ndarray:
-        """D(lam), shape n x m."""
-        filt = self._s / (self._s ** 2 + lam)
-        return self._root_inv @ (self._w * filt) @ self._u.T
+    def filt(self, lam: float) -> np.ndarray:
+        """The ridge filter s / (s^2 + lam) on the singular values."""
+        return self.s / (self.s ** 2 + lam)
+
+    def weights(self, lam: float) -> np.ndarray:
+        """R W diag(filt(lam)), n x n: D(lam) = weights(lam) U'."""
+        return self.rw * self.filt(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +417,36 @@ def _distinct_rows(rows: np.ndarray) -> tuple:
 class _StateKernel:
     """Everything learning needs from the state kernel at one bandwidth scale.
 
-    The training coordinates of V and the prior are taken against the s
-    distinct rows among the 2m predecessors and successors, so one m x s
-    Gram stands in for K(x_succ, x_pred) and K(x_succ, x_succ): their
-    columns are the ones _CoreStages.pred_col and succ_col select.
+    Two m x n Grams, K(x_pred, inducing predecessors) and K(x_pred,
+    inducing successors), and the m x s Gram K(x_succ, states) of the
+    successors against the s distinct rows among the 2m predecessors and
+    successors are built per scale; the successors' Gram against the
+    inducing successors, which the coordinate solver factorizes, is a
+    column selection of the last.  Only the solvers' factors and the
+    products of their U' with these Grams are kept: every ridge solution
+    per lambda is then an n-row product (see _SubspaceSolver).  The
+    training coordinates of V and the prior are those of the s distinct
+    states, whose columns _CoreStages.pred_col and succ_col select.
     """
 
     spec: KernelSpec
-    kbar_prime: np.ndarray      # (m, n) K(x_pred, inducing successors)
-    solver: _SubspaceSolver     # factorization of K(x_pred, inducing predecessors)
-    succ_solver: _SubspaceSolver
-    k_states: np.ndarray        # (m, s) K(x_succ, distinct states)
+    solver: _SubspaceSolver     # of K(x_pred, inducing predecessors); U makes O
+    u_kbar_prime: np.ndarray    # (n, n) U' K(x_pred, inducing successors)
+    rw_kbar_prime: np.ndarray   # (n, n) (R W)' K(inducing predecessors, inducing successors)
+    succ_solver: _SubspaceSolver  # of K(x_succ, inducing successors), U released
+    u_states: np.ndarray        # (n, s) U_succ' K(x_succ, distinct states)
+
+    def transition(self, lam: float) -> np.ndarray:
+        """T = D(lam) K(x_pred, inducing successors), before the mode clip."""
+        return self.solver.weights(lam) @ self.u_kbar_prime
+
+    def state_coordinates(self, lam: float) -> np.ndarray:
+        """(n, s) coordinates D_succ(lam) K(x_succ, states) of the distinct states."""
+        return self.succ_solver.weights(lam) @ self.u_states
+
+    def observation(self, lam: float) -> np.ndarray:
+        """(m, n) O = D(lam)' K(inducing predecessors, inducing successors)."""
+        return self.solver.u @ (self.solver.filt(lam)[:, None] * self.rw_kbar_prime)
 
 
 class _CoreStages:
@@ -426,9 +459,9 @@ class _CoreStages:
     among the predecessors and successors with the column of each.  The
     rest is built on first use and kept while its inputs stay the same:
 
-        state kernel   three m x n Grams, the m x s      state_bw_scale
+        state kernel   two m x n Grams, the m x s        state_bw_scale
                        K(x_succ, states), both subspace
-                       solvers
+                       SVDs, U' times the Grams
         obs kernel     G_cc over the c centres          obs_bw_scale
         transition     T (mode-clipped), V, prior      state kernel, lambda_t
         observation    O, Obar (O summed per centre),  both kernels, lambda_o
@@ -443,9 +476,10 @@ class _CoreStages:
     One kernel of each kind is kept.  Asking for another bandwidth scale
     drops the kept kernel and every ridge solution built on it before the
     new one is built, so what is held grows with the number of ridge
-    weights, never with the number of bandwidth scales.  The SVD in
-    _SubspaceSolver gives D(lam) for every lam, so a new ridge weight
-    costs products, not a factorization.
+    weights, never with the number of bandwidth scales.  The SVDs in
+    _SubspaceSolver give D(lam) for every lam, so a new ridge weight costs
+    products, not a factorization: n^2 s and the mode clip per lambda_t,
+    m n^2 per lambda_o.
     """
 
     def __init__(self, x_pred, x_succ, y_train, subspace_size: int,
@@ -508,15 +542,19 @@ class _CoreStages:
         sub_pred = x_pred if full else x_pred[idx]
         sub_succ = x_succ if full else x_succ[idx]
         kbar = gram(x_pred, sub_pred, spec)
+        solver = _SubspaceSolver(kbar, kbar[idx])
+        del kbar
         kbar_prime = gram(x_pred, sub_succ, spec)
-        # Coordinates of training states in the inducing successor basis use
-        # the same SoR solve as the models: bounded even on near-singular Grams.
-        k_succ = gram(x_succ, sub_succ, spec)
+        k_states = gram(x_succ, self.states, spec)
+        # K(x_succ, inducing successors): each inducing successor is a state
+        k_succ = k_states[:, self.succ_col[idx]]
+        succ_solver = _SubspaceSolver(k_succ, k_succ[idx])
+        u_states = succ_solver.u.T @ k_states
+        succ_solver.u = None  # read only through u_states
         self._state = _StateKernel(
-            spec=spec, kbar_prime=kbar_prime,
-            solver=_SubspaceSolver(kbar, kbar[idx]),
-            succ_solver=_SubspaceSolver(k_succ, k_succ[idx]),
-            k_states=gram(x_succ, self.states, spec))
+            spec=spec, solver=solver, u_kbar_prime=solver.u.T @ kbar_prime,
+            rw_kbar_prime=solver.rw.T @ kbar_prime[idx],
+            succ_solver=succ_solver, u_states=u_states)
         return self._state
 
     def _obs_kernel(self, scale: float) -> tuple:
@@ -530,9 +568,9 @@ class _CoreStages:
 
     def _transition_ridge(self, state: _StateKernel, lam: float) -> tuple:
         if lam not in self._transition:
-            t_sub = _clip_unstable_modes(state.solver.dual(lam) @ state.kbar_prime)
+            t_sub = _clip_unstable_modes(state.transition(lam))
             # coordinates of the s distinct states, then one column per pair
-            coords = state.succ_solver.dual(lam) @ state.k_states
+            coords = state.state_coordinates(lam)
             coords_pred = coords[:, self.pred_col]
             resid = coords[:, self.succ_col] - (t_sub @ coords)[:, self.pred_col]
             n = self.idx.size
@@ -545,10 +583,10 @@ class _CoreStages:
     def _observation_ridge(self, state: _StateKernel, g_cc: np.ndarray,
                            lam: float) -> tuple:
         if lam not in self._observation:
-            o_full = state.solver.dual(lam).T @ state.kbar_prime[self.idx]
+            o_full = state.observation(lam)
             o_bar = self.centre_sum @ o_full
             ogo = _sym(o_bar.T @ (g_cc @ o_bar))
-            xo = (self.x_pred.T @ o_full)[:self.y_train.shape[1]].copy()
+            xo = self.x_pred[:, :self.y_train.shape[1]].T @ o_full
             self._observation[lam] = (o_bar, ogo, xo)
         return self._observation[lam]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadDimension, InsufficientData
 
@@ -67,33 +66,30 @@ def fit_standardizer(data: np.ndarray) -> Standardizer:
 
 
 def fit_pca(standardized: np.ndarray, kept_dim: int) -> PcaBasis:
-    """PCA of an (already standardized) matrix via SVD.
+    """PCA of an (already standardized) N x D matrix Z.
 
-    The components' sign is fixed so each column's largest-magnitude
-    entry is positive, making the basis deterministic across runs.
+    The kept components are the leading eigenvectors of the D x D Z'Z,
+    whose eigenvalues are the squared singular values of Z (negative
+    roundoff clamped to zero); the explained-variance total is ||Z||_F^2,
+    so no N x D factorization is formed.  The components' sign is fixed so
+    each column's largest-magnitude entry is positive, making the basis
+    deterministic across runs.
     """
     data = np.atleast_2d(np.asarray(standardized, dtype=float))
     rows, cols = data.shape
     if not 1 <= kept_dim <= min(rows - 1, cols):
         raise BadDimension(
             f"kept_dim {kept_dim} out of range [1, {min(rows - 1, cols)}]")
-    try:
-        _, svals, vt = np.linalg.svd(data, full_matrices=False)
-    except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge on valid input; gesvd is slower
-        # but dependable
-        _, svals, vt = scipy.linalg.svd(data, full_matrices=False,
-                                        lapack_driver="gesvd")
-    var = svals ** 2
-    total = var.sum()
+    evals, evecs = np.linalg.eigh(data.T @ data)
+    var = np.maximum(evals[::-1][:kept_dim], 0.0)
+    total = np.einsum("ij,ij->", data, data)
     ratio = var / total if total > 0 else np.zeros_like(var)
-    components = vt[:kept_dim].T.copy()
+    components = evecs[:, ::-1][:, :kept_dim].copy()
     for j in range(kept_dim):
         col = components[:, j]
         if col[np.argmax(np.abs(col))] < 0:
             components[:, j] = -col
-    return PcaBasis(components=components,
-                    explained_variance_ratio=ratio[:kept_dim],
+    return PcaBasis(components=components, explained_variance_ratio=ratio,
                     original_dim=cols, kept_dim=kept_dim)
 
 

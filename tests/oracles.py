@@ -131,6 +131,41 @@ class FullSpaceFilter:
         return self.x_pred.T @ (self.o_mat @ mt)
 
 
+class DampedRotation:
+    """Criterion 3's linear-Gaussian system: a damped 2-d rotation
+    x' = A x + w observed as y = C x + v, w and v Gaussian."""
+
+    def __init__(self):
+        theta = 0.25
+        self.a = 0.99 * np.array([[np.cos(theta), -np.sin(theta)],
+                                  [np.sin(theta), np.cos(theta)]])
+        self.process_cov = 0.02 ** 2 * np.eye(2)
+        self.obs_cov = 0.05 ** 2 * np.eye(2)
+        self.c = np.eye(2)
+
+    def simulate(self, steps, rng, x0):
+        """States and observations of a trajectory of `steps` transitions."""
+        xs = np.zeros((steps + 1, 2))
+        xs[0] = x0
+        ys = np.zeros((steps + 1, 2))
+        for t in range(steps):
+            xs[t + 1] = self.a @ xs[t] + rng.multivariate_normal(np.zeros(2),
+                                                                 self.process_cov)
+        for t in range(steps + 1):
+            ys[t] = self.c @ xs[t] + rng.multivariate_normal(np.zeros(2), self.obs_cov)
+        return xs, ys
+
+    def training_pairs(self):
+        """(x_pred, x_succ, y_train) of two 90-transition trajectories."""
+        trajectories = [self.simulate(90, np.random.default_rng(100 + s),
+                                      np.array([1.5, 0.0]) if s % 2 == 0
+                                      else np.array([-1.0, 1.0]))
+                        for s in range(2)]
+        return (np.vstack([xs[:-1] for xs, _ in trajectories]),
+                np.vstack([xs[1:] for xs, _ in trajectories]),
+                np.vstack([ys[:-1] for _, ys in trajectories]))
+
+
 class TextbookKalman:
     """Classical linear-Gaussian Kalman filter."""
 

@@ -17,8 +17,8 @@ from flowcast.evaluation import (ExperimentConfig, chunk_length_sweep,
                                  quality_label)
 from flowcast.spectral import ChunkConfig, reassemble, transform
 from flowcast.synth import BurstTemplate, generate_group
-from oracles import (FullSpaceFilter, TextbookKalman, distinct_rows,
-                     sum_per_centre)
+from oracles import (DampedRotation, FullSpaceFilter, TextbookKalman,
+                     distinct_rows, sum_per_centre)
 
 
 def _report(criterion, message):
@@ -89,31 +89,8 @@ def test_criterion_2_subspace_equals_full_space():
 def test_criterion_3_classical_kalman_oracle():
     """Linear regime (huge bandwidth, tiny ridge) tracks a textbook KF."""
     start = time.time()
-    theta = 0.25
-    a = 0.99 * np.array([[np.cos(theta), -np.sin(theta)],
-                         [np.sin(theta), np.cos(theta)]])
-    process_cov = 0.02 ** 2 * np.eye(2)
-    obs_cov = 0.05 ** 2 * np.eye(2)
-    c = np.eye(2)
-
-    def simulate(steps, rng, x0):
-        xs = np.zeros((steps + 1, 2))
-        xs[0] = x0
-        ys = np.zeros((steps + 1, 2))
-        for t in range(steps):
-            xs[t + 1] = a @ xs[t] + rng.multivariate_normal(np.zeros(2),
-                                                            process_cov)
-        for t in range(steps + 1):
-            ys[t] = c @ xs[t] + rng.multivariate_normal(np.zeros(2), obs_cov)
-        return xs, ys
-
-    trajectories = [simulate(90, np.random.default_rng(100 + s),
-                             np.array([1.5, 0.0]) if s % 2 == 0
-                             else np.array([-1.0, 1.0]))
-                    for s in range(2)]
-    x_pred = np.vstack([xs[:-1] for xs, _ in trajectories])
-    x_succ = np.vstack([xs[1:] for xs, _ in trajectories])
-    y_train = np.vstack([ys[:-1] for _, ys in trajectories])
+    system = DampedRotation()
+    x_pred, x_succ, y_train = system.training_pairs()
 
     hyper = fkkf.FkkfHyperparams(lambda_t=1e-8, lambda_o=1e-8,
                                  state_bw_scale=30.0, obs_bw_scale=30.0,
@@ -124,8 +101,8 @@ def test_criterion_3_classical_kalman_oracle():
     diameter = np.linalg.norm(x_pred.max(axis=0) - x_pred.min(axis=0))
     assert model.state_spec.effective_bandwidth > 5 * diameter
 
-    xs_test, ys_test = simulate(200, np.random.default_rng(777),
-                                np.array([1.2, -0.4]))
+    xs_test, ys_test = system.simulate(200, np.random.default_rng(777),
+                                       np.array([1.2, -0.4]))
     observed = ys_test[:200]
     gains = fkkf.project(model, len(observed))
     state = model.initial_state()
@@ -137,7 +114,8 @@ def test_criterion_3_classical_kalman_oracle():
         recon.append(fkkf.reconstruct(state, model))
     recon = np.array(recon)
 
-    kf = TextbookKalman(a, c, process_cov, obs_cov, np.zeros(2), np.eye(2))
+    kf = TextbookKalman(system.a, system.c, system.process_cov, system.obs_cov,
+                        np.zeros(2), np.eye(2))
     kf_means = np.array([kf.step(y) for y in observed])
 
     amplitude = float(np.abs(xs_test).max())

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -480,6 +481,34 @@ def test_manifest_records_skipped_folds(workspace, runner, monkeypatch, command)
                      for group in groups}
     if command == "evaluate":
         assert "skip" not in (out / "report.csv").read_text().lower()
+
+
+def test_manifest_keeps_a_length_whose_every_fold_was_skipped(workspace, runner,
+                                                               monkeypatch):
+    # no 1 s fold has a locatable peak: the 1 s column is nan in report.csv,
+    # and the manifest still counts those folds under "1"
+    cfg, out = workspace
+    runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                         "cluster", str(out / "traces.csv")])
+    real = evaluation.evaluate_split
+
+    def one_second_undefined(train, test, hyper, cfg, chunk_length_s, **kwargs):
+        if chunk_length_s == 1.0:
+            raise UndefinedError("no peak rise")
+        return real(train, test, hyper, cfg, chunk_length_s, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate_split", one_second_undefined)
+    result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "evaluate",
+                                  str(out / "traces.csv"),
+                                  "--groups", str(out / "groups.csv")])
+    assert result.exit_code == 0, result.output
+    skips = json.loads((out / "manifest_evaluate.json").read_text())["skips"]
+    assert {group: per_length["1"] for group, per_length in skips.items()} == {
+        "1": {"UndefinedError": 4}, "2": {"UndefinedError": 4}}
+    assert all(per_length["0.6"] == {} for per_length in skips.values())
+    with open(out / "report.csv") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [row["pred_error_chunk_1s"] for row in rows] == ["nan", "nan"]
 
 
 def _learned_model(runner, cfg, out):

@@ -305,6 +305,23 @@ class TestSweep:
         best = min(per_length.values(), key=lambda r: abs(r.pred_error))
         assert abs(per_length[optimal].pred_error) == abs(best.pred_error)
 
+    def test_length_with_every_fold_skipped_kept_but_never_optimal(self, group_flows,
+                                                                   monkeypatch):
+        def short_lengths_undefined(train, test, hyper, cfg, chunk_length_s):
+            if chunk_length_s < 0.5:
+                raise UndefinedError("no peak rise")
+            return SplitResult(pred_error=0.3, constant_error=-0.5, ar_error=-0.5,
+                               pca_cum_variance=0.9)
+
+        monkeypatch.setattr(evaluation, "evaluate_split", short_lengths_undefined)
+        optimal, per_length = chunk_length_sweep(group_flows, HYPER, CFG, [0.4, 0.6])
+        assert optimal == 0.6
+        assert per_length[0.4].skips == {"UndefinedError": 4}
+        assert per_length[0.4].splits == []
+        assert np.isnan(per_length[0.4].pred_error)
+        with pytest.raises(InsufficientGroup):
+            chunk_length_sweep(group_flows, HYPER, CFG, [0.4])
+
 
 class TestReportCsv:
     def test_columns_and_determinism(self, tmp_path):

@@ -209,10 +209,11 @@ def test_gram_builds_scale_with_folds_and_bandwidths(flows, monkeypatch):
     group = list(flows)[:3]
     small = _singleton(state_bw_scale=(0.5, 1.0), obs_bw_scale=(1.0, 2.0))
     count = _gram_calls(monkeypatch, group, small)
-    # per fold: 4 state Grams per state scale (three m x n, the subspace
+    # per fold: 3 state Grams per state scale (two m x n, the subspace
     # being smaller than the pair count, and the successors against the
-    # distinct states) and the centres' Gram per bandwidth pair
-    assert count == 3 * (2 * 4 + 2 * 2)
+    # distinct states, whose columns hold the inducing successors) and the
+    # centres' Gram per bandwidth pair
+    assert count == 3 * (2 * 3 + 2 * 2)
     assert _gram_calls(monkeypatch, group, FULL_GRID) == count
 
 

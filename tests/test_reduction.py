@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flowcast.errors import BadDimension, InsufficientData
 from flowcast.reduction import (fit_pca, fit_standardizer, inverse_project,
@@ -94,6 +95,29 @@ class TestFitPca:
         for j in range(5):
             col = basis.components[:, j]
             assert col[np.argmax(np.abs(col))] > 0
+
+    def test_matches_svd_of_the_block(self):
+        # oracle: numpy's SVD of the N x D block itself.  Five directions
+        # carry singular values 40..20 and the rest <= 1, so the kept
+        # subspace is well separated from the discarded one
+        rng = np.random.default_rng(9)
+        rows, cols, kept = 400, 60, 5
+        left = np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+        right = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+        svals = np.concatenate([np.linspace(40.0, 20.0, kept),
+                                np.linspace(1.0, 0.01, cols - kept)])
+        block = (left * svals) @ right.T
+        basis = fit_pca(block, kept)
+        _, s, vt = np.linalg.svd(block, full_matrices=False)
+        angles = scipy.linalg.subspace_angles(basis.components, vt[:kept].T)
+        assert angles.max() <= 1e-10
+        np.testing.assert_allclose(basis.explained_variance_ratio,
+                                   s[:kept] ** 2 / np.sum(s ** 2), rtol=0, atol=1e-12)
+        for j in range(kept):
+            col = basis.components[:, j]
+            assert col[np.argmax(np.abs(col))] > 0
+            # each component is the SVD's, up to that sign
+            assert abs(col @ vt[j]) == pytest.approx(1.0, abs=1e-10)
 
     def test_kept_dim_out_of_range(self):
         rng = np.random.default_rng(8)
