@@ -114,7 +114,7 @@ class GroupExperimentResult:
     chunk_length_s: float
     splits: list = field(default_factory=list)
     # folds skipped per reason: the exception class, plus .matrix for a
-    # NumericalFailure ("NumericalFailure.posterior_covariance")
+    # NumericalFailure ("NumericalFailure.innovation_gain")
     skips: Counter = field(default_factory=Counter)
 
     @property

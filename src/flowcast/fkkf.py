@@ -13,7 +13,7 @@ Updates are linear in these coordinates:
     prediction:  n-_{t+1} = T n_t,            P-_{t+1} = T P_t T' + V
     gain:        W_t = (P-_t M + kappa I_n)^-1 P-_t,    M = O' G_yy O
     innovation:  n_t = n-_t + W_t (O' k_y - M n-_t)
-                 P_t = kappa W_t
+    posterior:   P_t = kappa W_t
     readout:     mu_t = C n_t,                 C = (X O)[:q]
     forecast:    mu_k = C T^k n_t,             var_k = rowsum((A_k L_P)^2)
                  A_k = C T^k                     + sum_{j<k} rowsum((A_j L_V)^2)
@@ -38,16 +38,19 @@ by the push-through identity, so every per-step quantity is n x n and
 G_yy enters only through M, formed once at learning time.
 W_t is computed as L (L' M L + kappa I_n)^-1 L' from a factor P-_t = L L'
 (Cholesky, or an eigendecomposition with negative roundoff eigenvalues
-clamped to zero where Cholesky fails), which keeps W_t and the posterior
-kappa W_t positive semi-definite by construction; kappa W_t is the
-textbook posterior without its cancelling subtraction.
-Gains and covariances never depend on observed values, so project steps
-them once per model ahead of filtering.  The filter moves only the mean:
-run_filter takes innovation_update, prediction_update and reconstruct
-as its steps.  forecast_variance computes the variance diagonal from
-factors L_P, L_V of the filtered posterior and V, stepping only the
-q x n rows A_k, never the n x n covariance.  Each variance is a sum of
-squares, non-negative by construction.
+clamped to zero where Cholesky fails), a Gram matrix Z'Z, so W_t and the
+posterior kappa W_t are positive semi-definite by construction; kappa W_t
+is the textbook posterior without its cancelling subtraction.  Only W_t
+is kept: the posterior is derived as kappa W_t where it is read, by the
+next prediction in project and by Prediction.filtered_cov.
+Gains never depend on observed values, so project steps them once per
+model ahead of filtering, as the tuple (W_0, ..., W_{k-1}).  The filter
+moves only the mean: run_filter takes innovation_update,
+prediction_update and reconstruct as its steps.  forecast_variance
+computes the variance diagonal from factors L_P, L_V of the filtered
+posterior and V, stepping only the q x n rows A_k, never the n x n
+covariance.  Each variance is a sum of squares, non-negative by
+construction.
 SpectralFrontend maps the forecast mean back to kbit with the inverse
 framing of spectral.py (frames_to_kbit) and its variance through the
 linear part of that same map (kbit_variance); the lookahead states and
@@ -160,9 +163,10 @@ class StateWindowConfig:
 class FilterState:
     """Belief mean coordinates at one filter step.
 
-    The prior at step t takes the t-th projected gain and its posterior
-    keeps step t.  The covariances are not stepped here: they do not
-    depend on observations and live in ProjectedGains.
+    The prior at step t takes the t-th projected gain factor and its
+    posterior keeps step t.  The covariances are not stepped here: they do
+    not depend on observations, and the posterior of step t is kappa W_t
+    from project's gain factors.
     """
 
     n_t: np.ndarray
@@ -170,24 +174,19 @@ class FilterState:
 
 
 @dataclass
-class ProjectedGains:
-    """Observation-independent gain/covariance sequences, cached offline."""
-
-    w_seq: list          # n x n gain factors W_t; the Kalman gain is W_t O'
-    p_post_seq: list     # posterior covariance per step
-
-    def __len__(self):
-        return len(self.w_seq)
-
-
-@dataclass
 class Prediction:
     """Multi-step forecast after filtering an observed prefix."""
 
-    mean_frames: np.ndarray   # (steps, obs_dim) predicted reduced observations
-    mean_kbit: np.ndarray     # reassembled time-domain forecast (empty without frontend)
+    mean_frames: np.ndarray    # (steps, obs_dim) predicted reduced observations
+    mean_kbit: np.ndarray      # reassembled time-domain forecast (empty without frontend)
     filtered_state: FilterState
-    filtered_cov: np.ndarray  # (n, n) projected posterior of the last observed step (not a copy)
+    filtered_gain: np.ndarray  # (n, n) W of the last observed step (the projected one, not a copy)
+    kappa: float
+
+    @property
+    def filtered_cov(self) -> np.ndarray:
+        """(n, n) posterior kappa W of the last observed step."""
+        return self.kappa * self.filtered_gain
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +251,10 @@ def window_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
                   window_cfg: StateWindowConfig) -> list:
     """Raw lookahead spectra, one matrix per horizon, aligned by chunk index.
 
-    Index t covers samples [t*hop, t*hop + horizon); only indices whose
-    largest-horizon window fits inside the series are kept, so a series
-    of N samples yields floor((N - H_max) / hop) aligned rows.
+    Index t covers samples [t*hop, t*hop + horizon).  N samples give the
+    rows t = 0 .. floor((N - H_max) / hop) - 1: every index whose largest-
+    horizon window fits but the last, which observation_frames keeps (10 s
+    at a 0.05 s hop with H_max = 3 s: 141 windows fit, 140 rows).
     """
     series = np.asarray(series, dtype=float).ravel()
     hop = chunk_cfg.hop_samples
@@ -750,15 +750,16 @@ def _covariance_root(cov: np.ndarray, factors=_SCIPY_FACTORS) -> np.ndarray:
         return evecs * np.sqrt(np.maximum(evals, 0.0))
 
 
-def _innovation_cov(model: FkkfModel, p_prior: np.ndarray):
-    """Gain factor W = L (L' M L + kappa I)^-1 L' and posterior kappa W.
+def _innovation_cov(model: FkkfModel, p_prior: np.ndarray) -> np.ndarray:
+    """Gain factor W = L (L' M L + kappa I)^-1 L'; the posterior is kappa W.
 
     P- = L L' (see _covariance_root).  B = L' M L + kappa I >= kappa I, so
     its Cholesky factor C exists, and W = Z' Z with Z = C^-1 L' is a Gram
     matrix: W and the posterior kappa W are positive semi-definite however
     ill-conditioned P- is.  kappa W is the textbook posterior of P-
     written without its subtraction, which cancels catastrophically when
-    P- spans many decades.
+    P- spans many decades.  The Cholesky of B is the one step of project
+    that can fail (NumericalFailure "innovation_gain").
     """
     root = _covariance_root(p_prior)
     inner = _sym(_matmul(root.T, _matmul(model.ogo, root)))
@@ -769,49 +770,37 @@ def _innovation_cov(model: FkkfModel, p_prior: np.ndarray):
         raise NumericalFailure("innovation_gain",
                                "L' M L + kappa I is not positive definite") from None
     z = scipy.linalg.solve_triangular(chol, root.T, lower=True)
-    w = _sym(_matmul(z.T, z))
-    return w, model.hyper.kappa * w
+    return _sym(_matmul(z.T, z))
 
 
 def _prediction_cov(model: FkkfModel, p_post: np.ndarray) -> np.ndarray:
     return _sym(_matmul(_matmul(model.t_sub, p_post), model.t_sub.T) + model.v)
 
 
-def project(model: FkkfModel, steps: int) -> ProjectedGains:
-    """Precompute gains and covariances for `steps` innovations.
+def project(model: FkkfModel, steps: int) -> tuple:
+    """The gain factors (W_0, ..., W_{steps-1}) of `steps` innovations.
 
-    Nothing here depends on observed values, so the result can be cached
-    before any test data arrives and shared by concurrent filter runs.
+    Step t's posterior kappa W_t is positive semi-definite by construction
+    (see _innovation_cov) and is formed only for the next prior.  Nothing
+    here depends on observed values, so the result can be cached before
+    any test data arrives and shared by concurrent filter runs.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    w_seq, post_seq = [], []
+    gains = []
     p_prior = model.p1_prior
-    n = model.subspace_size
-    eye = np.eye(n)
     for step in range(steps):
         if step:
-            p_prior = _prediction_cov(model, post_seq[-1])
-        w, p_post = _innovation_cov(model, p_prior)
-        # Cholesky of P + tol*I certifies min eigenvalue >= -tol; the
-        # tolerance is relative to the covariance scale (the factorized
-        # gain leaves roundoff of order eps * ||P||).
-        tol = 1e-6 * max(1.0, float(np.trace(p_post)))
-        try:
-            scipy.linalg.cho_factor(p_post + tol * eye, lower=True)
-        except scipy.linalg.LinAlgError:
-            raise NumericalFailure("posterior_covariance",
-                                   "lost positive semi-definiteness") from None
-        w_seq.append(w)
-        post_seq.append(p_post)
-    return ProjectedGains(w_seq=w_seq, p_post_seq=post_seq)
+            p_prior = _prediction_cov(model, model.hyper.kappa * gains[-1])
+        gains.append(_innovation_cov(model, p_prior))
+    return tuple(gains)
 
 
 def innovation_update(state: FilterState, y_frame: np.ndarray,
-                      gains: ProjectedGains, model: FkkfModel) -> FilterState:
+                      gains: tuple, model: FkkfModel) -> FilterState:
     """Fold one observation into the prior at state.step: n + W (O' k_y - M n).
 
-    W is the projected gain of that step.
+    W is that step's gain factor from project's `gains`.
     """
     step = state.step
     if step >= len(gains):
@@ -821,7 +810,7 @@ def innovation_update(state: FilterState, y_frame: np.ndarray,
         raise BadDimension(f"observation dim {y_frame.size} != {model.obs_dim}")
     k_y = kernel_vector(model.y_train, y_frame, model.obs_spec)
     n_t = state.n_t
-    n_post = n_t + gains.w_seq[step] @ (model.o_sub.T @ k_y - model.ogo @ n_t)
+    n_post = n_t + gains[step] @ (model.o_sub.T @ k_y - model.ogo @ n_t)
     return FilterState(n_t=n_post, step=step)
 
 
@@ -864,15 +853,15 @@ def forecast_variance(model: FkkfModel, p_post: np.ndarray,
 
 def run_filter(model: FkkfModel, observed_frames: np.ndarray,
                predict_horizon_steps: int,
-               gains: ProjectedGains | None = None) -> Prediction:
+               gains: tuple | None = None) -> Prediction:
     """Filter an observed prefix, then forecast ahead without observations.
 
-    Every observed frame triggers an innovation with its step's gain from
-    `gains`, which are projected here when not given; given gains shorter
-    than the prefix raise ValueError.  Each forecast state is
-    reconstructed; with a spectral frontend the observation-horizon block
-    is mapped back to a kbit series via inverse PCA, de-standardization
-    and inverse STFT with overlap-averaging.
+    Every observed frame triggers an innovation with its step's gain
+    factor from `gains` (project's tuple), which are projected here when
+    not given; given gains shorter than the prefix raise ValueError.  Each
+    forecast state is reconstructed; with a spectral frontend the
+    observation-horizon block is mapped back to a kbit series via inverse
+    PCA, de-standardization and inverse STFT with overlap-averaging.
     """
     observed = np.atleast_2d(np.asarray(observed_frames, dtype=float))
     if observed.size == 0:
@@ -897,8 +886,8 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
         mean_kbit = model.frontend.frames_to_kbit(mean_frames, steps)
     else:
         mean_kbit = np.empty(0)
-    return Prediction(mean_frames=mean_frames, mean_kbit=mean_kbit,
-                      filtered_state=state, filtered_cov=gains.p_post_seq[state.step])
+    return Prediction(mean_frames=mean_frames, mean_kbit=mean_kbit, filtered_state=state,
+                      filtered_gain=gains[state.step], kappa=model.hyper.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -973,8 +962,9 @@ def load_model(path) -> FkkfModel:
 
     A missing file raises FileNotFoundError.  Anything else that is not a
     readable model of this format version -- an older version, a file
-    that is not a flowcast archive, arrays whose shapes disagree --
-    raises ModelFileError with a one-line message.
+    that is not a flowcast archive, arrays whose shapes disagree, an array
+    holding a NaN or an infinity -- raises ModelFileError with a one-line
+    message.
     """
     try:
         data = np.load(path)
@@ -1014,13 +1004,20 @@ def _check_shapes(arrays: dict, path) -> None:
                                  f"disagrees with the other model arrays")
 
 
+def _finite_array(data, name: str, path) -> np.ndarray:
+    array = data[name]
+    if not np.isfinite(array).all():
+        raise ModelFileError(f"{path}: array {name} holds a non-finite value")
+    return array
+
+
 def _model_from_archive(data, path) -> FkkfModel:
     meta = json.loads(bytes(data["meta_json"].tobytes()).decode())
     version = meta.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFileError(f"{path}: model format version {version} is not supported "
                              f"(expected {MODEL_FORMAT_VERSION}); learn the model again")
-    arrays = {name: data[name] for name in _ARRAY_FIELDS}
+    arrays = {name: _finite_array(data, name, path) for name in _ARRAY_FIELDS}
     _check_shapes(arrays, path)
     for name in _SYMMETRIC_FIELDS:
         arrays[name] = _mirrored(arrays[name], arrays["t_sub"].shape[0])
@@ -1030,8 +1027,8 @@ def _model_from_archive(data, path) -> FkkfModel:
         chunk_cfg = ChunkConfig(sample_interval_s=t_s, chunk_interval_s=t_c,
                                 chunk_length_s=w)
         window_cfg = StateWindowConfig(horizons_s=tuple(meta["window_cfg"]["horizons_s"]))
-        means, stds = data["block0_means"], data["block0_stds"]
-        comp, evr = data["block0_components"], data["block0_evr"]
+        means, stds, comp, evr = (_finite_array(data, f"block0_{part}", path)
+                                  for part in ("means", "stds", "components", "evr"))
         if comp.ndim != 2 or comp.shape[1] != arrays["y_train"].shape[1]:
             raise ModelFileError(f"{path}: PCA blocks disagree with the model arrays")
         if (means.shape != (comp.shape[0],) or stds.shape != (comp.shape[0],)

@@ -63,7 +63,8 @@ def test_criterion_2_subspace_equals_full_space():
 
     oracle = FullSpaceFilter(model, x_pred, x_succ, y)
     o_means, o_covs, o_gains, _ = oracle.run(observed, 0)
-    # run_filter's steps: the means move, gains and posteriors are projected
+    # run_filter's steps: the means move, the gain factors W are projected
+    # and each posterior is kappa W
     gains = fkkf.project(model, len(observed))
     state = model.initial_state()
     worst = 0.0
@@ -73,8 +74,8 @@ def test_criterion_2_subspace_equals_full_space():
         state = fkkf.innovation_update(state, frame, gains, model)
         worst = max(worst,
                     float(np.max(np.abs(state.n_t - o_means[i]))),
-                    float(np.max(np.abs(gains.p_post_seq[i] - o_covs[i]))),
-                    float(np.max(np.abs(gains.w_seq[i] @ model.o_sub.T
+                    float(np.max(np.abs(model.hyper.kappa * gains[i] - o_covs[i]))),
+                    float(np.max(np.abs(gains[i] @ model.o_sub.T
                                         - sum_per_centre(o_gains[i], y,
                                                          model.y_train)))))
     filtered = fkkf.run_filter(model, observed, 0, gains=gains).filtered_state

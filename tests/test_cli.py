@@ -421,6 +421,21 @@ def test_predict_model_with_short_pca_means_exit_1(workspace, runner, tmp_path):
     _assert_one_line_exit_1(result, "PCA block arrays disagree with each other")
 
 
+@pytest.mark.parametrize("name", ["t_sub", "xo"])
+def test_predict_model_with_nan_exit_1(workspace, runner, tmp_path, name):
+    # a NaN in t_sub once ended in a traceback, one in xo in exit 0 with a
+    # NaN forecast
+    cfg, out = workspace
+    with np.load(_learned_model(runner, cfg, out)) as data:
+        arrays = dict(data)
+    arrays[name].flat[0] = np.nan
+    model_path = tmp_path / "nan.npz"
+    np.savez_compressed(model_path, **arrays)
+    result = _predict_with_model(runner, cfg, out, model_path)
+    _assert_one_line_exit_1(result, f"array {name} holds a non-finite value")
+    assert not (out / "prediction_flow0.csv").exists()
+
+
 def test_predict_model_without_frontend_exit_1(workspace, runner, tmp_path):
     cfg, out = workspace
     rng = np.random.default_rng(0)

@@ -34,7 +34,7 @@ TEMPLATE = BurstTemplate(rise_duration_s=0.4, body_duration_s=0.5, peak_kbit=100
 
 def _gain(gains, model, i):
     """The n x m Kalman gain of step i, Q_i = W_i O'."""
-    return gains.w_seq[i] @ model.o_sub.T
+    return gains[i] @ model.o_sub.T
 
 
 def _chain_data(m=120, dim=3, noise=0.5, seed=7):
@@ -59,10 +59,15 @@ def _states_and_observations(series, window_cfg, chunk_cfg):
     return np.hstack(blocks), blocks[0]
 
 
+def _posteriors(model, gains):
+    """The posterior kappa W of each projected step."""
+    return [model.hyper.kappa * w for w in gains]
+
+
 def _priors(model, gains):
     """The prior of each projected step: P1, then T P_post T' + V."""
     priors = [model.p1_prior]
-    for p_post in gains.p_post_seq[:-1]:
+    for p_post in _posteriors(model, gains)[:-1]:
         p = model.t_sub @ p_post @ model.t_sub.T + model.v
         priors.append(0.5 * (p + p.T))
     return priors
@@ -262,10 +267,9 @@ class TestKernelCentres:
             assert np.array_equal(getattr(model, name), getattr(unmerged, name)), name
         for name in ("ogo", "v", "n1_prior", "p1_prior"):
             _assert_relative(getattr(model, name), getattr(unmerged, name), 1e-12)
-        gains, other = project(model, 4), project(unmerged, 4)
-        for seq in ("w_seq", "p_post_seq"):
-            for a, b in zip(getattr(gains, seq), getattr(other, seq)):
-                _assert_relative(a, b, GAIN_RTOL)
+        # the posteriors are kappa W, so comparing W covers them
+        for a, b in zip(project(model, 4), project(unmerged, 4)):
+            _assert_relative(a, b, GAIN_RTOL)
 
     def test_innovation_matches_unmerged_response(self, centred_models):
         # only the summation order of the response O' k_y differs; the
@@ -275,7 +279,7 @@ class TestKernelCentres:
         frames = model.frontend.reduce_observations(
             observation_frames(flow.samples, CHUNK, 0.2))
         gains = project(model, 1)
-        w_norm = np.abs(gains.w_seq[0]).sum(axis=1).max()
+        w_norm = np.abs(gains[0]).sum(axis=1).max()
         state = model.initial_state()
         for frame in np.vstack([frames, y[::7]]):
             responses = [m.o_sub.T @ fkkf.kernel_vector(m.y_train, frame, m.obs_spec)
@@ -555,7 +559,7 @@ class TestSubspaceFullSpaceEquivalence:
                 state = prediction_update(state, exact_model)
             state = innovation_update(state, frame, gains, exact_model)
             assert np.max(np.abs(state.n_t - o_means[i])) <= 1e-8
-            assert np.max(np.abs(gains.p_post_seq[i] - o_covs[i])) <= 1e-8
+            assert np.max(np.abs(exact_model.hyper.kappa * gains[i] - o_covs[i])) <= 1e-8
             assert np.max(np.abs(_gain(gains, exact_model, i) - o_gains[i])) <= 1e-8
 
     def test_learned_matrices_match_full_space(self, exact_model):
@@ -582,11 +586,16 @@ class TestProject:
                                           _gain(b, core_model, i))
 
     def test_prefix_property(self, core_model):
+        # the posterior is kappa W, so the W comparison covers it
         one = project(core_model, 1)
         many = project(core_model, 6)
-        np.testing.assert_array_equal(_gain(one, core_model, 0),
-                                      _gain(many, core_model, 0))
-        np.testing.assert_array_equal(one.p_post_seq[0], many.p_post_seq[0])
+        np.testing.assert_array_equal(one[0], many[0])
+
+    def test_holds_one_gain_factor_per_step(self, core_model):
+        # the posteriors are derived as kappa W where they are read
+        gains = project(core_model, 5)
+        n = core_model.subspace_size
+        assert [a.shape for a in _held_arrays(gains)] == [(n, n)] * 5
 
     def test_huge_kappa_kills_gain(self):
         x_pred, x_succ, y = _chain_data(m=60)
@@ -616,7 +625,7 @@ class TestProject:
 
     def test_covariances_stay_psd(self, core_model):
         gains = project(core_model, 25)
-        for p in gains.p_post_seq + _priors(core_model, gains):
+        for p in _posteriors(core_model, gains) + _priors(core_model, gains):
             assert np.linalg.eigvalsh(p)[0] >= -1e-8
             np.testing.assert_allclose(p, p.T, atol=1e-8)
 
@@ -684,7 +693,7 @@ class TestForecastVariance:
         ld = np.longdouble
         t_sub, v = model.t_sub.astype(ld), model.v.astype(ld)
         c = model.xo.astype(ld)
-        p = gains.p_post_seq[observed.shape[0] - 1].astype(ld)
+        p = (model.hyper.kappa * gains[observed.shape[0] - 1]).astype(ld)
         for k in range(20):
             p = t_sub @ p @ t_sub.T + v
             expected = np.einsum("ij,ij->i", c @ p, c).astype(float)
@@ -740,9 +749,10 @@ class TestPsdByConstruction:
     def test_posteriors_psd(self, ill_conditioned_fold):
         model, observed = ill_conditioned_fold
         gains = project(model, 4)
-        filtered = run_filter(model, observed, 0, gains=gains).filtered_cov
-        assert filtered is gains.p_post_seq[3]
-        for p in gains.p_post_seq:
+        pred = run_filter(model, observed, 0, gains=gains)
+        assert pred.filtered_gain is gains[3]
+        np.testing.assert_array_equal(pred.filtered_cov, model.hyper.kappa * gains[3])
+        for p in _posteriors(model, gains):
             assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
 
     @pytest.mark.parametrize("fold", ["ill_conditioned_fold", "forecast_fold"])
@@ -753,7 +763,7 @@ class TestPsdByConstruction:
         model = request.getfixturevalue(fold)[0]
         for scale in (2.0, 0.5):
             other = dataclasses.replace(model, p1_prior=scale * model.p1_prior)
-            for i, p in enumerate(project(other, 4).p_post_seq):
+            for i, p in enumerate(_posteriors(other, project(other, 4))):
                 assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2), \
                     (scale, i)
 
@@ -782,7 +792,7 @@ class TestPsdByConstruction:
                                    FullSpaceFilter(model, x_pred, x_succ, y).g_yy,
                                    model.hyper.kappa)
         assert np.max(np.abs(_gain(gains, model, 0) - expected)) <= 1e-8
-        p = gains.p_post_seq[0]
+        p = model.hyper.kappa * gains[0]
         assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
 
 
@@ -883,7 +893,9 @@ class TestRunFilter:
         assert pred.mean_frames.shape[0] == 0
         assert pred.mean_kbit.size == 0
         assert pred.filtered_state.step == 4
-        assert pred.filtered_cov is gains.p_post_seq[4]
+        assert pred.filtered_gain is gains[4]
+        np.testing.assert_array_equal(pred.filtered_cov,
+                                      core_model.hyper.kappa * gains[4])
 
     def test_too_few_gains_refused(self, core_model):
         # given gains are used as they are, never projected again
@@ -1118,6 +1130,8 @@ class TestSerialization:
         (lambda arrays: arrays.update(p1_prior=np.eye(arrays["t_sub"].shape[0])),
          "array p1_prior"),
         (lambda arrays: arrays.update(xo=arrays["xo"].T), "array xo"),
+        (lambda arrays: arrays["t_sub"].__setitem__((0, 0), np.nan),
+         "array t_sub holds a non-finite value"),
     ])
     def test_refused_with_one_line(self, core_model, tmp_path, edit, message):
         path = tmp_path / "core.npz"
@@ -1127,6 +1141,22 @@ class TestSerialization:
         edit(arrays)
         np.savez(path, **arrays)
         with pytest.raises(ModelFileError, match=message) as info:
+            load_model(path)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("name, value", [
+        (name, (np.nan, -np.inf)[i % 2]) for i, name in enumerate(fkkf._ARRAY_FIELDS + (
+            "block0_means", "block0_stds", "block0_components", "block0_evr"))])
+    def test_non_finite_array_refused(self, traffic_model, tmp_path, name, value):
+        # a NaN once crashed inside the kernel code or gave a NaN forecast
+        path = tmp_path / "model.npz"
+        save_model(traffic_model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name].flat[0] = value
+        np.savez(path, **arrays)
+        with pytest.raises(ModelFileError,
+                           match=f"array {name} holds a non-finite value") as info:
             load_model(path)
         assert "\n" not in str(info.value)
 
