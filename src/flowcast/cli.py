@@ -261,6 +261,7 @@ def _with_chunk_length(exp, chunk_length_s: float):
 def learn(ctx, traces_path, groups_path, group_id, chunk_length):
     """Learn a model for one flow group and persist it."""
     _echo_hash(ctx)
+    record = {}  # the manifest's "hyper": the model file keeps only kappa
 
     def work():
         exp = ctx.config.experiment
@@ -269,13 +270,14 @@ def learn(ctx, traces_path, groups_path, group_id, chunk_length):
         length = exp.chunk_lengths_s[0]
         group_flows = _group_flows(ctx, traces_path, groups_path, group_id)
         hyper = _resolve_hyper(ctx, group_flows, length)
+        record["hyper"] = dataclasses.asdict(hyper)
         model = evaluation.split_learner(group_flows, exp, length).model(hyper)
         out = ctx.out_dir / f"model_group{group_id}.npz"
         _atomic_write(out, lambda tmp: fkkf.save_model(model, tmp))
         click.echo(f"model={out} centres={model.n_centres} subspace={model.subspace_size}")
         return [out]
 
-    _run(ctx, "learn", work)
+    _run(ctx, "learn", work, record)
 
 
 @main.command()

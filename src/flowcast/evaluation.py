@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fkkf, spectral
-from .errors import InsufficientGroup, NumericalFailure, UndefinedError
+from .errors import FlowTooShort, InsufficientGroup, NumericalFailure, UndefinedError
 from .fkkf import FkkfHyperparams, StateWindowConfig
 from .spectral import ChunkConfig
 from .trace_io import leave_one_out_splits
@@ -255,8 +255,9 @@ def forecast_flow(model: fkkf.FkkfModel, samples: np.ndarray, cfg: ExperimentCon
     slice of sample indices it predicts, which may run past the end of
     `samples`.
 
-    Raises UndefinedError when `start` is negative, no peak rise is found
-    or the observed frames run past the end of the flow.
+    Raises UndefinedError when `start` is negative, no peak rise is found,
+    the flow is shorter than one observation window or the observed
+    frames run past the end of the flow.
     """
     fe = model.frontend
     if start is None:
@@ -267,7 +268,10 @@ def forecast_flow(model: fkkf.FkkfModel, samples: np.ndarray, cfg: ExperimentCon
             raise UndefinedError("no peak rise found in flow")
     if start < 0:
         raise UndefinedError(f"start step {start} is negative")
-    raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.window_cfg.horizons_s[0])
+    try:
+        raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.chunk_cfg.chunk_length_s)
+    except FlowTooShort as exc:
+        raise UndefinedError(str(exc)) from None
     end = start + cfg.observe_steps
     if raw.shape[0] < end:
         raise UndefinedError("observed prefix extends past the flow end")
@@ -334,16 +338,9 @@ def run_group_experiment(group_flows, hyper: FkkfHyperparams,
 
     Folds whose test flow has no usable peak, or whose filter fails
     numerically, are skipped and counted per reason; signed errors
-    are averaged across the remaining folds.  InsufficientGroup when
-    every fold was skipped.
+    are averaged across the remaining folds, NaN when every fold was
+    skipped.  InsufficientGroup for a group of fewer than two flows.
     """
-    result = _run_folds(group_flows, hyper, cfg, chunk_length_s)
-    if not result.splits:
-        raise InsufficientGroup("every fold was skipped (no usable peaks)")
-    return result
-
-
-def _run_folds(group_flows, hyper, cfg, chunk_length_s) -> GroupExperimentResult:
     flows = list(group_flows)
     if len(flows) < 2:
         raise InsufficientGroup(f"group has {len(flows)} flows, need >= 2")
@@ -368,7 +365,7 @@ def chunk_length_sweep(group_flows, hyper: FkkfHyperparams,
     lengths = list(lengths if lengths is not None else cfg.chunk_lengths_s)
     if not lengths:
         raise ValueError("lengths must be non-empty")
-    per_length = {length: _run_folds(group_flows, hyper, cfg, length)
+    per_length = {length: run_group_experiment(group_flows, hyper, cfg, length)
                   for length in lengths}
     usable = [length for length in sorted(per_length) if per_length[length].splits]
     if not usable:

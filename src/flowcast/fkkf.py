@@ -92,6 +92,7 @@ rows.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import zipfile
@@ -110,7 +111,7 @@ from .kernelcore import (DEFAULT_SUBSET_SIZE, KernelSpec, gram, kernel_vector,
 from .reduction import PcaBasis, Standardizer
 from .spectral import ChunkConfig
 
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 
 _COV_JITTER = 1e-8
 _EIG_FLOOR = 1e-14  # relative floor when whitening the inducing Gram
@@ -198,12 +199,13 @@ class Prediction:
 class SpectralFrontend:
     """Training-fitted transforms between kbit space and reduced frame space.
 
-    Only the observation block's standardizer and PCA basis are kept; the
-    longer horizons' reducers shape the training states alone.
+    chunk_cfg's chunk length is the observation window, the first
+    lookahead horizon; its chunk interval is the filter's step.  Only the
+    observation block's standardizer and PCA basis are kept; the longer
+    horizons' reducers shape the training states alone.
     """
 
     chunk_cfg: ChunkConfig
-    window_cfg: StateWindowConfig
     standardizer: Standardizer
     basis: PcaBasis
 
@@ -211,19 +213,13 @@ class SpectralFrontend:
     def obs_dim(self) -> int:
         return self.basis.kept_dim
 
-    @property
-    def obs_width(self) -> int:
-        """Samples per observation window: the first lookahead horizon."""
-        return spectral.whole_multiple(self.window_cfg.horizons_s[0],
-                                       self.chunk_cfg.sample_interval_s, "horizon_s")
-
     def reduce_observations(self, raw_frames: np.ndarray) -> np.ndarray:
         return reduction.project(self.basis, self.standardizer, raw_frames)
 
     def frames_to_kbit(self, reduced_frames: np.ndarray, n_steps: int) -> np.ndarray:
         """Inverse PCA -> de-standardize -> inverse STFT -> overlap-average."""
         raw = reduction.inverse_project(self.basis, self.standardizer, reduced_frames)
-        chunks = spectral.inverse_frames(raw, self.obs_width)
+        chunks = spectral.inverse_frames(raw, self.chunk_cfg.chunk_samples)
         hop = self.chunk_cfg.hop_samples
         return spectral.overlap_average(chunks, hop, n_steps * hop)
 
@@ -239,11 +235,11 @@ class SpectralFrontend:
         """
         if cov_diag.shape[0] == 0:
             return np.empty(0)
-        std, basis = self.standardizer, self.basis
-        unit_chunks = spectral.inverse_frames(np.eye(basis.original_dim), self.obs_width)
+        std, basis, cfg = self.standardizer, self.basis, self.chunk_cfg
+        unit_chunks = spectral.inverse_frames(np.eye(basis.original_dim), cfg.chunk_samples)
         lift = (unit_chunks.T * std.scales()[None, :]) @ basis.components  # (width, kept)
         chunk_var = (lift[None, :, :] ** 2 * cov_diag[:, None, :]).sum(axis=2)
-        hop = self.chunk_cfg.hop_samples
+        hop = cfg.hop_samples
         return spectral.overlap_variance(chunk_var, hop, cov_diag.shape[0] * hop)
 
 
@@ -365,9 +361,8 @@ class FkkfModel:
     v: np.ndarray         # (n, n) transition noise covariance
     n1_prior: np.ndarray  # (n,) initial a-priori mean coordinates
     p1_prior: np.ndarray  # (n, n) initial a-priori covariance
-    state_spec: KernelSpec
     obs_spec: KernelSpec
-    hyper: FkkfHyperparams
+    kappa: float          # the gain's regularizer; the other hyperparameters are baked in
     frontend: SpectralFrontend | None = None
 
     @property
@@ -527,8 +522,8 @@ class _CoreStages:
         t_sub, v, n1, p1 = self._transition_ridge(state, hyper.lambda_t)
         o_sub, ogo, xo = self._observation_ridge(state, g_cc, hyper.lambda_o)
         return FkkfModel(y_train=self.centres, t_sub=t_sub, o_sub=o_sub, ogo=ogo, xo=xo,
-                         v=v, n1_prior=n1, p1_prior=p1, state_spec=state.spec,
-                         obs_spec=obs_spec, hyper=hyper, frontend=self.frontend)
+                         v=v, n1_prior=n1, p1_prior=p1, obs_spec=obs_spec,
+                         kappa=hyper.kappa, frontend=self.frontend)
 
     def _state_kernel(self, scale: float) -> _StateKernel:
         if self._state is not None and self._state.spec.scale_factor == scale:
@@ -630,14 +625,23 @@ def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
 
     Each horizon block is standardized and PCA-reduced on its own before
     the blocks are concatenated into a state.  The frontend keeps only the
-    first block's reducer, the one observations go through.  Returns
-    (frontend, x_pred, x_succ, y_train).  Depends on no filter
+    first block's reducer and the first horizon as its chunk length (a
+    ValueError before any framing if that is shorter than the interval).
+    A flow too short to frame is left out; FlowTooShort if every one is.
+    Returns (frontend, x_pred, x_succ, y_train).  Depends on no filter
     hyperparameter.
     """
+    obs_cfg = dataclasses.replace(chunk_cfg, chunk_length_s=window_cfg.horizons_s[0])
     if not train_flows:
         raise InsufficientData("no training flows")
-    per_flow_blocks = [window_frames(f.samples, chunk_cfg, window_cfg)
-                       for f in train_flows]
+    per_flow_blocks = []
+    for flow in train_flows:
+        try:
+            per_flow_blocks.append(window_frames(flow.samples, obs_cfg, window_cfg))
+        except FlowTooShort as exc:
+            too_short = exc
+    if not per_flow_blocks:
+        raise FlowTooShort(f"no training flow can be framed: {too_short}")
     reducers = []
     for h in range(len(window_cfg.horizons_s)):
         stacked = np.vstack([blocks[h] for blocks in per_flow_blocks])
@@ -651,8 +655,7 @@ def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
                    for (std, basis), block in zip(reducers, blocks)]
         rows.append((np.hstack(reduced), reduced[0]))
     std, basis = reducers[0]
-    frontend = SpectralFrontend(chunk_cfg=chunk_cfg, window_cfg=window_cfg,
-                                standardizer=std, basis=basis)
+    frontend = SpectralFrontend(chunk_cfg=obs_cfg, standardizer=std, basis=basis)
     return (frontend, *_pairs_from_chains(rows))
 
 
@@ -763,7 +766,7 @@ def _innovation_cov(model: FkkfModel, p_prior: np.ndarray) -> np.ndarray:
     """
     root = _covariance_root(p_prior)
     inner = _sym(_matmul(root.T, _matmul(model.ogo, root)))
-    inner.flat[::inner.shape[0] + 1] += model.hyper.kappa
+    inner.flat[::inner.shape[0] + 1] += model.kappa
     try:
         chol = scipy.linalg.cholesky(inner, lower=True)
     except scipy.linalg.LinAlgError:
@@ -791,7 +794,7 @@ def project(model: FkkfModel, steps: int) -> tuple:
     p_prior = model.p1_prior
     for step in range(steps):
         if step:
-            p_prior = _prediction_cov(model, model.hyper.kappa * gains[-1])
+            p_prior = _prediction_cov(model, model.kappa * gains[-1])
         gains.append(_innovation_cov(model, p_prior))
     return tuple(gains)
 
@@ -887,7 +890,7 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
     else:
         mean_kbit = np.empty(0)
     return Prediction(mean_frames=mean_frames, mean_kbit=mean_kbit, filtered_state=state,
-                      filtered_gain=gains[state.step], kappa=model.hyper.kappa)
+                      filtered_gain=gains[state.step], kappa=model.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -908,18 +911,18 @@ _SYMMETRIC_FIELDS = ("ogo", "v", "p1_prior")
 def save_model(model: FkkfModel, path) -> None:
     """Write a model to a single self-describing .npz archive.
 
-    Matrices round-trip bit-exactly; scalars, kernel specs and frontend
-    configuration travel in an embedded JSON document together with a
-    format-version integer.  Of the frontend, only the observation
-    block's standardizer and PCA basis are stored, as the block0_* arrays.
+    Matrices round-trip bit-exactly; kappa, the observation kernel and
+    the frontend's chunk geometry travel in an embedded JSON document
+    together with a format-version integer.  Of the frontend, only the
+    observation block's standardizer and PCA basis are stored, as the
+    block0_* arrays.
     ogo, v and p1_prior are stored as one triangle each; a model in which
     one of them is not exactly symmetric raises ValueError, so no file
     loses a bit.
     """
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
-        "hyper": model.hyper.as_tuple(),
-        "state_spec": [model.state_spec.bandwidth, model.state_spec.scale_factor],
+        "kappa": model.kappa,
         "obs_spec": [model.obs_spec.bandwidth, model.obs_spec.scale_factor],
         "has_frontend": model.frontend is not None,
     }
@@ -931,7 +934,6 @@ def save_model(model: FkkfModel, path) -> None:
         meta["chunk_cfg"] = [fe.chunk_cfg.sample_interval_s,
                              fe.chunk_cfg.chunk_interval_s,
                              fe.chunk_cfg.chunk_length_s]
-        meta["window_cfg"] = {"horizons_s": list(fe.window_cfg.horizons_s)}
         arrays["block0_means"] = fe.standardizer.means
         arrays["block0_stds"] = fe.standardizer.stds
         arrays["block0_components"] = fe.basis.components
@@ -963,8 +965,8 @@ def load_model(path) -> FkkfModel:
     A missing file raises FileNotFoundError.  Anything else that is not a
     readable model of this format version -- an older version, a file
     that is not a flowcast archive, arrays whose shapes disagree, an array
-    holding a NaN or an infinity -- raises ModelFileError with a one-line
-    message.
+    holding a NaN or an infinity, a kappa that is not positive and finite
+    -- raises ModelFileError with a one-line message.
     """
     try:
         data = np.load(path)
@@ -1017,6 +1019,9 @@ def _model_from_archive(data, path) -> FkkfModel:
     if version != MODEL_FORMAT_VERSION:
         raise ModelFileError(f"{path}: model format version {version} is not supported "
                              f"(expected {MODEL_FORMAT_VERSION}); learn the model again")
+    kappa = float(meta["kappa"])
+    if not 0 < kappa < math.inf:
+        raise ModelFileError(f"{path}: kappa {kappa!r} is not positive and finite")
     arrays = {name: _finite_array(data, name, path) for name in _ARRAY_FIELDS}
     _check_shapes(arrays, path)
     for name in _SYMMETRIC_FIELDS:
@@ -1026,7 +1031,6 @@ def _model_from_archive(data, path) -> FkkfModel:
         t_s, t_c, w = meta["chunk_cfg"]
         chunk_cfg = ChunkConfig(sample_interval_s=t_s, chunk_interval_s=t_c,
                                 chunk_length_s=w)
-        window_cfg = StateWindowConfig(horizons_s=tuple(meta["window_cfg"]["horizons_s"]))
         means, stds, comp, evr = (_finite_array(data, f"block0_{part}", path)
                                   for part in ("means", "stds", "components", "evr"))
         if comp.ndim != 2 or comp.shape[1] != arrays["y_train"].shape[1]:
@@ -1038,15 +1042,9 @@ def _model_from_archive(data, path) -> FkkfModel:
                 f"{means.shape}, stds {stds.shape}, components {comp.shape}, "
                 f"evr {evr.shape})")
         frontend = SpectralFrontend(
-            chunk_cfg=chunk_cfg, window_cfg=window_cfg,
-            standardizer=Standardizer(means=means, stds=stds),
+            chunk_cfg=chunk_cfg, standardizer=Standardizer(means=means, stds=stds),
             basis=PcaBasis(components=comp, explained_variance_ratio=evr,
                            original_dim=comp.shape[0], kept_dim=comp.shape[1]))
-    lam_t, lam_o, sbw, obw, kappa = meta["hyper"]
-    hyper = FkkfHyperparams(lambda_t=lam_t, lambda_o=lam_o, state_bw_scale=sbw,
-                            obs_bw_scale=obw, kappa=kappa)
-    return FkkfModel(state_spec=KernelSpec(bandwidth=meta["state_spec"][0],
-                                           scale_factor=meta["state_spec"][1]),
-                     obs_spec=KernelSpec(bandwidth=meta["obs_spec"][0],
+    return FkkfModel(obs_spec=KernelSpec(bandwidth=meta["obs_spec"][0],
                                          scale_factor=meta["obs_spec"][1]),
-                     hyper=hyper, frontend=frontend, **arrays)
+                     kappa=kappa, frontend=frontend, **arrays)

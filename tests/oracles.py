@@ -6,7 +6,7 @@ recursions) and kept separate from the library code paths it checks.
 
 import numpy as np
 
-from flowcast.kernelcore import gram, kernel_vector
+from flowcast.kernelcore import KernelSpec, gram, kernel_vector, median_heuristic
 
 
 def naive_dft(x):
@@ -75,20 +75,25 @@ class FullSpaceFilter:
 
     Implements m_t / S_t updates with T = (K_xx + lam_T I)^-1 K_xx',
     O = (K_xx + lam_O I)^-1 K_xx', the m x m gain solve, and the
-    X O m_t reconstruction.  Noise V and the initial belief are taken
-    from the model under test (the recursion, not their estimation, is
-    what this oracle pins down); the training states, successors and
-    observations the model was learned from come from the caller, since
-    the model keeps only X O and one row per distinct observation.
+    X O m_t reconstruction.  Noise V, the initial belief, kappa and the
+    observation kernel are taken from the model under test (the
+    recursion, not their estimation, is what this oracle pins down); the
+    training states, successors and observations the model was learned
+    from and the hyperparameters it was learned with come from the
+    caller, since the model keeps only X O, one row per distinct
+    observation and kappa.  The state kernel is the median heuristic of
+    the training states (the default subset and seed) at
+    hyper.state_bw_scale.
     """
 
-    def __init__(self, model, x_pred, x_succ, y_train):
+    def __init__(self, model, x_pred, x_succ, y_train, hyper):
         self.model = model
         self.x_pred = x_pred
         self.y_train = y_train
-        s_spec, o_spec = model.state_spec, model.obs_spec
-        lam_t, lam_o = model.hyper.lambda_t, model.hyper.lambda_o
-        self.kappa = model.hyper.kappa
+        s_spec = state_kernel(x_pred, hyper)
+        o_spec = model.obs_spec
+        lam_t, lam_o = hyper.lambda_t, hyper.lambda_o
+        self.kappa = model.kappa
         k_xx = gram(x_pred, x_pred, s_spec)
         k_xxp = gram(x_pred, x_succ, s_spec)
         self.g_yy = gram(y_train, y_train, o_spec)
@@ -129,6 +134,13 @@ class FullSpaceFilter:
 
     def reconstruct(self, mt):
         return self.x_pred.T @ (self.o_mat @ mt)
+
+
+def state_kernel(x_pred, hyper):
+    """The state KernelSpec learning uses: the median heuristic of the
+    training states at hyper.state_bw_scale."""
+    return KernelSpec(bandwidth=median_heuristic(x_pred),
+                      scale_factor=hyper.state_bw_scale)
 
 
 class DampedRotation:

@@ -18,7 +18,7 @@ from flowcast.evaluation import (ExperimentConfig, chunk_length_sweep,
 from flowcast.spectral import ChunkConfig, reassemble, transform
 from flowcast.synth import BurstTemplate, generate_group
 from oracles import (DampedRotation, FullSpaceFilter, TextbookKalman,
-                     distinct_rows, sum_per_centre)
+                     distinct_rows, state_kernel, sum_per_centre)
 
 
 def _report(criterion, message):
@@ -61,7 +61,7 @@ def test_criterion_2_subspace_equals_full_space():
     raw = fkkf.observation_frames(test_flow.samples, chunk_cfg, 0.2)
     observed = model.frontend.reduce_observations(raw[:15])
 
-    oracle = FullSpaceFilter(model, x_pred, x_succ, y)
+    oracle = FullSpaceFilter(model, x_pred, x_succ, y, hyper)
     o_means, o_covs, o_gains, _ = oracle.run(observed, 0)
     # run_filter's steps: the means move, the gain factors W are projected
     # and each posterior is kappa W
@@ -74,7 +74,7 @@ def test_criterion_2_subspace_equals_full_space():
         state = fkkf.innovation_update(state, frame, gains, model)
         worst = max(worst,
                     float(np.max(np.abs(state.n_t - o_means[i]))),
-                    float(np.max(np.abs(model.hyper.kappa * gains[i] - o_covs[i]))),
+                    float(np.max(np.abs(model.kappa * gains[i] - o_covs[i]))),
                     float(np.max(np.abs(gains[i] @ model.o_sub.T
                                         - sum_per_centre(o_gains[i], y,
                                                          model.y_train)))))
@@ -100,7 +100,7 @@ def test_criterion_3_classical_kalman_oracle():
                             subspace_size=len(x_pred))
     # bandwidth >> data diameter
     diameter = np.linalg.norm(x_pred.max(axis=0) - x_pred.min(axis=0))
-    assert model.state_spec.effective_bandwidth > 5 * diameter
+    assert state_kernel(x_pred, hyper).effective_bandwidth > 5 * diameter
 
     xs_test, ys_test = system.simulate(200, np.random.default_rng(777),
                                        np.array([1.2, -0.4]))

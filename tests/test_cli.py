@@ -329,7 +329,7 @@ def test_predict_variance_column(workspace, runner):
     start = locate_peak_rise(samples, fe.chunk_cfg.chunk_interval_s,
                              fe.chunk_cfg.sample_interval_s, exp.peak_window_s,
                              exp.peak_factor)
-    raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.window_cfg.horizons_s[0])
+    raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.chunk_cfg.chunk_length_s)
     observed = fe.reduce_observations(raw[start:start + exp.observe_steps])
     pred = fkkf.run_filter(model, observed, exp.horizon_steps)
     variance = fe.kbit_variance(
@@ -358,24 +358,16 @@ def _predict_with_model(runner, cfg, out, model_path):
                                 "--model", str(model_path), "--flow-id", "0"])
 
 
-def test_model_meta_with_dropped_window_key_predicts_the_same(workspace, runner,
-                                                              tmp_path):
-    # format-3 files written before the window config lost its separate
-    # observation width still carry it in their meta; loading ignores it
+def test_learn_manifest_records_the_hyperparameters(workspace, runner):
+    # the model file keeps only kappa of the five
     cfg, out = workspace
     model_path = _learned_model(runner, cfg, out)
-    assert _predict_with_model(runner, cfg, out, model_path).exit_code == 0
-    expected = (out / "prediction_flow0.csv").read_bytes()
+    manifest = json.loads((out / "manifest_learn.json").read_text())
+    assert manifest["hyper"] == {"lambda_t": 0.05, "lambda_o": 1e-3, "state_bw_scale": 1.0,
+                                 "obs_bw_scale": 1.0, "kappa": 1e-3}
     with np.load(model_path) as data:
-        arrays = dict(data)
-    meta = json.loads(arrays["meta_json"].tobytes())
-    meta["window_cfg"]["observation_horizon_s"] = meta["window_cfg"]["horizons_s"][0]
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    old_path = tmp_path / "older.npz"
-    np.savez_compressed(old_path, **arrays)
-    result = _predict_with_model(runner, cfg, out, old_path)
-    assert result.exit_code == 0, result.output
-    assert (out / "prediction_flow0.csv").read_bytes() == expected
+        meta = json.loads(data["meta_json"].tobytes())
+    assert meta["kappa"] == 1e-3 and "hyper" not in meta
 
 
 def _assert_one_line_exit_1(result, text):
@@ -385,7 +377,7 @@ def _assert_one_line_exit_1(result, text):
     assert lines[-1].startswith("error: ") and text in lines[-1]
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4], ids=["v1", "v2", "v3", "v4"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5], ids=["v1", "v2", "v3", "v4", "v5"])
 def test_predict_old_format_model_exit_1(workspace, runner, tmp_path, version):
     cfg, out = workspace
     model_path = tmp_path / f"model_v{version}.npz"
@@ -524,6 +516,30 @@ def test_manifest_keeps_a_length_whose_every_fold_was_skipped(workspace, runner,
     with open(out / "report.csv") as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     assert [row["pred_error_chunk_1s"] for row in rows] == ["nan", "nan"]
+
+
+def test_evaluate_with_a_flow_shorter_than_the_lookahead(workspace, runner, tmp_path):
+    # flow 0 cut to 150 samples cannot cover the 180-sample lookahead at
+    # 0.6 s (300 at 1 s): no training set keeps it, its own fold is skipped
+    # at each length, and the other group's row is unchanged
+    cfg, out = workspace
+    runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                         "cluster", str(out / "traces.csv")])
+    cut = tmp_path / "cut_traces.csv"
+    with open(out / "traces.csv") as src, open(cut, "w") as dst:
+        dst.writelines(line for line in src
+                       if not line.startswith("0,") or int(line.split(",")[1]) < 150)
+    rows = {}
+    for name, store in (("whole", out / "traces.csv"), ("cut", cut)):
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / name),
+                                      "evaluate", str(store),
+                                      "--groups", str(out / "groups.csv")])
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / name / "report.csv").read_text().splitlines()
+        rows[name] = {line.split(",")[0]: line for line in lines if line[0].isdigit()}
+    assert rows["cut"]["2"] == rows["whole"]["2"]
+    skips = json.loads((tmp_path / "cut" / "manifest_evaluate.json").read_text())["skips"]
+    assert skips["1"] == {"0.6": {"UndefinedError": 1}, "1": {"UndefinedError": 1}}
 
 
 def _learned_model(runner, cfg, out):

@@ -236,6 +236,24 @@ class TestGroupExperiment:
         assert result.skipped == 2
         assert len(result.splits) == 2
 
+    def test_flow_shorter_than_the_lookahead_skipped(self, group_flows):
+        # at 0.6 s the state looks 1.8 s (180 samples) ahead: a 150-sample
+        # flow is left out of every training set and its own fold is skipped
+        cut = dataclasses.replace(group_flows[0], samples=group_flows[0].samples[:150])
+        result = run_group_experiment(group_flows[:2] + [cut] + group_flows[2:],
+                                      HYPER, CFG, 0.6)
+        assert result.splits == run_group_experiment(group_flows, HYPER, CFG, 0.6).splits
+        assert result.skips == {"UndefinedError": 1}
+
+    def test_every_fold_skipped_gives_no_splits(self, group_flows, monkeypatch):
+        def no_peak(*args):
+            raise UndefinedError("no peak rise")
+
+        monkeypatch.setattr(evaluation, "evaluate_split", no_peak)
+        result = run_group_experiment(group_flows, HYPER, CFG, 0.6)
+        assert result.splits == [] and result.skips == {"UndefinedError": 4}
+        assert np.isnan(result.pred_error)
+
     def test_too_small_group(self):
         with pytest.raises(InsufficientGroup):
             run_group_experiment([generate_group(TEMPLATE, 2, 8.0, 0.01, seed=4)[0]],
@@ -265,7 +283,7 @@ class TestForecastFlow:
         start = locate_peak_rise(samples, CFG.chunk_interval_s, CFG.sample_interval_s,
                                  CFG.peak_window_s, CFG.peak_factor) - 1
         fe = group_model.frontend
-        raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.window_cfg.horizons_s[0])
+        raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.chunk_cfg.chunk_length_s)
         expected = fkkf.run_filter(
             group_model, fe.reduce_observations(raw[start:start + CFG.observe_steps]),
             CFG.horizon_steps)
@@ -285,6 +303,11 @@ class TestForecastFlow:
     def test_flat_flow_has_no_peak(self, group_model):
         with pytest.raises(UndefinedError, match="no peak rise"):
             forecast_flow(group_model, np.ones(800), CFG)
+
+    def test_flow_shorter_than_one_window(self, group_model):
+        # a 0.6 s observation window is 60 samples
+        with pytest.raises(UndefinedError, match="59 samples shorter than one window"):
+            forecast_flow(group_model, np.ones(59), CFG, 0)
 
     def test_observed_frames_past_the_end(self, group_flows, group_model):
         samples = group_flows[0].samples

@@ -20,7 +20,7 @@ from flowcast.kernelcore import KernelSpec, gram
 from flowcast.spectral import ChunkConfig
 from flowcast.synth import BurstTemplate, default_templates, generate_group
 from oracles import (DampedRotation, FullSpaceFilter, distinct_rows,
-                     mxm_kalman_gain, sum_per_centre)
+                     mxm_kalman_gain, state_kernel, sum_per_centre)
 
 CHUNK = ChunkConfig(sample_interval_s=0.01, chunk_interval_s=0.05, chunk_length_s=0.2)
 WINDOW = StateWindowConfig(horizons_s=(0.2, 0.4, 0.6))
@@ -61,7 +61,7 @@ def _states_and_observations(series, window_cfg, chunk_cfg):
 
 def _posteriors(model, gains):
     """The posterior kappa W of each projected step."""
-    return [model.hyper.kappa * w for w in gains]
+    return [model.kappa * w for w in gains]
 
 
 def _priors(model, gains):
@@ -73,9 +73,9 @@ def _priors(model, gains):
     return priors
 
 
-def _core_oracle(model):
+def _core_oracle(model, hyper):
     """The full-space oracle of a model learned on the default _chain_data."""
-    return FullSpaceFilter(model, *_chain_data())
+    return FullSpaceFilter(model, *_chain_data(), hyper)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,7 @@ class TestLearnCore:
         assert core_model.ogo.shape == (n, n)
         o_sub = core_model.o_sub
         np.testing.assert_allclose(
-            core_model.ogo, o_sub.T @ _core_oracle(core_model).g_yy @ o_sub,
+            core_model.ogo, o_sub.T @ _core_oracle(core_model, HYPER).g_yy @ o_sub,
             rtol=1e-9, atol=1e-9 * np.abs(core_model.ogo).max())
         assert core_model.xo.shape == (core_model.obs_dim, n)
         assert core_model.t_sub.shape == (n, n)
@@ -550,7 +550,7 @@ class TestSubspaceFullSpaceEquivalence:
         _, _, y = _chain_data()
         rng = np.random.default_rng(3)
         observed = y[10:30] + 0.01 * rng.standard_normal((20, 2))
-        oracle = _core_oracle(exact_model)
+        oracle = _core_oracle(exact_model, EXACT_HYPER)
         o_means, o_covs, o_gains, _ = oracle.run(observed, 0)
         gains = project(exact_model, len(observed))
         state = exact_model.initial_state()
@@ -559,11 +559,11 @@ class TestSubspaceFullSpaceEquivalence:
                 state = prediction_update(state, exact_model)
             state = innovation_update(state, frame, gains, exact_model)
             assert np.max(np.abs(state.n_t - o_means[i])) <= 1e-8
-            assert np.max(np.abs(exact_model.hyper.kappa * gains[i] - o_covs[i])) <= 1e-8
+            assert np.max(np.abs(exact_model.kappa * gains[i] - o_covs[i])) <= 1e-8
             assert np.max(np.abs(_gain(gains, exact_model, i) - o_gains[i])) <= 1e-8
 
     def test_learned_matrices_match_full_space(self, exact_model):
-        oracle = _core_oracle(exact_model)
+        oracle = _core_oracle(exact_model, EXACT_HYPER)
         assert np.max(np.abs(exact_model.t_sub - oracle.t_mat)) <= 1e-8
         assert np.max(np.abs(exact_model.o_sub - oracle.o_mat)) <= 1e-8
 
@@ -693,7 +693,7 @@ class TestForecastVariance:
         ld = np.longdouble
         t_sub, v = model.t_sub.astype(ld), model.v.astype(ld)
         c = model.xo.astype(ld)
-        p = (model.hyper.kappa * gains[observed.shape[0] - 1]).astype(ld)
+        p = (model.kappa * gains[observed.shape[0] - 1]).astype(ld)
         for k in range(20):
             p = t_sub @ p @ t_sub.T + v
             expected = np.einsum("ij,ij->i", c @ p, c).astype(float)
@@ -751,7 +751,7 @@ class TestPsdByConstruction:
         gains = project(model, 4)
         pred = run_filter(model, observed, 0, gains=gains)
         assert pred.filtered_gain is gains[3]
-        np.testing.assert_array_equal(pred.filtered_cov, model.hyper.kappa * gains[3])
+        np.testing.assert_array_equal(pred.filtered_cov, model.kappa * gains[3])
         for p in _posteriors(model, gains):
             assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
 
@@ -771,11 +771,11 @@ class TestPsdByConstruction:
         x_pred, x_succ, y = _chain_data()
         model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
         assert model.subspace_size < len(x_pred)
-        g_yy = FullSpaceFilter(model, x_pred, x_succ, y).g_yy
+        g_yy = FullSpaceFilter(model, x_pred, x_succ, y, HYPER).g_yy
         gains = project(model, 6)
         for i, p_prior in enumerate(_priors(model, gains)):
             expected = mxm_kalman_gain(p_prior, model.o_sub, g_yy,
-                                       model.hyper.kappa)
+                                       model.kappa)
             assert np.max(np.abs(_gain(gains, model, i) - expected)) <= 1e-8
 
     def test_singular_prior_factored_by_eigendecomposition(self):
@@ -789,10 +789,10 @@ class TestPsdByConstruction:
             np.linalg.cholesky(model.p1_prior)
         gains = project(model, 2)
         expected = mxm_kalman_gain(model.p1_prior, model.o_sub,
-                                   FullSpaceFilter(model, x_pred, x_succ, y).g_yy,
-                                   model.hyper.kappa)
+                                   FullSpaceFilter(model, x_pred, x_succ, y, HYPER).g_yy,
+                                   model.kappa)
         assert np.max(np.abs(_gain(gains, model, 0) - expected)) <= 1e-8
-        p = model.hyper.kappa * gains[0]
+        p = model.kappa * gains[0]
         assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
 
 
@@ -805,7 +805,7 @@ class TestUpdates:
         mu_prior = reconstruct(state, core_model)
         # feed the belief's own predicted observation: reconstruct the obs
         # embedding's nearest training observation via the response map
-        response = _core_oracle(core_model).g_yy @ core_model.o_sub @ state.n_t
+        response = _core_oracle(core_model, HYPER).g_yy @ core_model.o_sub @ state.n_t
         best = int(np.argmax(response))
         posterior = innovation_update(state, core_model.y_train[best], gains,
                                       core_model)
@@ -876,9 +876,10 @@ class TestReconstruct:
                                 obs_bw_scale=0.5, kappa=1e-3)
         model = learn_core(x_pred, x_succ, y, hyper, subspace_size=150)
         j = 40
+        spec = state_kernel(x_pred, hyper)
         coords = np.linalg.solve(
-            fkkf.gram(x_succ, x_succ, model.state_spec) + 1e-9 * np.eye(150),
-            fkkf.gram(x_succ, x_pred[j][None, :], model.state_spec))[:, 0]
+            fkkf.gram(x_succ, x_succ, spec) + 1e-9 * np.eye(150),
+            fkkf.gram(x_succ, x_pred[j][None, :], spec))[:, 0]
         mu = reconstruct(FilterState(n_t=coords), model)
         truth = x_pred[j, :y.shape[1]]
         rel = np.linalg.norm(mu - truth) / np.linalg.norm(truth)
@@ -895,7 +896,7 @@ class TestRunFilter:
         assert pred.filtered_state.step == 4
         assert pred.filtered_gain is gains[4]
         np.testing.assert_array_equal(pred.filtered_cov,
-                                      core_model.hyper.kappa * gains[4])
+                                      core_model.kappa * gains[4])
 
     def test_too_few_gains_refused(self, core_model):
         # given gains are used as they are, never projected again
@@ -1020,12 +1021,42 @@ class TestStagedLearner:
             fresh = learn(flows, hyper, 40, CHUNK, WINDOW, kept_dim=20)
             for name in fkkf._ARRAY_FIELDS:
                 assert np.array_equal(getattr(staged, name), getattr(fresh, name)), name
-            assert (staged.state_spec, staged.obs_spec, staged.hyper) == \
-                (fresh.state_spec, fresh.obs_spec, fresh.hyper)
+            assert (staged.obs_spec, staged.kappa) == (fresh.obs_spec, fresh.kappa)
             assert np.array_equal(staged.frontend.basis.components,
                                   fresh.frontend.basis.components)
             assert np.array_equal(staged.frontend.standardizer.means,
                                   fresh.frontend.standardizer.means)
+
+    def test_flow_too_short_to_frame_left_out(self):
+        flows = generate_group(TEMPLATE, 3, 3.0, 0.01, seed=11)
+        short = dataclasses.replace(flows[1], samples=flows[1].samples[:50])
+        with pytest.raises(FlowTooShort):
+            window_frames(short.samples, CHUNK, WINDOW)
+        kept = learn([flows[0], flows[2]], HYPER, 40, CHUNK, WINDOW, kept_dim=20)
+        model = learn([flows[0], short, flows[2]], HYPER, 40, CHUNK, WINDOW, kept_dim=20)
+        for name in fkkf._ARRAY_FIELDS:
+            assert np.array_equal(getattr(model, name), getattr(kept, name)), name
+        with pytest.raises(FlowTooShort, match="no training flow can be framed"):
+            learn([short, short], HYPER, 40, CHUNK, WINDOW, kept_dim=20)
+
+    def test_first_horizon_shorter_than_chunk_interval_refused_before_framing(
+            self, monkeypatch):
+        # such a frontend would overlap-average with gaps between its chunks
+        # (NaN samples in frames_to_kbit)
+        def no_framing(*args):
+            raise AssertionError("framed before the window was checked")
+        monkeypatch.setattr(fkkf, "window_frames", no_framing)
+        flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=11)
+        with pytest.raises(ValueError, match="chunk_length_s must be >= chunk_interval_s"):
+            learn(flows, HYPER, 40, CHUNK, StateWindowConfig(horizons_s=(0.04, 0.4)))
+
+    def test_frontend_chunk_length_is_the_observation_window(self):
+        # the chunk length handed to learn is not read: the frontend frames
+        # observations with the first horizon (CHUNK's 0.2 s)
+        flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=11)
+        model = learn(flows, HYPER, 40, dataclasses.replace(CHUNK, chunk_length_s=1.0),
+                      WINDOW, kept_dim=20)
+        assert model.frontend.chunk_cfg == CHUNK
 
     def test_nothing_built_before_the_first_model(self):
         flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=11)
@@ -1043,11 +1074,10 @@ class TestSerialization:
             a, b = getattr(loaded, name), getattr(traffic_model, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert a.flags.c_contiguous == b.flags.c_contiguous, name
-        assert loaded.hyper == traffic_model.hyper
-        assert loaded.state_spec == traffic_model.state_spec
+        assert loaded.kappa == traffic_model.kappa
+        assert loaded.obs_spec == traffic_model.obs_spec
         fe_a, fe_b = loaded.frontend, traffic_model.frontend
         assert fe_a.chunk_cfg == fe_b.chunk_cfg
-        assert fe_a.window_cfg == fe_b.window_cfg
         for part in ("means", "stds"):
             np.testing.assert_array_equal(getattr(fe_a.standardizer, part),
                                           getattr(fe_b.standardizer, part))
@@ -1063,7 +1093,13 @@ class TestSerialization:
             meta = json.loads(data["meta_json"].tobytes())
         blocks = tuple(f"block0_{part}" for part in ("means", "stds", "components", "evr"))
         assert names == sorted(fkkf._ARRAY_FIELDS + blocks + ("meta_json",))
-        assert "n_blocks" not in meta and "bandwidth_seed" not in meta
+        # what filtering reads: no state kernel, no hyperparameter but
+        # kappa, the observation window only as the chunk length
+        assert sorted(meta) == ["chunk_cfg", "format_version", "has_frontend",
+                                "kappa", "obs_spec"]
+        assert meta["format_version"] == 6
+        assert meta["kappa"] == HYPER.kappa
+        assert meta["chunk_cfg"] == [0.01, 0.05, WINDOW.horizons_s[0]]
 
     def test_symmetric_matrices_stored_as_one_triangle(self, traffic_model, tmp_path):
         path = tmp_path / "model.npz"
@@ -1125,6 +1161,11 @@ class TestSerialization:
          "format version 3"),
         (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 4)),
          "format version 4"),
+        (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 5)),
+         "format version 5"),
+        *((lambda arrays, k=kappa: arrays.update(meta_json=_edited_meta(arrays, kappa=k)),
+           f"kappa {kappa!r} is not positive and finite")
+          for kappa in (0.0, -1.0, np.nan, np.inf)),
         (lambda arrays: arrays.update(o_sub=arrays["o_sub"][:-1]), "array o_sub"),
         (lambda arrays: arrays.update(ogo=arrays["ogo"][:-1]), "array ogo"),
         (lambda arrays: arrays.update(p1_prior=np.eye(arrays["t_sub"].shape[0])),
@@ -1184,7 +1225,11 @@ class TestSerialization:
             load_model(path)
 
 
-def _meta_with_version(arrays, version):
+def _edited_meta(arrays, **changes):
     meta = json.loads(arrays["meta_json"].tobytes().decode())
-    meta["format_version"] = version
+    meta.update(changes)
     return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+def _meta_with_version(arrays, version):
+    return _edited_meta(arrays, format_version=version)
