@@ -1,7 +1,9 @@
 """Command-line frontend: ingest -> cluster -> learn -> predict -> evaluate.
 
 Every command echoes the config hash, writes its outputs atomically
-(temp file + rename) and drops a JSON run manifest next to them.
+(temp file + rename) and drops a JSON run manifest next to them; each
+manifest records the numpy and scipy versions and the BLAS thread
+variables under "runtime".
 Exit codes: 2 parse errors, 3 missing model file, 4 numerical failure.
 """
 
@@ -17,12 +19,16 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 
 from . import clustering, evaluation, fkkf, hyperopt, synth, trace_io
 from .config import RunConfig, load_config
 from .errors import FlowcastError, NumericalFailure, ParseError
 
 DURATION_BUCKETS = (0.1, 1.0, 100.0)
+# fold outcomes and timings depend on the BLAS thread count, so every
+# manifest records these (null when unset)
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Ctx:
@@ -49,6 +55,8 @@ def _write_manifest(ctx: _Ctx, command: str, outputs, record: dict) -> None:
         "config_hash": ctx.config.config_hash(),
         "seed": ctx.config.seed,
         "outputs": [str(p) for p in outputs],
+        "runtime": {"numpy": np.__version__, "scipy": scipy.__version__,
+                    **{var: os.environ.get(var) for var in _THREAD_VARS}},
         **record,
     }
     path = ctx.out_dir / f"manifest_{command}.json"
@@ -107,10 +115,12 @@ def main(ctx, config_path, seed, out_dir):
     ctx.obj = _Ctx(config=config, out_dir=out)
 
 
-def _skips_per_length(per_length: dict) -> dict:
-    """Each chunk length's skipped folds per reason, for the manifest."""
-    return {format(length, ".12g"): dict(sorted(per_length[length].skips.items()))
-            for length in sorted(per_length)}
+def _per_length_record(per_length: dict) -> tuple:
+    """Each chunk length's skipped folds per reason and count of members
+    left out of training, for the manifest."""
+    results = {format(length, ".12g"): per_length[length] for length in sorted(per_length)}
+    return ({key: dict(sorted(result.skips.items())) for key, result in results.items()},
+            {key: result.flows_left_out for key, result in results.items()})
 
 
 def _run(ctx_obj, command, fn, record: dict | None = None):
@@ -326,10 +336,12 @@ def evaluate(ctx, traces_path, groups_path):
     """Leave-one-out evaluation of every group; write the table-style report.
 
     The manifest records each group's skipped folds per chunk length and
-    reason under "skips"; report.csv does not.
+    reason under "skips", and per chunk length the members left out of
+    training as too short to frame under "flows_left_out"; report.csv
+    records neither.
     """
     _echo_hash(ctx)
-    skips = {}
+    skips, left_out = {}, {}
 
     def work():
         flows = _load_store(ctx, traces_path)
@@ -344,7 +356,7 @@ def evaluate(ctx, traces_path, groups_path):
             hyper = _resolve_hyper(ctx, members, exp.chunk_lengths_s[0])
             report, per_length = evaluation.build_group_report(group_id, members,
                                                                hyper, exp)
-            skips[str(group_id)] = _skips_per_length(per_length)
+            skips[str(group_id)], left_out[str(group_id)] = _per_length_record(per_length)
             reports.append(report)
             optimal_lengths.append(report.optimal_chunk_len_s)
             click.echo(f"group {group_id}: pred_error={report.pred_error_optimal:+.3f} "
@@ -359,7 +371,7 @@ def evaluate(ctx, traces_path, groups_path):
             click.echo(f"mean_optimal_chunk_len_s={np.mean(optimal_lengths):.3f}")
         return [out]
 
-    _run(ctx, "evaluate", work, {"skips": skips})
+    _run(ctx, "evaluate", work, {"skips": skips, "flows_left_out": left_out})
 
 
 @main.command()
@@ -371,17 +383,18 @@ def sweep(ctx, traces_path, groups_path, group_id):
     """Chunk-length sweep for one group; write per-length errors.
 
     The manifest records the skipped folds per chunk length and reason
-    under "skips", keyed by the group id as in evaluate's.
+    under "skips" and the members left out of training under
+    "flows_left_out", keyed by the group id as in evaluate's.
     """
     _echo_hash(ctx)
-    skips = {}
+    skips, left_out = {}, {}
 
     def work():
         group_flows = _group_flows(ctx, traces_path, groups_path, group_id)
         exp = ctx.config.experiment
         hyper = _resolve_hyper(ctx, group_flows, exp.chunk_lengths_s[0])
         optimal, per_length = evaluation.chunk_length_sweep(group_flows, hyper, exp)
-        skips[str(group_id)] = _skips_per_length(per_length)
+        skips[str(group_id)], left_out[str(group_id)] = _per_length_record(per_length)
         out = ctx.out_dir / f"sweep_group{group_id}.csv"
 
         def write(tmp):
@@ -398,7 +411,7 @@ def sweep(ctx, traces_path, groups_path, group_id):
         click.echo(f"optimal_chunk_len_s={optimal}")
         return [out]
 
-    _run(ctx, "sweep", work, {"skips": skips})
+    _run(ctx, "sweep", work, {"skips": skips, "flows_left_out": left_out})
 
 
 @main.command(name="synth")

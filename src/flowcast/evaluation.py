@@ -116,6 +116,8 @@ class GroupExperimentResult:
     # folds skipped per reason: the exception class, plus .matrix for a
     # NumericalFailure ("NumericalFailure.innovation_gain")
     skips: Counter = field(default_factory=Counter)
+    # members some fold's learner left out of training, too short to frame
+    flows_left_out: int = 0
 
     @property
     def skipped(self) -> int:
@@ -339,18 +341,24 @@ def run_group_experiment(group_flows, hyper: FkkfHyperparams,
     Folds whose test flow has no usable peak, or whose filter fails
     numerically, are skipped and counted per reason; signed errors
     are averaged across the remaining folds, NaN when every fold was
-    skipped.  InsufficientGroup for a group of fewer than two flows.
+    skipped.  The members that some fold's learner left out of training
+    (StagedLearner.left_out) are counted in flows_left_out.
+    InsufficientGroup for a group of fewer than two flows.
     """
     flows = list(group_flows)
     if len(flows) < 2:
         raise InsufficientGroup(f"group has {len(flows)} flows, need >= 2")
     result = GroupExperimentResult(chunk_length_s=chunk_length_s)
+    left_out = set()
     for train, test in leave_one_out_splits(flows):
+        learner = split_learner(train, cfg, chunk_length_s)
         try:
             result.splits.append(evaluate_split(train, test, hyper, cfg,
-                                                chunk_length_s))
+                                                chunk_length_s, learner=learner))
         except (UndefinedError, NumericalFailure) as exc:
             result.skips[_skip_reason(exc)] += 1
+        left_out.update(id(flow) for flow in learner.left_out)
+    result.flows_left_out = len(left_out)
     return result
 
 

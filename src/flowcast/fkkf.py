@@ -10,10 +10,10 @@ the feature maps of n <= m inducing pairs:
 
 Updates are linear in these coordinates:
 
-    prediction:  n-_{t+1} = T n_t,            P-_{t+1} = T P_t T' + V
-    gain:        W_t = (P-_t M + kappa I_n)^-1 P-_t,    M = O' G_yy O
-    innovation:  n_t = n-_t + W_t (O' k_y - M n-_t)
-    posterior:   P_t = kappa W_t
+    prediction:  n-_{t+1} = T n_t,            P-_{t+1} = kappa Y_t' Y_t + V,  Y_t = Z_t T'
+    gain:        W_t = Z_t' Z_t = (P-_t M + kappa I_n)^-1 P-_t,    M = O' G_yy O
+    innovation:  n_t = n-_t + Z_t' Z_t (O' k_y - M n-_t)
+    posterior:   P_t = kappa Z_t' Z_t
     readout:     mu_t = C n_t,                 C = (X O)[:q]
     forecast:    mu_k = C T^k n_t,             var_k = rowsum((A_k L_P)^2)
                  A_k = C T^k                     + sum_{j<k} rowsum((A_j L_V)^2)
@@ -36,15 +36,18 @@ per distinct state.  The Kalman gain of the m-dimensional
 innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1, equals W_t O'
 by the push-through identity, so every per-step quantity is n x n and
 G_yy enters only through M, formed once at learning time.
-W_t is computed as L (L' M L + kappa I_n)^-1 L' from a factor P-_t = L L'
-(Cholesky, or an eigendecomposition with negative roundoff eigenvalues
-clamped to zero where Cholesky fails), a Gram matrix Z'Z, so W_t and the
-posterior kappa W_t are positive semi-definite by construction; kappa W_t
-is the textbook posterior without its cancelling subtraction.  Only W_t
-is kept: the posterior is derived as kappa W_t where it is read, by the
-next prediction in project and by Prediction.filtered_cov.
+The gain is kept in square-root form (Bierman's factored Kalman filter):
+from a factor P-_t = L L' (Cholesky, or an eigendecomposition with
+negative roundoff eigenvalues clamped to zero where Cholesky fails) and
+the Cholesky factor C of L' M L + kappa I_n, the gain root is
+Z_t = C^-1 L', and W_t = Z_t' Z_t.  W_t, the posterior kappa W_t and the
+next prior kappa Y_t' Y_t + V are Gram matrices plus V, positive
+semi-definite by construction; kappa W_t is the textbook posterior
+without its cancelling subtraction.  Only Z_t is kept: the posterior is
+formed as kappa Z_t' Z_t where it is read, by Prediction.filtered_cov,
+and the next prior from Y_t = Z_t T' with one symmetric rank-k update.
 Gains never depend on observed values, so project steps them once per
-model ahead of filtering, as the tuple (W_0, ..., W_{k-1}).  The filter
+model ahead of filtering, as the tuple (Z_0, ..., Z_{k-1}).  The filter
 moves only the mean: run_filter takes innovation_update,
 prediction_update and reconstruct as its steps.  forecast_variance
 computes the variance diagonal from factors L_P, L_V of the filtered
@@ -81,7 +84,7 @@ named with it:
     4. ridge         T, V and the prior per lambda_t (n x n x s products
                      and the mode clip); O, Obar, M and the readout rows C
                      per lambda_o (one m x n x n product)
-    5. gains         project and run_filter (kappa)
+    5. gains         project (the gain roots Z_t) and run_filter (kappa)
 
 StagedLearner runs stage 1 once and keeps each later stage while its
 inputs stay the same, so a hyperparameter search over one training set
@@ -164,10 +167,10 @@ class StateWindowConfig:
 class FilterState:
     """Belief mean coordinates at one filter step.
 
-    The prior at step t takes the t-th projected gain factor and its
+    The prior at step t takes the t-th projected gain root and its
     posterior keeps step t.  The covariances are not stepped here: they do
-    not depend on observations, and the posterior of step t is kappa W_t
-    from project's gain factors.
+    not depend on observations, and the posterior of step t is
+    kappa Z_t' Z_t from project's gain roots.
     """
 
     n_t: np.ndarray
@@ -176,18 +179,24 @@ class FilterState:
 
 @dataclass
 class Prediction:
-    """Multi-step forecast after filtering an observed prefix."""
+    """Multi-step forecast after filtering an observed prefix.
+
+    filtered_root is the gain root Z of the last observed step, the array
+    project returned, not a copy; the posterior it stands for is formed
+    only when filtered_cov is read.
+    """
 
     mean_frames: np.ndarray    # (steps, obs_dim) predicted reduced observations
     mean_kbit: np.ndarray      # reassembled time-domain forecast (empty without frontend)
     filtered_state: FilterState
-    filtered_gain: np.ndarray  # (n, n) W of the last observed step (the projected one, not a copy)
+    filtered_root: np.ndarray  # (n, n) gain root Z of the last observed step
     kappa: float
 
     @property
     def filtered_cov(self) -> np.ndarray:
-        """(n, n) posterior kappa W of the last observed step."""
-        return self.kappa * self.filtered_gain
+        """(n, n) posterior kappa Z'Z of the last observed step, formed here."""
+        z = self.filtered_root
+        return self.kappa * (z.T @ z)
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +637,19 @@ def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
     first block's reducer and the first horizon as its chunk length (a
     ValueError before any framing if that is shorter than the interval).
     A flow too short to frame is left out; FlowTooShort if every one is.
-    Returns (frontend, x_pred, x_succ, y_train).  Depends on no filter
-    hyperparameter.
+    Returns (frontend, x_pred, x_succ, y_train, left_out), left_out the
+    flows left out.  Depends on no filter hyperparameter.
     """
     obs_cfg = dataclasses.replace(chunk_cfg, chunk_length_s=window_cfg.horizons_s[0])
     if not train_flows:
         raise InsufficientData("no training flows")
-    per_flow_blocks = []
+    per_flow_blocks, left_out = [], []
     for flow in train_flows:
         try:
             per_flow_blocks.append(window_frames(flow.samples, obs_cfg, window_cfg))
         except FlowTooShort as exc:
             too_short = exc
+            left_out.append(flow)
     if not per_flow_blocks:
         raise FlowTooShort(f"no training flow can be framed: {too_short}")
     reducers = []
@@ -656,7 +666,7 @@ def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
         rows.append((np.hstack(reduced), reduced[0]))
     std, basis = reducers[0]
     frontend = SpectralFrontend(chunk_cfg=obs_cfg, standardizer=std, basis=basis)
-    return (frontend, *_pairs_from_chains(rows))
+    return (frontend, *_pairs_from_chains(rows), tuple(left_out))
 
 
 def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
@@ -685,7 +695,8 @@ class StagedLearner:
     the first call, then the stages of _CoreStages.  Nothing is computed
     before the first model() call, so a caller that times model() sees
     every stage it triggers.  train_flows and settings record what the
-    learner was built from.
+    learner was built from; left_out, filled by the first model() call,
+    holds the training flows too short to frame, which no stage sees.
     """
 
     def __init__(self, train_flows, subspace_size: int, chunk_cfg: ChunkConfig,
@@ -693,13 +704,14 @@ class StagedLearner:
                  bandwidth_seed: int = 0):
         self.train_flows = tuple(train_flows)
         self.settings = (subspace_size, chunk_cfg, window_cfg, kept_dim, bandwidth_seed)
+        self.left_out: tuple = ()
         self._core: _CoreStages | None = None
 
     def model(self, hyper: FkkfHyperparams) -> FkkfModel:
         # the frontend and the _CoreStages on it are built on the first call
         if self._core is None:
             subspace_size, chunk_cfg, window_cfg, kept_dim, bandwidth_seed = self.settings
-            frontend, x_pred, x_succ, y_train = _fit_frontend(
+            frontend, x_pred, x_succ, y_train, self.left_out = _fit_frontend(
                 list(self.train_flows), chunk_cfg, window_cfg, kept_dim)
             self._core = _CoreStages(x_pred, x_succ, y_train, subspace_size,
                                      bandwidth_seed=bandwidth_seed, frontend=frontend)
@@ -729,15 +741,18 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                    trans_a=trans_a, trans_b=trans_b)
 
 
-# (lower Cholesky factor, symmetric eigendecomposition) from one library:
-# project factorizes with scipy's, forecast_variance with numpy's (see _matmul)
-_SCIPY_FACTORS = (lambda a: scipy.linalg.cholesky(a, lower=True),
+# (lower Cholesky factor, symmetric eigendecomposition) from one library,
+# each reading only the lower triangle: project factorizes with scipy's,
+# forecast_variance with numpy's (see _matmul).  scipy's upper factor of
+# the transposed view reads the same triangle and is L' in Fortran order,
+# the operand _gain_root's triangular solve overwrites without a copy.
+_SCIPY_FACTORS = (lambda a: scipy.linalg.cholesky(a.T).T,
                   lambda a: scipy.linalg.eigh(a, driver="evd"))
 _NUMPY_FACTORS = (np.linalg.cholesky, np.linalg.eigh)
 
 
 def _covariance_root(cov: np.ndarray, factors=_SCIPY_FACTORS) -> np.ndarray:
-    """A factor L with L L' = cov.
+    """A factor L with L L' = cov, read from cov's lower triangle only.
 
     Cholesky when cov is numerically positive definite, the usual case for
     a prior (the prediction adds V >= jitter I); otherwise U sqrt(Lambda)
@@ -753,57 +768,67 @@ def _covariance_root(cov: np.ndarray, factors=_SCIPY_FACTORS) -> np.ndarray:
         return evecs * np.sqrt(np.maximum(evals, 0.0))
 
 
-def _innovation_cov(model: FkkfModel, p_prior: np.ndarray) -> np.ndarray:
-    """Gain factor W = L (L' M L + kappa I)^-1 L'; the posterior is kappa W.
+def _gain_root(model: FkkfModel, p_prior: np.ndarray) -> np.ndarray:
+    """Gain root Z = C^-1 L', so that W = Z' Z = L (L' M L + kappa I)^-1 L'.
 
-    P- = L L' (see _covariance_root).  B = L' M L + kappa I >= kappa I, so
-    its Cholesky factor C exists, and W = Z' Z with Z = C^-1 L' is a Gram
-    matrix: W and the posterior kappa W are positive semi-definite however
-    ill-conditioned P- is.  kappa W is the textbook posterior of P-
-    written without its subtraction, which cancels catastrophically when
-    P- spans many decades.  The Cholesky of B is the one step of project
-    that can fail (NumericalFailure "innovation_gain").
+    P- = L L' (see _covariance_root, which reads P-'s lower triangle).
+    B = L' M L + kappa I >= kappa I, so its Cholesky factor C exists (read
+    from B's lower triangle), and W = Z'Z is a Gram matrix: W and the
+    posterior kappa W are positive semi-definite however ill-conditioned
+    P- is.  kappa W is the textbook posterior of P- written without its
+    subtraction, which cancels catastrophically when P- spans many
+    decades.  The Cholesky of B is the one step of project that can fail
+    (NumericalFailure "innovation_gain").
     """
     root = _covariance_root(p_prior)
-    inner = _sym(_matmul(root.T, _matmul(model.ogo, root)))
+    inner = _matmul(root.T, _matmul(model.ogo, root))
     inner.flat[::inner.shape[0] + 1] += model.kappa
     try:
-        chol = scipy.linalg.cholesky(inner, lower=True)
+        chol = scipy.linalg.cholesky(inner, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError:
         raise NumericalFailure("innovation_gain",
                                "L' M L + kappa I is not positive definite") from None
-    z = scipy.linalg.solve_triangular(chol, root.T, lower=True)
-    return _sym(_matmul(z.T, z))
+    return scipy.linalg.solve_triangular(chol, root.T, lower=True, overwrite_b=True)
 
 
-def _prediction_cov(model: FkkfModel, p_post: np.ndarray) -> np.ndarray:
-    return _sym(_matmul(_matmul(model.t_sub, p_post), model.t_sub.T) + model.v)
+def _prediction_cov(model: FkkfModel, z: np.ndarray) -> np.ndarray:
+    """The next prior T (kappa Z'Z) T' + V = kappa Y'Y + V, Y = Z T', lower triangle.
+
+    One product and one symmetric rank-k update into a copy of V; only the
+    lower triangle is written, the one _covariance_root reads.
+    """
+    y = _matmul(z, model.t_sub.T)
+    return scipy.linalg.blas.dsyrk(model.kappa, y, beta=1.0, c=model.v, trans=1,
+                                   lower=1)
 
 
 def project(model: FkkfModel, steps: int) -> tuple:
-    """The gain factors (W_0, ..., W_{steps-1}) of `steps` innovations.
+    """The gain roots (Z_0, ..., Z_{steps-1}) of `steps` innovations.
 
-    Step t's posterior kappa W_t is positive semi-definite by construction
-    (see _innovation_cov) and is formed only for the next prior.  Nothing
-    here depends on observed values, so the result can be cached before
-    any test data arrives and shared by concurrent filter runs.
+    Step t's gain factor is W_t = Z_t' Z_t and its posterior kappa W_t,
+    both positive semi-definite by construction (see _gain_root); neither
+    is formed here.  Each prior after the first is built from the previous
+    root (_prediction_cov), and none is built after the last innovation.
+    Nothing here depends on observed values, so the result can be cached
+    before any test data arrives and shared by concurrent filter runs.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    gains = []
+    roots = []
     p_prior = model.p1_prior
     for step in range(steps):
         if step:
-            p_prior = _prediction_cov(model, model.kappa * gains[-1])
-        gains.append(_innovation_cov(model, p_prior))
-    return tuple(gains)
+            p_prior = _prediction_cov(model, roots[-1])
+        roots.append(_gain_root(model, p_prior))
+    return tuple(roots)
 
 
 def innovation_update(state: FilterState, y_frame: np.ndarray,
                       gains: tuple, model: FkkfModel) -> FilterState:
-    """Fold one observation into the prior at state.step: n + W (O' k_y - M n).
+    """Fold one observation into the prior at state.step: n + Z'(Z (O' k_y - M n)).
 
-    W is that step's gain factor from project's `gains`.
+    Z is that step's gain root from project's `gains`, so the gain factor
+    W = Z'Z is applied as two products with Z and never formed.
     """
     step = state.step
     if step >= len(gains):
@@ -813,7 +838,8 @@ def innovation_update(state: FilterState, y_frame: np.ndarray,
         raise BadDimension(f"observation dim {y_frame.size} != {model.obs_dim}")
     k_y = kernel_vector(model.y_train, y_frame, model.obs_spec)
     n_t = state.n_t
-    n_post = n_t + gains[step] @ (model.o_sub.T @ k_y - model.ogo @ n_t)
+    z = gains[step]
+    n_post = n_t + z.T @ (z @ (model.o_sub.T @ k_y - model.ogo @ n_t))
     return FilterState(n_t=n_post, step=step)
 
 
@@ -860,7 +886,7 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
     """Filter an observed prefix, then forecast ahead without observations.
 
     Every observed frame triggers an innovation with its step's gain
-    factor from `gains` (project's tuple), which are projected here when
+    root from `gains` (project's tuple), which are projected here when
     not given; given gains shorter than the prefix raise ValueError.  Each
     forecast state is reconstructed; with a spectral frontend the
     observation-horizon block is mapped back to a kbit series via inverse
@@ -890,7 +916,7 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
     else:
         mean_kbit = np.empty(0)
     return Prediction(mean_frames=mean_frames, mean_kbit=mean_kbit, filtered_state=state,
-                      filtered_gain=gains[state.step], kappa=model.kappa)
+                      filtered_root=gains[state.step], kappa=model.kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,10 @@ def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_ou
     A candidate's error on one validation fold is the magnitude of its
     peak prediction error (evaluation.evaluate_split); its error is the
     mean over the folds.  Candidates that fail to learn score inf; if all
-    fail, NoViableCandidate is raised.
+    fail, NoViableCandidate is raised.  The audit CSV, when asked for,
+    gets one row per candidate: the five hyperparameters, the error and
+    the reason for an inf, the skip reason of the first fold that failed
+    (evaluation._skip_reason; empty for a finite error).
     """
     if cfg is None:
         cfg = evaluation.ExperimentConfig()
@@ -114,6 +117,7 @@ def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_ou
     candidates = list(space.candidates())
     order = sorted(range(len(candidates)), key=lambda i: _stage_order(candidates[i]))
     fold_errors = [[] for _ in candidates]
+    reasons = [""] * len(candidates)
     for train, test in folds:
         # rebinding score releases the previous fold's stages; this
         # fold's are built on its first candidate
@@ -121,14 +125,15 @@ def grid_search(train_flows, space: SearchSpace, validation: str = "leave_one_ou
         for i in order:
             try:
                 fold_errors[i].append(score(candidates[i]))
-            except FlowcastError:
+            except FlowcastError as exc:
                 fold_errors[i].append(float("inf"))
+                reasons[i] = reasons[i] or evaluation._skip_reason(exc)
 
     audit_rows = []
     best = None  # (error, tuple, hyper)
-    for hyper, errors in zip(candidates, fold_errors):
+    for hyper, errors, reason in zip(candidates, fold_errors, reasons):
         error = float(np.mean(errors)) if errors else float("inf")
-        audit_rows.append((hyper.as_tuple(), error))
+        audit_rows.append((hyper.as_tuple(), error, reason))
         key = (error, hyper.as_tuple())
         if best is None or key < (best[0], best[1]):
             best = (error, hyper.as_tuple(), hyper)
@@ -145,7 +150,7 @@ def _append_audit(path, rows) -> None:
         writer = csv.writer(fh)
         if write_header:
             writer.writerow(["lambda_t", "lambda_o", "state_bw_scale",
-                             "obs_bw_scale", "kappa", "error"])
-        for params, error in rows:
+                             "obs_bw_scale", "kappa", "error", "reason"])
+        for params, error, reason in rows:
             writer.writerow([format(p, ".12g") for p in params]
-                            + [format(error, ".12g")])
+                            + [format(error, ".12g"), reason])

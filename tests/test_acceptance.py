@@ -51,7 +51,7 @@ def test_criterion_2_subspace_equals_full_space():
     # the training pairs learn reduced the flows to; the model's kernel
     # centres must be their distinct observations before the states are
     # trusted
-    _, x_pred, x_succ, y = fkkf._fit_frontend(flows, chunk_cfg, window_cfg, 30)
+    _, x_pred, x_succ, y, _ = fkkf._fit_frontend(flows, chunk_cfg, window_cfg, 30)
     m = x_pred.shape[0]
     assert m <= 300
     assert model.subspace_size == m
@@ -63,8 +63,8 @@ def test_criterion_2_subspace_equals_full_space():
 
     oracle = FullSpaceFilter(model, x_pred, x_succ, y, hyper)
     o_means, o_covs, o_gains, _ = oracle.run(observed, 0)
-    # run_filter's steps: the means move, the gain factors W are projected
-    # and each posterior is kappa W
+    # run_filter's steps: the means move, the gain roots Z are projected,
+    # each gain factor is W = Z'Z and each posterior kappa W
     gains = fkkf.project(model, len(observed))
     state = model.initial_state()
     worst = 0.0
@@ -74,8 +74,9 @@ def test_criterion_2_subspace_equals_full_space():
         state = fkkf.innovation_update(state, frame, gains, model)
         worst = max(worst,
                     float(np.max(np.abs(state.n_t - o_means[i]))),
-                    float(np.max(np.abs(model.kappa * gains[i] - o_covs[i]))),
-                    float(np.max(np.abs(gains[i] @ model.o_sub.T
+                    float(np.max(np.abs(model.kappa * (gains[i].T @ gains[i])
+                                        - o_covs[i]))),
+                    float(np.max(np.abs(gains[i].T @ (gains[i] @ model.o_sub.T)
                                         - sum_per_centre(o_gains[i], y,
                                                          model.y_train)))))
     filtered = fkkf.run_filter(model, observed, 0, gains=gains).filtered_state

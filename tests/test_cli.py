@@ -73,6 +73,27 @@ def test_synth_manifest(workspace):
     assert len(manifest["config_hash"]) == 12
 
 
+def test_every_manifest_records_the_runtime(workspace, runner, monkeypatch):
+    # fold outcomes and timings depend on the BLAS thread count
+    import scipy
+    cfg, out = workspace
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    for args in (["synth"], ["cluster", str(out / "traces.csv")]):
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out)] + args)
+        assert result.exit_code == 0, result.output
+    _learned_model(runner, cfg, out)
+    manifests = sorted(out.glob("manifest_*.json"))
+    assert [p.name for p in manifests] == ["manifest_cluster.json", "manifest_learn.json",
+                                           "manifest_synth.json"]
+    for path in manifests:
+        assert json.loads(path.read_text())["runtime"] == {
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None}, path.name
+
+
 def test_ingest_binned_roundtrip(workspace, runner, tmp_path):
     cfg, out = workspace
     out2 = tmp_path / "out2"
@@ -486,6 +507,8 @@ def test_manifest_records_skipped_folds(workspace, runner, monkeypatch, command)
                        else (["1"], ["0.6"]))
     assert skips == {group: {length: {"UndefinedError": 1} for length in lengths}
                      for group in groups}
+    left_out = json.loads((out / f"manifest_{command}.json").read_text())["flows_left_out"]
+    assert left_out == {group: {length: 0 for length in lengths} for group in groups}
     if command == "evaluate":
         assert "skip" not in (out / "report.csv").read_text().lower()
 
@@ -538,8 +561,12 @@ def test_evaluate_with_a_flow_shorter_than_the_lookahead(workspace, runner, tmp_
         lines = (tmp_path / name / "report.csv").read_text().splitlines()
         rows[name] = {line.split(",")[0]: line for line in lines if line[0].isdigit()}
     assert rows["cut"]["2"] == rows["whole"]["2"]
-    skips = json.loads((tmp_path / "cut" / "manifest_evaluate.json").read_text())["skips"]
-    assert skips["1"] == {"0.6": {"UndefinedError": 1}, "1": {"UndefinedError": 1}}
+    manifest = json.loads((tmp_path / "cut" / "manifest_evaluate.json").read_text())
+    assert manifest["skips"]["1"] == {"0.6": {"UndefinedError": 1},
+                                      "1": {"UndefinedError": 1}}
+    # the folds that train on flow 0 leave it out; report.csv's flow_count
+    # still counts it
+    assert manifest["flows_left_out"] == {"1": {"0.6": 1, "1": 1}, "2": {"0.6": 0, "1": 0}}
 
 
 def _learned_model(runner, cfg, out):

@@ -224,7 +224,7 @@ class TestGroupExperiment:
          "NumericalFailure.posterior_covariance"),
     ])
     def test_skips_counted_per_reason(self, group_flows, monkeypatch, error, reason):
-        def first_two_folds_fail(train, test, *args):
+        def first_two_folds_fail(train, test, *args, **kwargs):
             if test is group_flows[0] or test is group_flows[2]:
                 raise error
             return SplitResult(pred_error=0.1, constant_error=-0.5, ar_error=-0.5,
@@ -242,11 +242,14 @@ class TestGroupExperiment:
         cut = dataclasses.replace(group_flows[0], samples=group_flows[0].samples[:150])
         result = run_group_experiment(group_flows[:2] + [cut] + group_flows[2:],
                                       HYPER, CFG, 0.6)
-        assert result.splits == run_group_experiment(group_flows, HYPER, CFG, 0.6).splits
+        whole = run_group_experiment(group_flows, HYPER, CFG, 0.6)
+        assert result.splits == whole.splits
         assert result.skips == {"UndefinedError": 1}
+        # the learners of the four folds that train on it record it left out
+        assert (result.flows_left_out, whole.flows_left_out) == (1, 0)
 
     def test_every_fold_skipped_gives_no_splits(self, group_flows, monkeypatch):
-        def no_peak(*args):
+        def no_peak(*args, **kwargs):
             raise UndefinedError("no peak rise")
 
         monkeypatch.setattr(evaluation, "evaluate_split", no_peak)
@@ -330,7 +333,7 @@ class TestSweep:
 
     def test_length_with_every_fold_skipped_kept_but_never_optimal(self, group_flows,
                                                                    monkeypatch):
-        def short_lengths_undefined(train, test, hyper, cfg, chunk_length_s):
+        def short_lengths_undefined(train, test, hyper, cfg, chunk_length_s, **kwargs):
             if chunk_length_s < 0.5:
                 raise UndefinedError("no peak rise")
             return SplitResult(pred_error=0.3, constant_error=-0.5, ar_error=-0.5,

@@ -33,8 +33,8 @@ TEMPLATE = BurstTemplate(rise_duration_s=0.4, body_duration_s=0.5, peak_kbit=100
 
 
 def _gain(gains, model, i):
-    """The n x m Kalman gain of step i, Q_i = W_i O'."""
-    return gains[i] @ model.o_sub.T
+    """The n x m Kalman gain of step i, Q_i = W_i O' = Z_i' (Z_i O')."""
+    return gains[i].T @ (gains[i] @ model.o_sub.T)
 
 
 def _chain_data(m=120, dim=3, noise=0.5, seed=7):
@@ -60,8 +60,8 @@ def _states_and_observations(series, window_cfg, chunk_cfg):
 
 
 def _posteriors(model, gains):
-    """The posterior kappa W of each projected step."""
-    return [model.kappa * w for w in gains]
+    """The posterior kappa Z'Z of each projected step."""
+    return [model.kappa * (z.T @ z) for z in gains]
 
 
 def _priors(model, gains):
@@ -194,7 +194,7 @@ class TestLearnCore:
         flow = generate_group(TEMPLATE, 2, 10.0, 0.01, seed=13)[0]
         from flowcast.spectral import transform
         assert transform(flow.samples, cfg).shape[0] == 200
-        _, x_pred, _, y = fkkf._fit_frontend([flow], cfg, window, 20)
+        _, x_pred, _, y, _ = fkkf._fit_frontend([flow], cfg, window, 20)
         assert x_pred.shape[0] == y.shape[0] == 139
         model = learn([flow], HYPER, 50, cfg, window, kept_dim=20)
         assert model.n_centres == len(distinct_rows(y)) <= 139
@@ -235,7 +235,7 @@ def centred_models():
     """(observations, model, model with one centre per pair) of bursty flows
     whose idle gaps repeat observation windows exactly."""
     flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
-    _, _, _, y = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
+    _, _, _, y, _ = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
     model = learn(flows, HYPER, 40, CHUNK, WINDOW, kept_dim=30)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fkkf, "_distinct_rows", _one_centre_per_pair)
@@ -267,9 +267,9 @@ class TestKernelCentres:
             assert np.array_equal(getattr(model, name), getattr(unmerged, name)), name
         for name in ("ogo", "v", "n1_prior", "p1_prior"):
             _assert_relative(getattr(model, name), getattr(unmerged, name), 1e-12)
-        # the posteriors are kappa W, so comparing W covers them
+        # the posteriors are kappa W, so comparing W = Z'Z covers them
         for a, b in zip(project(model, 4), project(unmerged, 4)):
-            _assert_relative(a, b, GAIN_RTOL)
+            _assert_relative(a.T @ a, b.T @ b, GAIN_RTOL)
 
     def test_innovation_matches_unmerged_response(self, centred_models):
         # only the summation order of the response O' k_y differs; the
@@ -279,7 +279,7 @@ class TestKernelCentres:
         frames = model.frontend.reduce_observations(
             observation_frames(flow.samples, CHUNK, 0.2))
         gains = project(model, 1)
-        w_norm = np.abs(gains[0]).sum(axis=1).max()
+        w_norm = np.abs(gains[0].T @ gains[0]).sum(axis=1).max()
         state = model.initial_state()
         for frame in np.vstack([frames, y[::7]]):
             responses = [m.o_sub.T @ fkkf.kernel_vector(m.y_train, frame, m.obs_spec)
@@ -372,7 +372,7 @@ def distinct_row_data(request):
         x_pred, x_succ, y = _chain_data()
     else:
         flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
-        _, x_pred, x_succ, y = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
+        _, x_pred, x_succ, y, _ = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
         assert len(distinct_rows(y)) < len(y)
     assert len(distinct_rows(np.vstack([x_pred, x_succ]))) < 2 * len(x_pred)
     model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
@@ -559,7 +559,7 @@ class TestSubspaceFullSpaceEquivalence:
                 state = prediction_update(state, exact_model)
             state = innovation_update(state, frame, gains, exact_model)
             assert np.max(np.abs(state.n_t - o_means[i])) <= 1e-8
-            assert np.max(np.abs(exact_model.kappa * gains[i] - o_covs[i])) <= 1e-8
+            assert np.max(np.abs(_posteriors(exact_model, gains)[i] - o_covs[i])) <= 1e-8
             assert np.max(np.abs(_gain(gains, exact_model, i) - o_gains[i])) <= 1e-8
 
     def test_learned_matrices_match_full_space(self, exact_model):
@@ -586,13 +586,14 @@ class TestProject:
                                           _gain(b, core_model, i))
 
     def test_prefix_property(self, core_model):
-        # the posterior is kappa W, so the W comparison covers it
+        # W = Z'Z and the posterior kappa Z'Z, so the Z comparison covers both
         one = project(core_model, 1)
         many = project(core_model, 6)
         np.testing.assert_array_equal(one[0], many[0])
 
     def test_holds_one_gain_factor_per_step(self, core_model):
-        # the posteriors are derived as kappa W where they are read
+        # the gain roots Z; W = Z'Z and the posteriors kappa Z'Z are formed
+        # where they are read
         gains = project(core_model, 5)
         n = core_model.subspace_size
         assert [a.shape for a in _held_arrays(gains)] == [(n, n)] * 5
@@ -622,6 +623,27 @@ class TestProject:
                             lambda *args: calls.append(1) or real(*args))
         project(core_model, 5)
         assert len(calls) == 4
+
+    def test_each_prior_from_one_product_with_the_previous_root(self, core_model,
+                                                                monkeypatch):
+        # P-_{t+1} = kappa Y'Y + V with Y = Z_t T', one product and one
+        # rank-k update: no T P T' product and no _sym copy
+        def no_sym(mat):
+            raise AssertionError("project symmetrized a matrix")
+
+        monkeypatch.setattr(fkkf, "_sym", no_sym)
+        products = []
+        real = fkkf._matmul
+        monkeypatch.setattr(fkkf, "_matmul",
+                            lambda a, b: products.append((a, b)) or real(a, b))
+        gains = project(core_model, 5)
+        t_sub = core_model.t_sub
+        with_t = [(a, b) for a, b in products
+                  if any(x is t_sub or x.base is t_sub for x in (a, b))]
+        assert len(with_t) == 4
+        for (a, b), z in zip(with_t, gains):
+            assert a is z
+            assert b.base is t_sub and np.array_equal(b, t_sub.T)
 
     def test_covariances_stay_psd(self, core_model):
         gains = project(core_model, 25)
@@ -693,7 +715,7 @@ class TestForecastVariance:
         ld = np.longdouble
         t_sub, v = model.t_sub.astype(ld), model.v.astype(ld)
         c = model.xo.astype(ld)
-        p = (model.kappa * gains[observed.shape[0] - 1]).astype(ld)
+        p = _posteriors(model, gains)[observed.shape[0] - 1].astype(ld)
         for k in range(20):
             p = t_sub @ p @ t_sub.T + v
             expected = np.einsum("ij,ij->i", c @ p, c).astype(float)
@@ -734,6 +756,13 @@ class TestForecastVariance:
         np.testing.assert_array_equal(pred.mean_kbit, expected)
 
 
+# max |(P-_t M + kappa I) W_t - P-_t| / max |P-_t| over the 4 steps of the
+# seed-107 and seed-238 folds: <= 2.8e-5 with W_t = Z_t' Z_t; the gain
+# factors W_t formed from T P T' products and symmetrized copies reached
+# 5.5e-4 and 0.14
+RICCATI_RTOL = 1e-4
+
+
 class TestPsdByConstruction:
     """The factorized gain keeps posteriors PSD on an ill-conditioned prior.
 
@@ -750,8 +779,8 @@ class TestPsdByConstruction:
         model, observed = ill_conditioned_fold
         gains = project(model, 4)
         pred = run_filter(model, observed, 0, gains=gains)
-        assert pred.filtered_gain is gains[3]
-        np.testing.assert_array_equal(pred.filtered_cov, model.kappa * gains[3])
+        assert pred.filtered_root is gains[3]
+        np.testing.assert_array_equal(pred.filtered_cov, _posteriors(model, gains)[3])
         for p in _posteriors(model, gains):
             assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
 
@@ -766,6 +795,25 @@ class TestPsdByConstruction:
             for i, p in enumerate(_posteriors(other, project(other, 4))):
                 assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2), \
                     (scale, i)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="np.longdouble is no wider than float64 here")
+    @pytest.mark.parametrize("fold", ["ill_conditioned_fold", "forecast_fold"])
+    def test_each_gain_solves_its_riccati_step(self, fold, request):
+        # (P-_t M + kappa I) W_t = P-_t with W_t = Z_t' Z_t, each prior
+        # rebuilt in extended precision from p1_prior and the previous root
+        model = request.getfixturevalue(fold)[0]
+        ld = np.longdouble
+        t_sub, v, ogo = (a.astype(ld) for a in (model.t_sub, model.v, model.ogo))
+        kappa = ld(model.kappa)
+        eye = np.eye(model.subspace_size, dtype=ld)
+        prior = model.p1_prior.astype(ld)
+        for i, z in enumerate(project(model, 4)):
+            z = z.astype(ld)
+            w = z.T @ z
+            resid = (prior @ ogo + kappa * eye) @ w - prior
+            assert np.abs(resid).max() <= RICCATI_RTOL * np.abs(prior).max(), i
+            prior = t_sub @ (kappa * w) @ t_sub.T + v
 
     def test_gain_matches_mxm_form_when_well_conditioned(self):
         x_pred, x_succ, y = _chain_data()
@@ -792,7 +840,7 @@ class TestPsdByConstruction:
                                    FullSpaceFilter(model, x_pred, x_succ, y, HYPER).g_yy,
                                    model.kappa)
         assert np.max(np.abs(_gain(gains, model, 0) - expected)) <= 1e-8
-        p = model.kappa * gains[0]
+        p = _posteriors(model, gains)[0]
         assert np.linalg.eigvalsh(p)[0] >= -1e-12 * np.linalg.norm(p, 2)
 
 
@@ -894,9 +942,9 @@ class TestRunFilter:
         assert pred.mean_frames.shape[0] == 0
         assert pred.mean_kbit.size == 0
         assert pred.filtered_state.step == 4
-        assert pred.filtered_gain is gains[4]
+        assert pred.filtered_root is gains[4]
         np.testing.assert_array_equal(pred.filtered_cov,
-                                      core_model.kappa * gains[4])
+                                      _posteriors(core_model, gains)[4])
 
     def test_too_few_gains_refused(self, core_model):
         # given gains are used as they are, never projected again

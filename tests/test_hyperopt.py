@@ -111,6 +111,22 @@ def test_audit_log_written(tmp_path, monkeypatch):
     assert len(lines) == 3
 
 
+def test_audit_gives_the_reason_for_inf(tmp_path, monkeypatch):
+    def gain_fails_at_large_kappa(hyper):
+        if hyper.kappa > 1e-3:
+            raise NumericalFailure("innovation_gain")
+        return 0.25
+
+    flows_stub = _stub_scores(monkeypatch, gain_fails_at_large_kappa)
+    audit = tmp_path / "audit.csv"
+    grid_search(flows_stub, _singleton(kappa=(1e-3, 1e-2)), cfg=CFG,
+                chunk_length_s=0.6, audit_path=audit)
+    header, finite, failed = [line.split(",") for line in audit.read_text().splitlines()]
+    assert header[5:] == ["error", "reason"]
+    assert finite[4:] == ["0.001", "0.25", ""]
+    assert failed[4:] == ["0.01", "inf", "NumericalFailure.innovation_gain"]
+
+
 def test_holdout_validation(flows):
     space = _singleton()
     best, error = grid_search(flows, space, "holdout_fraction", cfg=CFG,
