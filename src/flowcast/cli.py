@@ -2,13 +2,14 @@
 
 Every command echoes the config hash, writes its outputs atomically
 (temp file + rename) and drops a JSON run manifest next to them; each
-manifest records the numpy and scipy versions and the BLAS thread
-variables under "runtime".
+manifest records the numpy and scipy versions, the BLAS thread
+variables and the BLAS library each of the two links under "runtime".
 Exit codes: 2 parse errors, 3 missing model file, 4 numerical failure.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -35,6 +36,7 @@ class _Ctx:
     def __init__(self, config: RunConfig, out_dir: Path):
         self.config = config
         self.out_dir = out_dir
+        self.audit_rows: list = []  # this run's hyper_audit.csv rows
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -56,12 +58,25 @@ def _write_manifest(ctx: _Ctx, command: str, outputs, record: dict) -> None:
         "seed": ctx.config.seed,
         "outputs": [str(p) for p in outputs],
         "runtime": {"numpy": np.__version__, "scipy": scipy.__version__,
-                    **{var: os.environ.get(var) for var in _THREAD_VARS}},
+                    **{var: os.environ.get(var) for var in _THREAD_VARS},
+                    "blas": {"numpy": _blas_library(np), "scipy": _blas_library(scipy)}},
         **record,
     }
     path = ctx.out_dir / f"manifest_{command}.json"
     _atomic_write(path, lambda tmp: Path(tmp).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
+
+
+def _blas_library(module) -> dict | None:
+    """Name, version and OpenBLAS configuration of the BLAS module links,
+    or None where its show_config has no "dicts" mode (numpy < 1.26,
+    scipy < 1.11).  numpy and scipy each link their own (see
+    fkkf._matmul)."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
 
 
 def _echo_hash(ctx: _Ctx) -> None:
@@ -85,15 +100,43 @@ def _load_store(ctx: _Ctx, path) -> list:
     return _load_flows(ctx, path, "csv_binned")
 
 
-def _resolve_hyper(ctx: _Ctx, train_flows, chunk_length_s):
+def _resolve_hyper(ctx: _Ctx, train_flows, chunk_length_s, group_id):
+    """The configured hyperparameters, or the best of a grid search.
+
+    Each search's audit rows go into hyper_audit.csv behind the group id
+    and chunk length they belong to, also when no candidate was viable;
+    the file holds the rows of this run's searches only.
+    """
     hyp = ctx.config.hyper
     if hyp.source == "fixed":
         return hyp.fixed
-    best, _ = hyperopt.grid_search(
-        train_flows, hyp.grid, hyp.validation, cfg=ctx.config.experiment,
-        chunk_length_s=chunk_length_s, holdout_fraction=hyp.holdout_fraction,
-        audit_path=ctx.out_dir / "hyper_audit.csv")
+    with tempfile.TemporaryDirectory(dir=ctx.out_dir) as tmp:
+        search_audit = Path(tmp) / "audit.csv"
+        try:
+            best, _ = hyperopt.grid_search(
+                train_flows, hyp.grid, hyp.validation, cfg=ctx.config.experiment,
+                chunk_length_s=chunk_length_s, holdout_fraction=hyp.holdout_fraction,
+                audit_path=search_audit)
+        finally:
+            if search_audit.exists():  # also written when no candidate was viable
+                _record_audit(ctx, search_audit,
+                              [str(group_id), format(chunk_length_s, ".12g")])
     return best
+
+
+def _record_audit(ctx: _Ctx, search_audit: Path, label: list) -> None:
+    """Add one search's audit rows behind label; rewrite hyper_audit.csv."""
+    with open(search_audit, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    ctx.audit_rows.extend(label + row for row in rows)
+
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["group_id", "chunk_length_s", *header])
+            writer.writerows(ctx.audit_rows)
+
+    _atomic_write(ctx.out_dir / "hyper_audit.csv", write)
 
 
 @click.group()
@@ -279,7 +322,7 @@ def learn(ctx, traces_path, groups_path, group_id, chunk_length):
             exp = _with_chunk_length(exp, chunk_length)
         length = exp.chunk_lengths_s[0]
         group_flows = _group_flows(ctx, traces_path, groups_path, group_id)
-        hyper = _resolve_hyper(ctx, group_flows, length)
+        hyper = _resolve_hyper(ctx, group_flows, length, group_id)
         record["hyper"] = dataclasses.asdict(hyper)
         model = evaluation.split_learner(group_flows, exp, length).model(hyper)
         out = ctx.out_dir / f"model_group{group_id}.npz"
@@ -353,7 +396,7 @@ def evaluate(ctx, traces_path, groups_path):
             members = [_store_flow(flows, i, groups_path) for i in group_map[group_id]]
             if len(members) < 2:
                 continue
-            hyper = _resolve_hyper(ctx, members, exp.chunk_lengths_s[0])
+            hyper = _resolve_hyper(ctx, members, exp.chunk_lengths_s[0], group_id)
             report, per_length = evaluation.build_group_report(group_id, members,
                                                                hyper, exp)
             skips[str(group_id)], left_out[str(group_id)] = _per_length_record(per_length)
@@ -392,7 +435,7 @@ def sweep(ctx, traces_path, groups_path, group_id):
     def work():
         group_flows = _group_flows(ctx, traces_path, groups_path, group_id)
         exp = ctx.config.experiment
-        hyper = _resolve_hyper(ctx, group_flows, exp.chunk_lengths_s[0])
+        hyper = _resolve_hyper(ctx, group_flows, exp.chunk_lengths_s[0], group_id)
         optimal, per_length = evaluation.chunk_length_sweep(group_flows, hyper, exp)
         skips[str(group_id)], left_out[str(group_id)] = _per_length_record(per_length)
         out = ctx.out_dir / f"sweep_group{group_id}.csv"

@@ -79,7 +79,9 @@ named with it:
                      hyperparameter)
     2. state kernel  two m x n Grams and the m x s Gram of the
                      successors against the s distinct states, both
-                     subspace SVDs and their U' products (state_bw_scale)
+                     subspace SVDs and their U' products (state_bw_scale);
+                     the predecessor half on a helper thread while the
+                     caller builds the successor half
     3. obs kernel    G_cc over the c centres (obs_bw_scale)
     4. ridge         T, V and the prior per lambda_t (n x n x s products
                      and the mode clip); O, Obar, M and the readout rows C
@@ -98,8 +100,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import threading
 import zipfile
 import zlib
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,15 +339,24 @@ class _SubspaceSolver:
     square of Kbar R's.  D(lam) itself (n x m) is never formed: callers
     keep U' times what it is applied to, an n-row product, so a new lam
     costs an n x n scaling and one product with it.
+
+    Construction takes two steps, so a caller can drop Kbar before the
+    SVD: whiten(kbar, knn) returns (Kbar R, R), and the constructor takes
+    the SVD of Kbar R and forms R W.
     """
 
-    def __init__(self, kbar: np.ndarray, knn: np.ndarray):
+    def __init__(self, whitened: np.ndarray, root_inv: np.ndarray):
+        self.u, self.s, wt = np.linalg.svd(whitened, full_matrices=False)
+        self.rw = root_inv @ wt.T   # R W
+
+    @staticmethod
+    def whiten(kbar: np.ndarray, knn: np.ndarray) -> tuple:
+        """(Kbar R, R), R = K_nn^-1/2 with K_nn's eigenvalues floored."""
         evals, evecs = np.linalg.eigh(_sym(knn))
         floor = max(evals.max(), 0.0) * _EIG_FLOOR + 1e-300
         evals = np.maximum(evals, floor)
         root_inv = (evecs * (evals ** -0.5)) @ evecs.T
-        self.u, self.s, wt = np.linalg.svd(kbar @ root_inv, full_matrices=False)
-        self.rw = root_inv @ wt.T   # R W
+        return kbar @ root_inv, root_inv
 
     def filt(self, lam: float) -> np.ndarray:
         """The ridge filter s / (s^2 + lam) on the singular values."""
@@ -453,6 +467,33 @@ class _StateKernel:
         return self.solver.u @ (self.solver.filt(lam)[:, None] * self.rw_kbar_prime)
 
 
+# The one helper thread a state kernel hands its predecessor branch to,
+# started on the first state kernel built.  Every learner in the process
+# shares it, so no fold pays a thread start; nothing it runs submits work,
+# so it cannot deadlock.
+_helper_lock = threading.Lock()
+_helper_pool: futures.ThreadPoolExecutor | None = None
+
+
+def _helper() -> futures.ThreadPoolExecutor:
+    global _helper_pool
+    with _helper_lock:
+        if _helper_pool is None:
+            _helper_pool = futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="flowcast-state-kernel")
+        return _helper_pool
+
+
+def _forget_helper() -> None:
+    # a forked child inherits the pool but not its thread: work queued on
+    # it would never run, so the child starts its own
+    global _helper_lock, _helper_pool
+    _helper_lock, _helper_pool = threading.Lock(), None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
 class _CoreStages:
     """learn_core's work, split by the hyperparameters each part depends on.
 
@@ -476,6 +517,20 @@ class _CoreStages:
     equals Obar' G_cc Obar because G_yy[i, j] = G_cc[u(i), u(j)], and
     each distinct state's coordinates are computed once, then selected
     per pair.
+
+    The state kernel has two branches that share no array, and they are
+    built at once: one helper thread (_helper, shared by every learner in
+    the process) builds the predecessor branch, K(x_pred, inducing
+    predecessors), its SVD and the U' products with K(x_pred, inducing
+    successors), while the calling thread builds the larger successor
+    branch, K(x_succ, states), its SVD and U_succ' K(x_succ, states).  The
+    caller joins before the kernel is assembled, and an error in either
+    branch reaches it with no stage kept.  Each branch makes the same
+    calls in the same order as a sequential build, so every array is
+    bit-identical to one at a given BLAS thread count; each drops its m x n
+    Gram before its SVD, so the two SVDs overlap without both Grams held.
+    Only building a state kernel uses the thread: a kept kernel with a new
+    lambda, kappa or obs_bw_scale hands it nothing.
 
     One kernel of each kind is kept.  Asking for another bandwidth scale
     drops the kept kernel and every ridge solution built on it before the
@@ -541,25 +596,42 @@ class _CoreStages:
         self._transition.clear()
         self._observation.clear()
         spec = KernelSpec(bandwidth=self.state_bw, scale_factor=scale)
-        x_pred, x_succ, idx = self.x_pred, self.x_succ, self.idx
+        pending = _helper().submit(self._predecessor_branch, spec)
+        try:
+            succ_solver, u_states = self._successor_branch(spec)
+        finally:
+            futures.wait((pending,))  # joined also when this branch raised
+        solver, u_kbar_prime, rw_kbar_prime = pending.result()
+        self._state = _StateKernel(
+            spec=spec, solver=solver, u_kbar_prime=u_kbar_prime,
+            rw_kbar_prime=rw_kbar_prime, succ_solver=succ_solver, u_states=u_states)
+        return self._state
+
+    def _predecessor_branch(self, spec: KernelSpec) -> tuple:
+        """(solver, U' kbar_prime, (R W)' kbar_prime[idx]) of the state kernel."""
+        x_pred, idx = self.x_pred, self.idx
         full = idx.size == x_pred.shape[0]
-        sub_pred = x_pred if full else x_pred[idx]
-        sub_succ = x_succ if full else x_succ[idx]
-        kbar = gram(x_pred, sub_pred, spec)
-        solver = _SubspaceSolver(kbar, kbar[idx])
+        kbar = gram(x_pred, x_pred if full else x_pred[idx], spec)
+        whitened, root_inv = _SubspaceSolver.whiten(kbar, kbar[idx])
         del kbar
-        kbar_prime = gram(x_pred, sub_succ, spec)
-        k_states = gram(x_succ, self.states, spec)
+        solver = _SubspaceSolver(whitened, root_inv)
+        del whitened
+        kbar_prime = gram(x_pred, self.x_succ if full else self.x_succ[idx], spec)
+        return solver, solver.u.T @ kbar_prime, solver.rw.T @ kbar_prime[idx]
+
+    def _successor_branch(self, spec: KernelSpec) -> tuple:
+        """(succ_solver with U released, U_succ' K(x_succ, states))."""
+        idx = self.idx
+        k_states = gram(self.x_succ, self.states, spec)
         # K(x_succ, inducing successors): each inducing successor is a state
         k_succ = k_states[:, self.succ_col[idx]]
-        succ_solver = _SubspaceSolver(k_succ, k_succ[idx])
+        whitened, root_inv = _SubspaceSolver.whiten(k_succ, k_succ[idx])
+        del k_succ
+        succ_solver = _SubspaceSolver(whitened, root_inv)
+        del whitened
         u_states = succ_solver.u.T @ k_states
         succ_solver.u = None  # read only through u_states
-        self._state = _StateKernel(
-            spec=spec, solver=solver, u_kbar_prime=solver.u.T @ kbar_prime,
-            rw_kbar_prime=solver.rw.T @ kbar_prime[idx],
-            succ_solver=succ_solver, u_states=u_states)
-        return self._state
+        return succ_solver, u_states
 
     def _obs_kernel(self, scale: float) -> tuple:
         if self._obs is not None and self._obs[0].scale_factor == scale:

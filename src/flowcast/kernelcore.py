@@ -16,6 +16,7 @@ from scipy.spatial.distance import pdist
 from .errors import BadDimension, ZeroBandwidth
 
 DEFAULT_SUBSET_SIZE = 500
+_GRAM_BLOCK = 1 << 16  # entries of na + nb formed at once in gram
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,15 @@ def gram(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise BadDimension(f"column mismatch: {a.shape[1]} vs {b2.shape[1]}")
     na = np.einsum("ij,ij->i", a, a)
     nb = na if same else np.einsum("ij,ij->i", b2, b2)
-    # exp(-(na + nb - 2 a b') / denom) in two buffers; each in-place step is
-    # the IEEE operation of the plain expression, in the same order
-    cross = a @ b2.T
-    cross *= 2.0
-    g = na[:, None] + nb[None, :]
-    g -= cross
-    del cross
+    # exp(-(na + nb - 2 a b') / denom) in the buffer of the cross product,
+    # na + nb formed a block of rows at a time; each in-place step is the
+    # IEEE operation of the plain expression, in the same order
+    g = a @ b2.T
+    g *= 2.0
+    rows = max(1, _GRAM_BLOCK // max(1, g.shape[1]))
+    for start in range(0, g.shape[0], rows):
+        block = g[start:start + rows]
+        np.subtract(na[start:start + rows, None] + nb[None, :], block, out=block)
     np.clip(g, 0.0, None, out=g)
     g /= -(2.0 * spec.effective_bandwidth ** 2)
     np.exp(g, out=g)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from flowcast import evaluation, fkkf
+from flowcast import cli, evaluation, fkkf
 from flowcast.cli import main
 from flowcast.config import load_config
 from flowcast.errors import ParseError, UndefinedError
@@ -87,11 +87,53 @@ def test_every_manifest_records_the_runtime(workspace, runner, monkeypatch):
     manifests = sorted(out.glob("manifest_*.json"))
     assert [p.name for p in manifests] == ["manifest_cluster.json", "manifest_learn.json",
                                            "manifest_synth.json"]
+    # numpy and scipy each link their own BLAS library
+    blas = {}
+    for name, module in (("numpy", np), ("scipy", scipy)):
+        built = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas[name] = {key: built.get(key)
+                      for key in ("name", "version", "openblas configuration")}
     for path in manifests:
         assert json.loads(path.read_text())["runtime"] == {
             "numpy": np.__version__, "scipy": scipy.__version__,
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
-            "MKL_NUM_THREADS": None}, path.name
+            "MKL_NUM_THREADS": None, "blas": blas}, path.name
+
+
+def test_runtime_blas_null_without_a_dicts_mode():
+    class Old:  # show_config before numpy 1.26 and scipy 1.11 takes no mode
+        @staticmethod
+        def show_config():
+            return None
+
+    assert cli._blas_library(Old) is None
+
+
+def test_hyper_audit_rows_name_their_group(workspace, runner, tmp_path):
+    # two groups, a 2-point kappa grid each: a second run into the same
+    # --out replaces the first run's rows
+    cfg, out = workspace
+    grid_cfg = tmp_path / "grid.yaml"
+    grid_cfg.write_text(CONFIG_YAML.replace(
+        "  source: fixed\n",
+        "  source: grid\n  validation: holdout_fraction\n"
+        "  grid: {lambda_t: [0.05], lambda_o: [1.0e-3], state_bw_scale: [1.0],"
+        " obs_bw_scale: [1.0], kappa: [1.0e-3, 1.0e-2]}\n"))
+    runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                         "cluster", str(out / "traces.csv")])
+    for _ in range(2):
+        result = runner.invoke(main, ["--config", str(grid_cfg), "--out", str(out),
+                                      "evaluate", str(out / "traces.csv"),
+                                      "--groups", str(out / "groups.csv")])
+        assert result.exit_code == 0, result.output
+    with open(out / "hyper_audit.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["group_id", "chunk_length_s", "lambda_t", "lambda_o",
+                      "state_bw_scale", "obs_bw_scale", "kappa", "error", "reason"]
+    assert [(row[0], row[1], row[6]) for row in rows] == [
+        ("1", "0.6", "0.001"), ("1", "0.6", "0.01"),
+        ("2", "0.6", "0.001"), ("2", "0.6", "0.01")]
+    assert [path.name for path in out.iterdir() if path.is_dir()] == []
 
 
 def test_ingest_binned_roundtrip(workspace, runner, tmp_path):

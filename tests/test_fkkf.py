@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from flowcast import fkkf
+from flowcast import fkkf, hyperopt
 from flowcast.errors import (BadDimension, FlowTooShort, InsufficientData,
                              ModelFileError)
 from flowcast.evaluation import (ExperimentConfig, evaluate_split,
@@ -16,6 +20,7 @@ from flowcast.fkkf import (FilterState, FkkfHyperparams, StateWindowConfig,
                            learn_core, load_model,
                            observation_frames, prediction_update, project,
                            reconstruct, run_filter, save_model, window_frames)
+from flowcast.hyperopt import SearchSpace
 from flowcast.kernelcore import KernelSpec, gram
 from flowcast.spectral import ChunkConfig
 from flowcast.synth import BurstTemplate, default_templates, generate_group
@@ -346,8 +351,8 @@ def _mxm_reference(x_pred, x_succ, y, hyper, subspace_size):
     kbar = gram(x_pred, x_pred[idx], spec)
     kbar_prime = gram(x_pred, x_succ[idx], spec)
     k_succ = gram(x_succ, core.states, spec)[:, core.succ_col[idx]]
-    solver = fkkf._SubspaceSolver(kbar, kbar[idx])
-    succ_solver = fkkf._SubspaceSolver(k_succ, k_succ[idx])
+    solver = fkkf._SubspaceSolver(*fkkf._SubspaceSolver.whiten(kbar, kbar[idx]))
+    succ_solver = fkkf._SubspaceSolver(*fkkf._SubspaceSolver.whiten(k_succ, k_succ[idx]))
     t_sub = fkkf._clip_unstable_modes(_explicit_dual(solver, hyper.lambda_t) @ kbar_prime)
     coord_map = _explicit_dual(succ_solver, hyper.lambda_t)
     coords_pred = coord_map @ gram(x_succ, x_pred, spec)
@@ -1111,6 +1116,161 @@ class TestStagedLearner:
         learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW.scaled(5.0))
         with pytest.raises(FlowTooShort):
             learner.model(HYPER)
+
+
+def _idle_gap_rows(seed=11):
+    """(x_pred, x_succ, y) of bursty flows whose idle gaps repeat rows."""
+    flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=seed)
+    _, x_pred, x_succ, y, _ = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
+    return x_pred, x_succ, y
+
+
+def _kernel_arrays(solver, u_kbar_prime, rw_kbar_prime, succ_solver, u_states):
+    return {"u": solver.u, "s": solver.s, "rw": solver.rw,
+            "u_kbar_prime": u_kbar_prime, "rw_kbar_prime": rw_kbar_prime,
+            "succ_s": succ_solver.s, "succ_rw": succ_solver.rw, "u_states": u_states}
+
+
+def _assert_same_models(a, b):
+    for name in fkkf._ARRAY_FIELDS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+class TestConcurrentStateKernel:
+    """The state kernel's two branches, built on two threads at once."""
+
+    @pytest.mark.parametrize("subspace_size", [40, 10 ** 6], ids=["n_lt_m", "n_eq_m"])
+    def test_bit_identical_to_a_sequential_build(self, subspace_size):
+        x_pred, x_succ, y = _idle_gap_rows()
+        assert len(distinct_rows(y)) < len(y)
+        core = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
+        assert (core.idx.size < len(x_pred)) == (subspace_size == 40)
+        state = core._state_kernel(HYPER.state_bw_scale)
+        # both branches on this thread, one after the other
+        sequential = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
+        solver, u_kbar_prime, rw_kbar_prime = sequential._predecessor_branch(state.spec)
+        succ_solver, u_states = sequential._successor_branch(state.spec)
+        expected = _kernel_arrays(solver, u_kbar_prime, rw_kbar_prime,
+                                  succ_solver, u_states)
+        got = _kernel_arrays(state.solver, state.u_kbar_prime, state.rw_kbar_prime,
+                             state.succ_solver, state.u_states)
+        for name, array in expected.items():
+            assert got[name].tobytes() == array.tobytes(), name
+        assert state.succ_solver.u is None
+
+    def test_helper_used_once_per_state_scale(self, monkeypatch):
+        # a kept state kernel (new kappa, lambdas or obs_bw_scale) hands the
+        # helper thread nothing
+        submitted = []
+        pool = fkkf._helper()
+
+        class Counting:
+            def submit(self, fn, spec):
+                submitted.append(spec.scale_factor)
+                return pool.submit(fn, spec)
+
+        monkeypatch.setattr(fkkf, "_helper", Counting)
+        space = SearchSpace(lambda_t=(1e-2, 1e-1), lambda_o=(1e-2, 1e-1),
+                            state_bw_scale=(0.5, 1.0), obs_bw_scale=(0.5, 1.0),
+                            kappa=(1e-3, 1e-2))
+        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=20)
+        for hyper in sorted(space.candidates(), key=hyperopt._stage_order):
+            learner.model(hyper)
+        assert submitted == [0.5, 1.0]
+
+    def test_learners_on_threads_at_once_give_their_sequential_models(self):
+        # more learners than cores, switching threads often; each builds two
+        # state kernels while the others build theirs
+        scales = (0.5, 1.0)
+        rows = [_idle_gap_rows(seed) for seed in (11, 12, 13)]
+
+        def models(x_pred, x_succ, y):
+            core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+            return [core.model(dataclasses.replace(HYPER, state_bw_scale=scale))
+                    for scale in scales]
+
+        expected = [models(*r) for r in rows]
+        got = [None] * len(rows)
+        start = threading.Barrier(len(rows))
+
+        def run(i):
+            start.wait(timeout=60)
+            got[i] = models(*rows[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(rows))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for mine, theirs in zip(got, expected):
+            assert mine is not None
+            for a, b in zip(mine, theirs):
+                _assert_same_models(a, b)
+
+    def test_worker_error_reaches_the_caller_and_keeps_no_stage(self, monkeypatch):
+        x_pred, x_succ, y = _idle_gap_rows()
+        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        before = core.model(HYPER)
+        error = FloatingPointError("worker branch")
+
+        def fail(self, spec):
+            raise error
+
+        monkeypatch.setattr(fkkf._CoreStages, "_predecessor_branch", fail)
+        with pytest.raises(FloatingPointError) as caught:
+            core.model(dataclasses.replace(HYPER, state_bw_scale=1.0))
+        assert caught.value is error
+        assert core._state is None
+        assert core._transition == {} and core._observation == {}
+        monkeypatch.undo()
+        _assert_same_models(core.model(HYPER), before)
+
+    def test_caller_error_raised_after_the_worker_branch_ends(self, monkeypatch):
+        x_pred, x_succ, y = _idle_gap_rows()
+        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        real = fkkf._CoreStages._predecessor_branch
+        ended = threading.Event()
+
+        def slow(self, spec):
+            time.sleep(0.2)
+            result = real(self, spec)
+            ended.set()
+            return result
+
+        def fail(self, spec):
+            raise FloatingPointError("caller branch")
+
+        monkeypatch.setattr(fkkf._CoreStages, "_predecessor_branch", slow)
+        monkeypatch.setattr(fkkf._CoreStages, "_successor_branch", fail)
+        with pytest.raises(FloatingPointError, match="caller branch"):
+            core.model(HYPER)
+        assert ended.is_set()
+        assert core._state is None
+
+    def test_forked_child_learns(self):
+        # the child inherits the helper pool's state but not its thread
+        x_pred, x_succ, y = _idle_gap_rows()
+        parent = learn_core(x_pred, x_succ, y, HYPER, 40)
+        queue = multiprocessing.get_context("fork").SimpleQueue()
+
+        def child():
+            queue.put(learn_core(x_pred, x_succ, y, HYPER, 40).t_sub.tobytes())
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=120)
+        if process.is_alive():
+            process.kill()
+            process.join()
+        assert process.exitcode == 0
+        assert queue.get() == parent.t_sub.tobytes()
 
 
 class TestSerialization:

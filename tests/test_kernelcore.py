@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcast import kernelcore
 from flowcast.errors import BadDimension, ZeroBandwidth
 from flowcast.kernelcore import KernelSpec, gram, kernel_vector, median_heuristic
 from oracles import exhaustive_median_bandwidth, naive_gram
@@ -37,6 +38,18 @@ class TestMedianHeuristic:
             median_heuristic(np.ones((1, 2)))
 
 
+def _plain_gram(a, b, spec):
+    """The expression gram evaluates, in full-size temporaries."""
+    na, nb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+    d2 = na[:, None] + nb[None, :] - 2.0 * (a @ b.T)
+    np.clip(d2, 0.0, None, out=d2)
+    expected = np.exp(-d2 / (2.0 * spec.effective_bandwidth ** 2))
+    if b is a:
+        expected = 0.5 * (expected + expected.T)
+        np.fill_diagonal(expected, 1.0)
+    return expected
+
+
 class TestGram:
     def test_unit_diagonal_exact(self):
         rng = np.random.default_rng(3)
@@ -58,15 +71,20 @@ class TestGram:
         a = rng.normal(size=(70, 12)) * 3.0
         b = a if same else rng.normal(size=(55, 12))
         spec = KernelSpec(bandwidth=1.7, scale_factor=0.8)
-        # the expression gram evaluated before it reused its buffers
-        na, nb = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
-        d2 = na[:, None] + nb[None, :] - 2.0 * (a @ b.T)
-        np.clip(d2, 0.0, None, out=d2)
-        expected = np.exp(-d2 / (2.0 * spec.effective_bandwidth ** 2))
-        if same:
-            expected = 0.5 * (expected + expected.T)
-            np.fill_diagonal(expected, 1.0)
-        assert gram(a, b, spec).tobytes() == expected.tobytes()
+        assert gram(a, b, spec).tobytes() == _plain_gram(a, b, spec).tobytes()
+
+    @pytest.mark.parametrize("block", [97, 1], ids=["ragged", "rowwise"])
+    @pytest.mark.parametrize("same", [True, False], ids=["a_is_b", "distinct"])
+    def test_row_blocks_bit_equal_to_the_plain_expression(self, same, block,
+                                                          monkeypatch):
+        # gram forms na + nb a block of rows at a time in the cross
+        # product's buffer; a small block gives many blocks, the last short
+        monkeypatch.setattr(kernelcore, "_GRAM_BLOCK", block)
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(83, 7)) * 2.0
+        b = a if same else rng.normal(size=(41, 7))
+        spec = KernelSpec(bandwidth=1.1, scale_factor=1.3)
+        assert gram(a, b, spec).tobytes() == _plain_gram(a, b, spec).tobytes()
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(4)
