@@ -10,11 +10,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import yaml
 
-from .errors import ParseError
+from .errors import EmptySpace, ParseError
 from .evaluation import ExperimentConfig
 from .fkkf import FkkfHyperparams
 from .hyperopt import VALIDATION_SCHEMES, SearchSpace
@@ -47,8 +48,11 @@ class SynthConfig:
     peak_kbit: float = 100.0
 
     def __post_init__(self):
-        _check_above(self, {"n_groups": 0, "flows_per_group": 1, "duration_s": 0,
-                            "peak_kbit": 0})
+        _check_above(self, {"n_groups": 0, "flows_per_group": 1})
+        for name in ("duration_s", "peak_kbit"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -147,5 +151,5 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     raw = {**_mapping(raw, "config root"), **(overrides or {})}
     try:
         return _build(RunConfig, raw, None)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, EmptySpace) as exc:
         raise ParseError(f"invalid config value: {exc}") from exc

@@ -80,8 +80,8 @@ named with it:
     2. state kernel  two m x n Grams and the m x s Gram of the
                      successors against the s distinct states, both
                      subspace SVDs and their U' products (state_bw_scale);
-                     the predecessor half on a helper thread while the
-                     caller builds the successor half
+                     the predecessor half on a thread started for the
+                     build while the caller builds the successor half
     3. obs kernel    G_cc over the c centres (obs_bw_scale)
     4. ridge         T, V and the prior per lambda_t (n x n x s products
                      and the mode clip); O, Obar, M and the readout rows C
@@ -100,8 +100,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-import threading
 import zipfile
 import zlib
 from concurrent import futures
@@ -135,8 +133,9 @@ class FkkfHyperparams:
 
     def __post_init__(self):
         for name in ("lambda_t", "lambda_o", "state_bw_scale", "obs_bw_scale", "kappa"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     def as_tuple(self):
         return (self.lambda_t, self.lambda_o, self.state_bw_scale,
@@ -467,33 +466,6 @@ class _StateKernel:
         return self.solver.u @ (self.solver.filt(lam)[:, None] * self.rw_kbar_prime)
 
 
-# The one helper thread a state kernel hands its predecessor branch to,
-# started on the first state kernel built.  Every learner in the process
-# shares it, so no fold pays a thread start; nothing it runs submits work,
-# so it cannot deadlock.
-_helper_lock = threading.Lock()
-_helper_pool: futures.ThreadPoolExecutor | None = None
-
-
-def _helper() -> futures.ThreadPoolExecutor:
-    global _helper_pool
-    with _helper_lock:
-        if _helper_pool is None:
-            _helper_pool = futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="flowcast-state-kernel")
-        return _helper_pool
-
-
-def _forget_helper() -> None:
-    # a forked child inherits the pool but not its thread: work queued on
-    # it would never run, so the child starts its own
-    global _helper_lock, _helper_pool
-    _helper_lock, _helper_pool = threading.Lock(), None
-
-
-os.register_at_fork(after_in_child=_forget_helper)
-
-
 class _CoreStages:
     """learn_core's work, split by the hyperparameters each part depends on.
 
@@ -519,18 +491,18 @@ class _CoreStages:
     per pair.
 
     The state kernel has two branches that share no array, and they are
-    built at once: one helper thread (_helper, shared by every learner in
-    the process) builds the predecessor branch, K(x_pred, inducing
-    predecessors), its SVD and the U' products with K(x_pred, inducing
-    successors), while the calling thread builds the larger successor
-    branch, K(x_succ, states), its SVD and U_succ' K(x_succ, states).  The
-    caller joins before the kernel is assembled, and an error in either
-    branch reaches it with no stage kept.  Each branch makes the same
+    built at once: a helper thread that lives as long as the build makes
+    the predecessor branch, K(x_pred, inducing predecessors), its SVD and
+    the U' products with K(x_pred, inducing successors), while the calling
+    thread builds the larger successor branch, K(x_succ, states), its SVD
+    and U_succ' K(x_succ, states).  The caller joins the helper before the
+    kernel is assembled, and an error in either branch reaches it with no
+    stage kept and no thread left running.  Each branch makes the same
     calls in the same order as a sequential build, so every array is
     bit-identical to one at a given BLAS thread count; each drops its m x n
     Gram before its SVD, so the two SVDs overlap without both Grams held.
-    Only building a state kernel uses the thread: a kept kernel with a new
-    lambda, kappa or obs_bw_scale hands it nothing.
+    Only building a state kernel starts the thread: a kept kernel with a
+    new lambda, kappa or obs_bw_scale starts none.
 
     One kernel of each kind is kept.  Asking for another bandwidth scale
     drops the kept kernel and every ridge solution built on it before the
@@ -596,11 +568,10 @@ class _CoreStages:
         self._transition.clear()
         self._observation.clear()
         spec = KernelSpec(bandwidth=self.state_bw, scale_factor=scale)
-        pending = _helper().submit(self._predecessor_branch, spec)
-        try:
+        # leaving the block joins the worker, also when this branch raises
+        with futures.ThreadPoolExecutor(max_workers=1) as helper:
+            pending = helper.submit(self._predecessor_branch, spec)
             succ_solver, u_states = self._successor_branch(spec)
-        finally:
-            futures.wait((pending,))  # joined also when this branch raised
         solver, u_kbar_prime, rw_kbar_prime = pending.result()
         self._state = _StateKernel(
             spec=spec, solver=solver, u_kbar_prime=u_kbar_prime,

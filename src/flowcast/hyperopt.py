@@ -28,6 +28,7 @@ built inside that call.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -56,8 +57,9 @@ class SearchSpace:
             grid = getattr(self, name)
             if len(grid) == 0:
                 raise EmptySpace(f"empty grid for {name}")
-            if any(v <= 0 for v in grid):
-                raise ValueError(f"grid values for {name} must be positive")
+            if not all(0 < v < math.inf for v in grid):
+                raise ValueError(f"grid values for {name} must be positive and finite, "
+                                 f"got {list(grid)}")
 
     def candidates(self):
         """All parameter tuples in lexicographic order."""

@@ -30,6 +30,7 @@ artifacts); forward DFT unnormalized, inverse scaled by 1/L.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,14 @@ def whole_multiple(value: float, base: float, name: str) -> int:
     """value / base as a positive integer; ValueError unless it is one.
 
     The tolerance is relative, so float noise such as 0.15 / 0.01 =
-    14.999999999999998 counts as 15.
+    14.999999999999998 counts as 15.  An infinite or NaN ratio is not one.
     """
     ratio = value / base
-    rounded = int(round(ratio))
-    if rounded < 1 or abs(ratio - rounded) > _REL_TOL * max(1.0, abs(ratio)):
-        raise ValueError(f"{name}={value!r} is not a positive whole multiple of {base!r}s")
-    return rounded
+    if math.isfinite(ratio):
+        rounded = int(round(ratio))
+        if rounded >= 1 and abs(ratio - rounded) <= _REL_TOL * max(1.0, abs(ratio)):
+            return rounded
+    raise ValueError(f"{name}={value!r} is not a positive whole multiple of {base!r}s")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from flowcast import cli, evaluation, fkkf
@@ -681,7 +682,8 @@ def test_seed_option_overrides_config(workspace, runner):
     assert manifest["config_hash"] == seeded != load_config(cfg).config_hash()
 
 
-@pytest.mark.parametrize("length", ["0.605", "-1"], ids=["off_grid", "negative"])
+@pytest.mark.parametrize("length", ["0.605", "-1", "inf"],
+                         ids=["off_grid", "negative", "infinite"])
 def test_learn_chunk_length_checked_exit_2(workspace, runner, length):
     # --chunk-length obeys the rules config load applies to chunk_lengths_s
     cfg, out = workspace
@@ -730,13 +732,14 @@ def test_group_member_outside_store_exit_1(workspace, runner, tmp_path, command)
     _assert_one_line_exit_1(result, "flow 99 from")
 
 
-def _config_error(workspace, runner, tmp_path, section, key, value, command):
-    """The one stderr line of `command` run on CONFIG_YAML with key set to
-    value; asserts exit 2, no traceback and nothing written."""
+def _config_error(workspace, runner, tmp_path, section, key, value, command,
+                  text=CONFIG_YAML):
+    """The one stderr line of `command` run on text (CONFIG_YAML) with key
+    set to value; asserts exit 2, no traceback and nothing written."""
     cfg, out = workspace
     runner.invoke(main, ["--config", str(cfg), "--out", str(out),
                          "cluster", str(out / "traces.csv")])
-    lines = [line for line in CONFIG_YAML.splitlines()
+    lines = [line for line in text.splitlines()
              if not line.strip().startswith(key + ":")]
     if section is None:  # a key of the config root
         lines.append(f"{key}: {value}")
@@ -761,17 +764,25 @@ def _config_error(workspace, runner, tmp_path, section, key, value, command):
     return errors[0]
 
 
+def _as_loaded(value: str) -> str:
+    """A YAML value as a config error shows it, without list brackets."""
+    return str(yaml.safe_load(value)).strip("[]")
+
+
 @pytest.mark.parametrize("section, key, value",
                          [("experiment", "chunk_lengths_s", "[0.605]"),
+                          ("experiment", "chunk_lengths_s", "[.inf]"),
                           ("experiment", "peak_window_s", "0.155"),
+                          ("experiment", "peak_window_s", ".inf"),
                           ("experiment", "predict_horizon_s", "0.33"),
                           ("clustering", "signature_chunk_length_s", "0.605")])
 def test_timing_off_the_sample_grid_exit_2(workspace, runner, tmp_path, section, key,
                                            value):
     # each duration must be whole samples (whole chunk intervals for the
-    # forecast horizon); none may be rounded or fail later with a traceback
+    # forecast horizon), a finite number of them; none may be rounded or
+    # fail later with a traceback
     error = _config_error(workspace, runner, tmp_path, section, key, value, "evaluate")
-    assert value.strip("[]") in error
+    assert _as_loaded(value) in error
 
 
 @pytest.mark.parametrize("section, key, value, command",
@@ -790,7 +801,9 @@ def test_timing_off_the_sample_grid_exit_2(workspace, runner, tmp_path, section,
                           ("synth", "n_groups", "0", "synth"),
                           ("synth", "flows_per_group", "0", "synth"),
                           ("synth", "duration_s", "0", "synth"),
+                          ("synth", "duration_s", ".inf", "synth"),
                           ("synth", "peak_kbit", "0", "synth"),
+                          ("synth", "peak_kbit", ".inf", "synth"),
                           # integer keys take integers: none is truncated,
                           # rounded or left to fail with a traceback
                           ("experiment", "observe_steps", "4.5", "evaluate"),
@@ -809,7 +822,26 @@ def test_value_the_run_reads_later_exit_2(workspace, runner, tmp_path, section, 
     # each value the command reads is refused when the config is loaded,
     # not with a traceback (or silently clamped) once the run reaches it
     error = _config_error(workspace, runner, tmp_path, section, key, value, command)
-    assert key in error and value in error
+    assert key in error and _as_loaded(value) in error
+
+
+@pytest.mark.parametrize("part, key, value",
+                         [("grid", "kappa", "[]"),
+                          ("grid", "kappa", "[.nan]"),
+                          ("grid", "kappa", "[.inf]"),
+                          ("grid", "lambda_t", "[0.1, -1]"),
+                          ("fixed", "kappa", ".inf"),
+                          ("fixed", "state_bw_scale", ".inf"),
+                          ("fixed", "lambda_o", ".nan")])
+def test_hyperparameter_refused_at_load_exit_2(workspace, runner, tmp_path, part, key,
+                                               value):
+    # every hyperparameter and grid value must be positive and finite and no
+    # grid axis empty: none may fail inside learn or reach a model file that
+    # predict refuses
+    text = CONFIG_YAML.replace("source: fixed", f"source: {part}")
+    error = _config_error(workspace, runner, tmp_path, "hyper", part,
+                          f"{{{key}: {value}}}", "learn", text)
+    assert key in error and _as_loaded(value) in error
 
 
 def test_bad_config_exit_2(runner, tmp_path):

@@ -1159,17 +1159,16 @@ class TestConcurrentStateKernel:
         assert state.succ_solver.u is None
 
     def test_helper_used_once_per_state_scale(self, monkeypatch):
-        # a kept state kernel (new kappa, lambdas or obs_bw_scale) hands the
-        # helper thread nothing
-        submitted = []
-        pool = fkkf._helper()
+        # a kept state kernel (new kappa, lambdas or obs_bw_scale) builds no
+        # predecessor branch, so it starts no helper thread
+        real = fkkf._CoreStages._predecessor_branch
+        built = []
 
-        class Counting:
-            def submit(self, fn, spec):
-                submitted.append(spec.scale_factor)
-                return pool.submit(fn, spec)
+        def counting(self, spec):
+            built.append((spec.scale_factor, threading.get_ident()))
+            return real(self, spec)
 
-        monkeypatch.setattr(fkkf, "_helper", Counting)
+        monkeypatch.setattr(fkkf._CoreStages, "_predecessor_branch", counting)
         space = SearchSpace(lambda_t=(1e-2, 1e-1), lambda_o=(1e-2, 1e-1),
                             state_bw_scale=(0.5, 1.0), obs_bw_scale=(0.5, 1.0),
                             kappa=(1e-3, 1e-2))
@@ -1177,7 +1176,25 @@ class TestConcurrentStateKernel:
         learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=20)
         for hyper in sorted(space.candidates(), key=hyperopt._stage_order):
             learner.model(hyper)
-        assert submitted == [0.5, 1.0]
+        assert [scale for scale, _ in built] == [0.5, 1.0]
+        assert all(ident != threading.get_ident() for _, ident in built)
+
+    @pytest.mark.parametrize("failing", [None, "_predecessor_branch", "_successor_branch"],
+                             ids=["returns", "worker_raises", "caller_raises"])
+    def test_no_thread_outlives_the_build(self, monkeypatch, failing):
+        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=20)
+        before = threading.active_count()
+        if failing is None:
+            learner.model(HYPER)
+        else:
+            def fail(self, spec):
+                raise FloatingPointError(failing)
+
+            monkeypatch.setattr(fkkf._CoreStages, failing, fail)
+            with pytest.raises(FloatingPointError, match=failing):
+                learner.model(HYPER)
+        assert threading.active_count() == before
 
     def test_learners_on_threads_at_once_give_their_sequential_models(self):
         # more learners than cores, switching threads often; each builds two
@@ -1255,7 +1272,8 @@ class TestConcurrentStateKernel:
         assert core._state is None
 
     def test_forked_child_learns(self):
-        # the child inherits the helper pool's state but not its thread
+        # the parent has built a state kernel before the fork; the child
+        # builds its own with a helper thread of its own
         x_pred, x_succ, y = _idle_gap_rows()
         parent = learn_core(x_pred, x_succ, y, HYPER, 40)
         queue = multiprocessing.get_context("fork").SimpleQueue()
