@@ -11,6 +11,7 @@ prefix maximum as if it were the forecast.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -50,8 +51,8 @@ class ExperimentConfig:
                           ("bandwidth_seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.peak_factor > 0:
-            raise ValueError(f"peak_factor must be > 0, got {self.peak_factor}")
+        if not 0 < self.peak_factor < math.inf:
+            raise ValueError(f"peak_factor must be positive and finite, got {self.peak_factor}")
         # every duration the experiment turns into samples or steps, checked
         # here so a malformed config fails when it is loaded
         for length in self.report_lengths():

@@ -79,9 +79,8 @@ named with it:
                      hyperparameter)
     2. state kernel  two m x n Grams and the m x s Gram of the
                      successors against the s distinct states, both
-                     subspace SVDs and their U' products (state_bw_scale);
-                     the predecessor half on a thread started for the
-                     build while the caller builds the successor half
+                     subspace SVDs and their U' products (state_bw_scale),
+                     in two branches: the predecessors' and the successors'
     3. obs kernel    G_cc over the c centres (obs_bw_scale)
     4. ridge         T, V and the prior per lambda_t (n x n x s products
                      and the mode clip); O, Obar, M and the readout rows C
@@ -93,6 +92,21 @@ inputs stay the same, so a hyperparameter search over one training set
 rebuilds only what the changed hyperparameter invalidates; learn is one
 model() call on a new StagedLearner, learn_core stages 2-4 on given
 rows.
+
+Stages 2-4 run as one schedule of two lanes, set by what each stage
+reads.  A helper thread started for the build makes the predecessor
+branch, then T from it alone and T's mode clip; the calling thread makes
+the successor branch, G_cc, the observation ridge (which reads only the
+predecessor branch and G_cc), then the state coordinates and the prior.
+V reads the clipped T and the coordinates, so it follows the join.  A
+kept stage is read where the lane would have built it, so a kept state
+kernel with a new lambda_t runs only the clip on the helper, and a call
+whose stages are all kept starts no thread.  Stage 1 splits the same
+way: the longest horizon's reducer on the helper beside the shorter
+horizons', and the states' bandwidth beside the observations' and the
+distinct rows.  Each lane makes the calls of a one-thread build in the
+same order, so every array is bit-identical to one at a given BLAS
+thread count, and no helper thread outlives the build that started it.
 """
 
 from __future__ import annotations
@@ -430,6 +444,58 @@ def _distinct_rows(rows: np.ndarray) -> tuple:
     return first[order], rank[inverse]
 
 
+def _beside(helper_task, caller_task) -> tuple:
+    """(helper_task(), caller_task()), the first run on a helper thread.
+
+    The thread lives as long as the call: leaving joins it, also when
+    either task raises.  When both raise, the caller's error is the one
+    that propagates, as in a one-thread run that calls caller_task first.
+    """
+    with futures.ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(helper_task)
+        mine = caller_task()
+    return pending.result(), mine
+
+
+def _resolved(value) -> futures.Future:
+    """A finished future holding a kept stage, read like one being built."""
+    done = futures.Future()
+    done.set_result(value)
+    return done
+
+
+@dataclass
+class _PredecessorBranch:
+    """The state kernel's half built from K(x_pred, inducing predecessors).
+
+    Its solver's U makes O; T and O read nothing else of the state kernel.
+    """
+
+    solver: _SubspaceSolver     # of K(x_pred, inducing predecessors)
+    u_kbar_prime: np.ndarray    # (n, n) U' K(x_pred, inducing successors)
+    rw_kbar_prime: np.ndarray   # (n, n) (R W)' K(inducing predecessors, inducing successors)
+
+    def transition(self, lam: float) -> np.ndarray:
+        """T = D(lam) K(x_pred, inducing successors), before the mode clip."""
+        return self.solver.weights(lam) @ self.u_kbar_prime
+
+    def observation(self, lam: float) -> np.ndarray:
+        """(m, n) O = D(lam)' K(inducing predecessors, inducing successors)."""
+        return self.solver.u @ (self.solver.filt(lam)[:, None] * self.rw_kbar_prime)
+
+
+@dataclass
+class _SuccessorBranch:
+    """The state kernel's half built from K(x_succ, distinct states)."""
+
+    solver: _SubspaceSolver     # of K(x_succ, inducing successors), U released
+    u_states: np.ndarray        # (n, s) U_succ' K(x_succ, distinct states)
+
+    def state_coordinates(self, lam: float) -> np.ndarray:
+        """(n, s) coordinates D_succ(lam) K(x_succ, states) of the distinct states."""
+        return self.solver.weights(lam) @ self.u_states
+
+
 @dataclass
 class _StateKernel:
     """Everything learning needs from the state kernel at one bandwidth scale.
@@ -447,23 +513,13 @@ class _StateKernel:
     """
 
     spec: KernelSpec
-    solver: _SubspaceSolver     # of K(x_pred, inducing predecessors); U makes O
-    u_kbar_prime: np.ndarray    # (n, n) U' K(x_pred, inducing successors)
-    rw_kbar_prime: np.ndarray   # (n, n) (R W)' K(inducing predecessors, inducing successors)
-    succ_solver: _SubspaceSolver  # of K(x_succ, inducing successors), U released
-    u_states: np.ndarray        # (n, s) U_succ' K(x_succ, distinct states)
+    pred: _PredecessorBranch
+    succ: _SuccessorBranch
 
-    def transition(self, lam: float) -> np.ndarray:
-        """T = D(lam) K(x_pred, inducing successors), before the mode clip."""
-        return self.solver.weights(lam) @ self.u_kbar_prime
 
-    def state_coordinates(self, lam: float) -> np.ndarray:
-        """(n, s) coordinates D_succ(lam) K(x_succ, states) of the distinct states."""
-        return self.succ_solver.weights(lam) @ self.u_states
-
-    def observation(self, lam: float) -> np.ndarray:
-        """(m, n) O = D(lam)' K(inducing predecessors, inducing successors)."""
-        return self.solver.u @ (self.solver.filt(lam)[:, None] * self.rw_kbar_prime)
+def _clipped_transition(pred: futures.Future, lam: float) -> np.ndarray:
+    """The helper lane's last task: T from the predecessor branch, mode-clipped."""
+    return _clip_unstable_modes(pred.result().transition(lam))
 
 
 class _CoreStages:
@@ -474,7 +530,9 @@ class _CoreStages:
     inducing indices, the kernel centres (the distinct observations)
     with the map from each pair to its centre, and the distinct states
     among the predecessors and successors with the column of each.  The
-    rest is built on first use and kept while its inputs stay the same:
+    states' bandwidth is found on a helper thread beside the rest
+    (_beside).  The rest is built on first use and kept while its inputs
+    stay the same:
 
         state kernel   two m x n Grams, the m x s        state_bw_scale
                        K(x_succ, states), both subspace
@@ -490,19 +548,27 @@ class _CoreStages:
     each distinct state's coordinates are computed once, then selected
     per pair.
 
-    The state kernel has two branches that share no array, and they are
-    built at once: a helper thread that lives as long as the build makes
-    the predecessor branch, K(x_pred, inducing predecessors), its SVD and
-    the U' products with K(x_pred, inducing successors), while the calling
-    thread builds the larger successor branch, K(x_succ, states), its SVD
-    and U_succ' K(x_succ, states).  The caller joins the helper before the
-    kernel is assembled, and an error in either branch reaches it with no
-    stage kept and no thread left running.  Each branch makes the same
-    calls in the same order as a sequential build, so every array is
-    bit-identical to one at a given BLAS thread count; each drops its m x n
-    Gram before its SVD, so the two SVDs overlap without both Grams held.
-    Only building a state kernel starts the thread: a kept kernel with a
-    new lambda, kappa or obs_bw_scale starts none.
+    model() builds what is missing as one schedule of two lanes, set by
+    what each stage reads:
+
+        helper lane   predecessor branch -> T -> mode clip
+        caller lane   successor branch -> G_cc -> observation ridge
+                      (predecessor branch, G_cc) -> state coordinates,
+                      n1, P1
+        after join    V (clipped T, coordinates)
+
+    The helper is a one-worker executor opened for the call, which runs
+    its tasks in order and starts its thread on the first task.  A kept
+    stage enters the schedule as a finished future or value, so a kept
+    state kernel with a new lambda_t sends only the clip to the helper,
+    and a call that finds every stage kept (a new kappa) starts no
+    thread.  Each lane makes the calls of a one-thread build in the same
+    order, so every array is bit-identical to one at a given BLAS thread
+    count; each branch drops its m x n Gram before its SVD, so the two
+    SVDs overlap without both Grams held.  New stages are kept only once
+    both lanes have ended without error: an error in either reaches the
+    caller as raised, after the join, with no new stage kept and no
+    thread left running.
 
     One kernel of each kind is kept.  Asking for another bandwidth scale
     drops the kept kernel and every ridge solution built on it before the
@@ -530,20 +596,23 @@ class _CoreStages:
         if subspace_size < 1:
             raise ValueError("subspace_size must be >= 1")
         self.x_pred, self.x_succ, self.y_train = x_pred, x_succ, y_train
-        self.state_bw = median_heuristic(x_pred, DEFAULT_SUBSET_SIZE, bandwidth_seed)
-        self.obs_bw = median_heuristic(y_train, DEFAULT_SUBSET_SIZE, bandwidth_seed)
+        # successors are mostly the next pair's predecessor, so the 2m rows
+        # hold about m + (number of flows) distinct states
+        stacked = np.vstack([x_pred, x_succ])
+        # the states' bandwidth, the larger median heuristic, on the helper
+        self.state_bw, (self.obs_bw, centres, states) = _beside(
+            lambda: median_heuristic(x_pred, DEFAULT_SUBSET_SIZE, bandwidth_seed),
+            lambda: (median_heuristic(y_train, DEFAULT_SUBSET_SIZE, bandwidth_seed),
+                     _distinct_rows(y_train), _distinct_rows(stacked)))
         self.idx = _subspace_stride_indices(m, subspace_size)
-        first, centre_of = _distinct_rows(y_train)
+        first, centre_of = centres
         self.centres = y_train[first]
         # c x m membership matrix: row u has a one in each pair column whose
         # observation is centre u, so Obar = S O sums each centre's rows in
         # pair order (scipy's CSR product adds a row's entries in index order)
         self.centre_sum = scipy.sparse.csr_array(
             (np.ones(m), (centre_of, np.arange(m))), shape=(first.size, m))
-        # successors are mostly the next pair's predecessor, so the 2m rows
-        # hold about m + (number of flows) distinct states
-        stacked = np.vstack([x_pred, x_succ])
-        first, state_of = _distinct_rows(stacked)
+        first, state_of = states
         self.states = stacked[first]
         self.pred_col, self.succ_col = state_of[:m], state_of[m:]
         self.frontend = frontend
@@ -553,33 +622,46 @@ class _CoreStages:
         self._observation: dict = {}            # lambda_o -> (Obar, M, X O)
 
     def model(self, hyper: FkkfHyperparams) -> FkkfModel:
-        state = self._state_kernel(hyper.state_bw_scale)
-        obs_spec, g_cc = self._obs_kernel(hyper.obs_bw_scale)
-        t_sub, v, n1, p1 = self._transition_ridge(state, hyper.lambda_t)
-        o_sub, ogo, xo = self._observation_ridge(state, g_cc, hyper.lambda_o)
+        state_spec = KernelSpec(bandwidth=self.state_bw, scale_factor=hyper.state_bw_scale)
+        obs_spec = KernelSpec(bandwidth=self.obs_bw, scale_factor=hyper.obs_bw_scale)
+        lam_t, lam_o = hyper.lambda_t, hyper.lambda_o
+        # a kernel at another scale goes, with every ridge solution on it,
+        # before anything new is built
+        if self._state is not None and self._state.spec != state_spec:
+            self._state = None
+            self._transition.clear()
+            self._observation.clear()
+        if self._obs is not None and self._obs[0] != obs_spec:
+            self._obs = None
+            self._observation.clear()
+        state, obs = self._state, self._obs
+        transition = self._transition.get(lam_t)
+        observation = self._observation.get(lam_o)
+        # leaving the block joins the helper, also when the caller's lane raises
+        with futures.ThreadPoolExecutor(max_workers=1) as helper:
+            pred = (helper.submit(self._predecessor_branch, state_spec) if state is None
+                    else _resolved(state.pred))
+            if transition is None:
+                clipped = helper.submit(_clipped_transition, pred, lam_t)
+            succ = self._successor_branch(state_spec) if state is None else state.succ
+            if obs is None:
+                obs = (obs_spec, gram(self.centres, self.centres, obs_spec))
+            if observation is None:
+                observation = self._observation_ridge(pred.result(), obs[1], lam_o)
+            if transition is None:
+                transition = self._transition_ridge(succ, clipped, lam_t)
+            if state is None:
+                state = _StateKernel(spec=state_spec, pred=pred.result(), succ=succ)
+        self._state, self._obs = state, obs
+        self._transition[lam_t] = transition
+        self._observation[lam_o] = observation
+        t_sub, v, n1, p1 = transition
+        o_sub, ogo, xo = observation
         return FkkfModel(y_train=self.centres, t_sub=t_sub, o_sub=o_sub, ogo=ogo, xo=xo,
                          v=v, n1_prior=n1, p1_prior=p1, obs_spec=obs_spec,
                          kappa=hyper.kappa, frontend=self.frontend)
 
-    def _state_kernel(self, scale: float) -> _StateKernel:
-        if self._state is not None and self._state.spec.scale_factor == scale:
-            return self._state
-        self._state = None
-        self._transition.clear()
-        self._observation.clear()
-        spec = KernelSpec(bandwidth=self.state_bw, scale_factor=scale)
-        # leaving the block joins the worker, also when this branch raises
-        with futures.ThreadPoolExecutor(max_workers=1) as helper:
-            pending = helper.submit(self._predecessor_branch, spec)
-            succ_solver, u_states = self._successor_branch(spec)
-        solver, u_kbar_prime, rw_kbar_prime = pending.result()
-        self._state = _StateKernel(
-            spec=spec, solver=solver, u_kbar_prime=u_kbar_prime,
-            rw_kbar_prime=rw_kbar_prime, succ_solver=succ_solver, u_states=u_states)
-        return self._state
-
-    def _predecessor_branch(self, spec: KernelSpec) -> tuple:
-        """(solver, U' kbar_prime, (R W)' kbar_prime[idx]) of the state kernel."""
+    def _predecessor_branch(self, spec: KernelSpec) -> _PredecessorBranch:
         x_pred, idx = self.x_pred, self.idx
         full = idx.size == x_pred.shape[0]
         kbar = gram(x_pred, x_pred if full else x_pred[idx], spec)
@@ -588,54 +670,44 @@ class _CoreStages:
         solver = _SubspaceSolver(whitened, root_inv)
         del whitened
         kbar_prime = gram(x_pred, self.x_succ if full else self.x_succ[idx], spec)
-        return solver, solver.u.T @ kbar_prime, solver.rw.T @ kbar_prime[idx]
+        return _PredecessorBranch(solver=solver, u_kbar_prime=solver.u.T @ kbar_prime,
+                                  rw_kbar_prime=solver.rw.T @ kbar_prime[idx])
 
-    def _successor_branch(self, spec: KernelSpec) -> tuple:
-        """(succ_solver with U released, U_succ' K(x_succ, states))."""
+    def _successor_branch(self, spec: KernelSpec) -> _SuccessorBranch:
         idx = self.idx
         k_states = gram(self.x_succ, self.states, spec)
         # K(x_succ, inducing successors): each inducing successor is a state
         k_succ = k_states[:, self.succ_col[idx]]
         whitened, root_inv = _SubspaceSolver.whiten(k_succ, k_succ[idx])
         del k_succ
-        succ_solver = _SubspaceSolver(whitened, root_inv)
+        solver = _SubspaceSolver(whitened, root_inv)
         del whitened
-        u_states = succ_solver.u.T @ k_states
-        succ_solver.u = None  # read only through u_states
-        return succ_solver, u_states
+        u_states = solver.u.T @ k_states
+        solver.u = None  # read only through u_states
+        return _SuccessorBranch(solver=solver, u_states=u_states)
 
-    def _obs_kernel(self, scale: float) -> tuple:
-        if self._obs is not None and self._obs[0].scale_factor == scale:
-            return self._obs
-        self._obs = None
-        self._observation.clear()
-        spec = KernelSpec(bandwidth=self.obs_bw, scale_factor=scale)
-        self._obs = (spec, gram(self.centres, self.centres, spec))
-        return self._obs
+    def _transition_ridge(self, succ: _SuccessorBranch, clipped: futures.Future,
+                          lam: float) -> tuple:
+        """(T, V, n1, P1), waiting for the helper's clipped T only to form V."""
+        # coordinates of the s distinct states, then one column per pair
+        coords = succ.state_coordinates(lam)
+        coords_pred = coords[:, self.pred_col]
+        n = self.idx.size
+        n1 = coords_pred.mean(axis=1)
+        p1 = _sym(np.cov(coords_pred)) + _COV_JITTER * np.eye(n)
+        t_sub = clipped.result()
+        resid = coords[:, self.succ_col] - (t_sub @ coords)[:, self.pred_col]
+        v = _sym(np.cov(resid)) + _COV_JITTER * np.eye(n)
+        return t_sub, v, n1, p1
 
-    def _transition_ridge(self, state: _StateKernel, lam: float) -> tuple:
-        if lam not in self._transition:
-            t_sub = _clip_unstable_modes(state.transition(lam))
-            # coordinates of the s distinct states, then one column per pair
-            coords = state.state_coordinates(lam)
-            coords_pred = coords[:, self.pred_col]
-            resid = coords[:, self.succ_col] - (t_sub @ coords)[:, self.pred_col]
-            n = self.idx.size
-            v = _sym(np.cov(resid)) + _COV_JITTER * np.eye(n)
-            n1 = coords_pred.mean(axis=1)
-            p1 = _sym(np.cov(coords_pred)) + _COV_JITTER * np.eye(n)
-            self._transition[lam] = (t_sub, v, n1, p1)
-        return self._transition[lam]
-
-    def _observation_ridge(self, state: _StateKernel, g_cc: np.ndarray,
+    def _observation_ridge(self, pred: _PredecessorBranch, g_cc: np.ndarray,
                            lam: float) -> tuple:
-        if lam not in self._observation:
-            o_full = state.observation(lam)
-            o_bar = self.centre_sum @ o_full
-            ogo = _sym(o_bar.T @ (g_cc @ o_bar))
-            xo = self.x_pred[:, :self.y_train.shape[1]].T @ o_full
-            self._observation[lam] = (o_bar, ogo, xo)
-        return self._observation[lam]
+        """(Obar, M, (X O)[:q])."""
+        o_full = pred.observation(lam)
+        o_bar = self.centre_sum @ o_full
+        ogo = _sym(o_bar.T @ (g_cc @ o_bar))
+        xo = self.x_pred[:, :self.y_train.shape[1]].T @ o_full
+        return o_bar, ogo, xo
 
 
 def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
@@ -671,14 +743,25 @@ def _pairs_from_chains(rows: list):
     return np.vstack(preds), np.vstack(succs), np.vstack(obs)
 
 
+def _reduce_horizon(blocks: list, kept_dim: int) -> tuple:
+    """(standardizer, PCA basis, reduced blocks) of one horizon's per-flow blocks."""
+    stacked = np.vstack(blocks)
+    std = reduction.fit_standardizer(stacked)
+    kept = max(1, min(kept_dim, stacked.shape[1], stacked.shape[0] - 1))
+    basis = reduction.fit_pca(std.apply(stacked), kept)
+    return std, basis, [reduction.project(basis, std, block) for block in blocks]
+
+
 def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
                   window_cfg: StateWindowConfig, kept_dim: int):
     """Frame the flows, fit per-horizon reducers, reduce and pair the rows.
 
     Each horizon block is standardized and PCA-reduced on its own before
-    the blocks are concatenated into a state.  The frontend keeps only the
-    first block's reducer and the first horizon as its chunk length (a
-    ValueError before any framing if that is shorter than the interval).
+    the blocks are concatenated into a state; the longest horizon's, the
+    widest, is reduced on a helper thread beside the others (_beside).
+    The frontend keeps only the first block's reducer and the first
+    horizon as its chunk length (a ValueError before any framing if that
+    is shorter than the interval).
     A flow too short to frame is left out; FlowTooShort if every one is.
     Returns (frontend, x_pred, x_succ, y_train, left_out), left_out the
     flows left out.  Depends on no filter hyperparameter.
@@ -695,19 +778,14 @@ def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
             left_out.append(flow)
     if not per_flow_blocks:
         raise FlowTooShort(f"no training flow can be framed: {too_short}")
-    reducers = []
-    for h in range(len(window_cfg.horizons_s)):
-        stacked = np.vstack([blocks[h] for blocks in per_flow_blocks])
-        std = reduction.fit_standardizer(stacked)
-        kept = max(1, min(kept_dim, stacked.shape[1], stacked.shape[0] - 1))
-        basis = reduction.fit_pca(std.apply(stacked), kept)
-        reducers.append((std, basis))
-    rows = []
-    for blocks in per_flow_blocks:
-        reduced = [reduction.project(basis, std, block)
-                   for (std, basis), block in zip(reducers, blocks)]
-        rows.append((np.hstack(reduced), reduced[0]))
-    std, basis = reducers[0]
+    per_horizon = list(zip(*per_flow_blocks))
+    longest, shorter = _beside(
+        lambda: _reduce_horizon(per_horizon[-1], kept_dim),
+        lambda: [_reduce_horizon(blocks, kept_dim) for blocks in per_horizon[:-1]])
+    horizons = shorter + [longest]
+    rows = [(np.hstack(reduced), reduced[0])
+            for reduced in zip(*(blocks for _, _, blocks in horizons))]
+    std, basis, _ = horizons[0]
     frontend = SpectralFrontend(chunk_cfg=obs_cfg, standardizer=std, basis=basis)
     return (frontend, *_pairs_from_chains(rows), tuple(left_out))
 

@@ -794,6 +794,7 @@ def test_timing_off_the_sample_grid_exit_2(workspace, runner, tmp_path, section,
                           ("experiment", "ar_order", "0", "evaluate"),
                           ("experiment", "peak_factor", "0", "evaluate"),
                           ("experiment", "peak_factor", "-1", "evaluate"),
+                          ("experiment", "peak_factor", ".inf", "evaluate"),
                           ("clustering", "max_groups", "0", "cluster"),
                           ("clustering", "distance_threshold", "0", "cluster"),
                           ("clustering", "distance_threshold", "-1", "cluster"),

@@ -107,6 +107,14 @@ class TestPeakLocalization:
         assert locate_peak_rise(np.ones(20), 0.05, 0.01, window_s=1.0) is None
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("inf"), float("nan")])
+    def test_peak_factor_positive_and_finite(self, factor):
+        # an infinite factor would find no peak rise in any fold
+        with pytest.raises(ValueError, match="peak_factor must be positive and finite"):
+            dataclasses.replace(CFG, peak_factor=factor)
+
+
 class TestArBaseline:
     def test_constant_series_exact(self):
         out = ar_baseline(np.full(50, 7.5), horizon_steps=10, order=4)

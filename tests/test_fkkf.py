@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -308,7 +309,8 @@ class TestKernelCentres:
                       dataclasses.replace(HYPER, state_bw_scale=2.0)):
             learner.model(hyper)
         m = len(learner._core.x_pred)
-        assert calls == [m, 2 * m]
+        # the two maps are built on two threads, in either order
+        assert sorted(calls) == [m, 2 * m]
 
     def test_rows_compared_bit_for_bit(self):
         rows = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [-0.0, 0.0], [0.0, 0.0]])
@@ -446,12 +448,12 @@ def ridge_stages(request):
     else:
         (x_pred, x_succ, y), hyper, subspace_size = _chain_data(), HYPER, 40
     core = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
-    state = core._state_kernel(hyper.state_bw_scale)
-    _, g_cc = core._obs_kernel(hyper.obs_bw_scale)
-    o_bar, _, xo = core._observation_ridge(state, g_cc, hyper.lambda_o)
+    core.model(hyper)
+    state = core._state
+    o_bar, _, xo = core._observation[hyper.lambda_o]
     # T before the mode clip
-    stages = {"t": state.transition(hyper.lambda_t),
-              "coords": state.state_coordinates(hyper.lambda_t), "obar": o_bar, "c": xo}
+    stages = {"t": state.pred.transition(hyper.lambda_t),
+              "coords": state.succ.state_coordinates(hyper.lambda_t), "obar": o_bar, "c": xo}
     idx = core.idx
     kbar = gram(x_pred, x_pred[idx], state.spec)
     kbar_prime = gram(x_pred, x_succ[idx], state.spec)
@@ -1125,10 +1127,10 @@ def _idle_gap_rows(seed=11):
     return x_pred, x_succ, y
 
 
-def _kernel_arrays(solver, u_kbar_prime, rw_kbar_prime, succ_solver, u_states):
-    return {"u": solver.u, "s": solver.s, "rw": solver.rw,
-            "u_kbar_prime": u_kbar_prime, "rw_kbar_prime": rw_kbar_prime,
-            "succ_s": succ_solver.s, "succ_rw": succ_solver.rw, "u_states": u_states}
+def _kernel_arrays(pred, succ):
+    return {"u": pred.solver.u, "s": pred.solver.s, "rw": pred.solver.rw,
+            "u_kbar_prime": pred.u_kbar_prime, "rw_kbar_prime": pred.rw_kbar_prime,
+            "succ_s": succ.solver.s, "succ_rw": succ.solver.rw, "u_states": succ.u_states}
 
 
 def _assert_same_models(a, b):
@@ -1136,8 +1138,47 @@ def _assert_same_models(a, b):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
+def _assert_same_bytes(a, b):
+    for name, array in a.items():
+        assert np.asarray(array).tobytes() == np.asarray(b[name]).tobytes(), name
+
+
+def _frontend_arrays(frontend):
+    return {"means": frontend.standardizer.means, "stds": frontend.standardizer.stds,
+            "components": frontend.basis.components,
+            "evr": frontend.basis.explained_variance_ratio}
+
+
+def _init_arrays(core):
+    """Everything _CoreStages' construction computes."""
+    return {"state_bw": core.state_bw, "obs_bw": core.obs_bw, "idx": core.idx,
+            "centres": core.centres, "states": core.states, "pred_col": core.pred_col,
+            "succ_col": core.succ_col, "centre_sum": core.centre_sum.toarray()}
+
+
+class _InlineExecutor:
+    """The helper lane on the calling thread: each task runs when submitted."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        done = futures.Future()
+        try:
+            done.set_result(fn(*args))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
+
+
 class TestConcurrentStateKernel:
-    """The state kernel's two branches, built on two threads at once."""
+    """Learning's two lanes: a helper thread beside the calling thread."""
 
     @pytest.mark.parametrize("subspace_size", [40, 10 ** 6], ids=["n_lt_m", "n_eq_m"])
     def test_bit_identical_to_a_sequential_build(self, subspace_size):
@@ -1145,22 +1186,47 @@ class TestConcurrentStateKernel:
         assert len(distinct_rows(y)) < len(y)
         core = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
         assert (core.idx.size < len(x_pred)) == (subspace_size == 40)
-        state = core._state_kernel(HYPER.state_bw_scale)
+        core.model(HYPER)
+        state = core._state
         # both branches on this thread, one after the other
         sequential = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
-        solver, u_kbar_prime, rw_kbar_prime = sequential._predecessor_branch(state.spec)
-        succ_solver, u_states = sequential._successor_branch(state.spec)
-        expected = _kernel_arrays(solver, u_kbar_prime, rw_kbar_prime,
-                                  succ_solver, u_states)
-        got = _kernel_arrays(state.solver, state.u_kbar_prime, state.rw_kbar_prime,
-                             state.succ_solver, state.u_states)
-        for name, array in expected.items():
-            assert got[name].tobytes() == array.tobytes(), name
-        assert state.succ_solver.u is None
+        expected = _kernel_arrays(sequential._predecessor_branch(state.spec),
+                                  sequential._successor_branch(state.spec))
+        _assert_same_bytes(_kernel_arrays(state.pred, state.succ), expected)
+        assert state.succ.solver.u is None
+
+    @pytest.mark.parametrize("subspace_size", [40, 10 ** 6], ids=["n_lt_m", "n_eq_m"])
+    def test_every_stage_bit_identical_to_a_one_thread_build(self, monkeypatch,
+                                                             subspace_size):
+        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        sequence = [HYPER,                                       # a fresh learner
+                    dataclasses.replace(HYPER, lambda_t=1e-1),   # kept state kernel
+                    dataclasses.replace(HYPER, lambda_o=1e-1),
+                    dataclasses.replace(HYPER, obs_bw_scale=2.0),
+                    dataclasses.replace(HYPER, kappa=1e-2)]      # every stage kept
+
+        def build():
+            frontend_out = fkkf._fit_frontend(flows, CHUNK, WINDOW, 20)
+            learner = fkkf.StagedLearner(flows, subspace_size, CHUNK, WINDOW, kept_dim=20)
+            return frontend_out, learner, [learner.model(hyper) for hyper in sequence]
+
+        frontend_out, learner, models = build()
+        with monkeypatch.context() as one_thread:
+            one_thread.setattr(fkkf.futures, "ThreadPoolExecutor", _InlineExecutor)
+            expected_out, expected_learner, expected = build()
+        assert (learner._core.idx.size < len(learner._core.x_pred)) == (subspace_size == 40)
+        for got, want in zip(models, expected):
+            _assert_same_models(got, want)
+            assert (got.obs_spec, got.kappa) == (want.obs_spec, want.kappa)
+        _assert_same_bytes(_frontend_arrays(frontend_out[0]),
+                           _frontend_arrays(expected_out[0]))
+        for got, want in zip(frontend_out[1:4], expected_out[1:4]):
+            assert got.tobytes() == want.tobytes()
+        _assert_same_bytes(_init_arrays(learner._core), _init_arrays(expected_learner._core))
 
     def test_helper_used_once_per_state_scale(self, monkeypatch):
         # a kept state kernel (new kappa, lambdas or obs_bw_scale) builds no
-        # predecessor branch, so it starts no helper thread
+        # predecessor branch
         real = fkkf._CoreStages._predecessor_branch
         built = []
 
@@ -1179,20 +1245,60 @@ class TestConcurrentStateKernel:
         assert [scale for scale, _ in built] == [0.5, 1.0]
         assert all(ident != threading.get_ident() for _, ident in built)
 
-    @pytest.mark.parametrize("failing", [None, "_predecessor_branch", "_successor_branch"],
-                             ids=["returns", "worker_raises", "caller_raises"])
-    def test_no_thread_outlives_the_build(self, monkeypatch, failing):
+    def test_kept_stages_start_no_thread(self, monkeypatch):
+        x_pred, x_succ, y = _idle_gap_rows()
+        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        core.model(HYPER)
+        started, clipped = [], []
+        real_start, real_clip = threading.Thread.start, fkkf._clip_unstable_modes
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or real_start(thread))
+        monkeypatch.setattr(fkkf, "_clip_unstable_modes",
+                            lambda t: clipped.append(threading.get_ident()) or real_clip(t))
+        # every stage kept, then a new observation ridge, then a new obs kernel:
+        # nothing for the helper lane
+        for hyper in (dataclasses.replace(HYPER, kappa=1e-2),
+                      dataclasses.replace(HYPER, lambda_o=1e-1),
+                      dataclasses.replace(HYPER, obs_bw_scale=2.0)):
+            core.model(hyper)
+        assert started == [] and clipped == []
+        # a new lambda_t on the kept state kernel: the clip alone on the helper
+        monkeypatch.setattr(fkkf._CoreStages, "_predecessor_branch", None)
+        core.model(dataclasses.replace(HYPER, lambda_t=1e-1))
+        assert len(started) == 1 and len(clipped) == 1
+        assert clipped[0] != threading.get_ident()
+
+    @pytest.mark.parametrize(
+        "holder, name, lane",
+        [(None, None, None),
+         ("_CoreStages", "_predecessor_branch", "helper"),
+         ("_CoreStages", "_successor_branch", "caller"),
+         ("fkkf", "_clip_unstable_modes", "helper"),
+         ("_CoreStages", "_observation_ridge", "caller"),
+         ("fkkf", "median_heuristic", "helper"),
+         ("fkkf", "_distinct_rows", "caller"),
+         ("fkkf", "_reduce_horizon", "helper"),
+         ("fkkf", "_reduce_horizon", "caller")],
+        ids=["returns", "worker_raises", "caller_raises", "clip_raises",
+             "observation_ridge_raises", "init_helper_raises", "init_caller_raises",
+             "frontend_helper_raises", "frontend_caller_raises"])
+    def test_no_thread_outlives_the_build(self, monkeypatch, holder, name, lane):
         flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
         learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=20)
         before = threading.active_count()
-        if failing is None:
+        if name is None:
             learner.model(HYPER)
         else:
-            def fail(self, spec):
-                raise FloatingPointError(failing)
+            owner = fkkf if holder == "fkkf" else fkkf._CoreStages
+            real, caller = getattr(owner, name), threading.get_ident()
 
-            monkeypatch.setattr(fkkf._CoreStages, failing, fail)
-            with pytest.raises(FloatingPointError, match=failing):
+            def fail_on_lane(*args):
+                if (threading.get_ident() == caller) == (lane == "caller"):
+                    raise FloatingPointError(f"{name} on the {lane} lane")
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, fail_on_lane)
+            with pytest.raises(FloatingPointError, match=f"{name} on the {lane} lane"):
                 learner.model(HYPER)
         assert threading.active_count() == before
 
@@ -1248,6 +1354,50 @@ class TestConcurrentStateKernel:
         assert core._transition == {} and core._observation == {}
         monkeypatch.undo()
         _assert_same_models(core.model(HYPER), before)
+
+    def test_clip_error_reaches_the_caller_after_both_lanes_and_keeps_no_stage(
+            self, monkeypatch):
+        x_pred, x_succ, y = _idle_gap_rows()
+        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        before = core.model(HYPER)
+        kept = (core._state, core._obs)
+        error = FloatingPointError("clip task")
+        events = []
+        real_ridge = fkkf._CoreStages._observation_ridge
+
+        def ridge(self, *args):
+            result = real_ridge(self, *args)
+            events.append("observation ridge")
+            return result
+
+        def fail(t_sub):
+            time.sleep(0.2)  # the caller's lane reaches the join first
+            events.append("clip raises")
+            raise error
+
+        monkeypatch.setattr(fkkf._CoreStages, "_observation_ridge", ridge)
+        monkeypatch.setattr(fkkf, "_clip_unstable_modes", fail)
+        threads = threading.active_count()
+        changed = dataclasses.replace(HYPER, lambda_t=1e-1, lambda_o=1e-1)
+        with pytest.raises(FloatingPointError) as caught:
+            core.model(changed)
+        assert caught.value is error
+        assert events == ["observation ridge", "clip raises"]
+        assert threading.active_count() == threads
+        # neither new ridge solution is kept; the kernels they read stay
+        assert list(core._transition) == [HYPER.lambda_t]
+        assert list(core._observation) == [HYPER.lambda_o]
+        assert core._state is kept[0] and core._obs is kept[1]
+        # on a fresh learner nothing at all is kept
+        fresh = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        with pytest.raises(FloatingPointError) as caught:
+            fresh.model(changed)
+        assert caught.value is error
+        assert fresh._state is None and fresh._obs is None
+        assert fresh._transition == {} and fresh._observation == {}
+        monkeypatch.undo()
+        _assert_same_models(core.model(HYPER), before)
+        _assert_same_models(core.model(changed), fresh.model(changed))
 
     def test_caller_error_raised_after_the_worker_branch_ends(self, monkeypatch):
         x_pred, x_succ, y = _idle_gap_rows()
