@@ -449,7 +449,7 @@ def _beside(helper_task, caller_task) -> tuple:
 
     The thread lives as long as the call: leaving joins it, also when
     either task raises.  When both raise, the caller's error is the one
-    that propagates, as in a one-thread run that calls caller_task first.
+    that propagates.
     """
     with futures.ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(helper_task)
