@@ -42,13 +42,16 @@ def signature(flow: FlowTrace, chunk_cfg: ChunkConfig,
 
     Leading idle samples are skipped (aligned to the chunk grid) so the
     signature reflects burst structure, not how long the flow sat quiet.
+    Only the samples the first frame_count windows cover are framed; those
+    windows equal the first rows of the whole flow's transform.
     """
     if flow.samples.size == 0:
         raise FlowTooShort("flow yields no spectral frame")
+    hop = chunk_cfg.hop_samples
     active = np.nonzero(flow.samples > 0)[0]
-    start = (int(active[0]) // chunk_cfg.hop_samples * chunk_cfg.hop_samples
-             if active.size else 0)
-    frames = transform(flow.samples[start:], chunk_cfg)
+    start = int(active[0]) // hop * hop if active.size else 0
+    covered = flow.samples[start:start + (frame_count - 1) * hop + chunk_cfg.chunk_samples]
+    frames = transform(covered, chunk_cfg)
     return FlowSignature(vector=np.abs(frames[:frame_count]).mean(axis=0))
 
 

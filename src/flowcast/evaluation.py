@@ -190,8 +190,7 @@ def locate_peak_rise(samples: np.ndarray, chunk_interval_s: float,
     if samples.size < width:
         return None
     count = (samples.size - width) // hop + 1
-    windows = np.lib.stride_tricks.sliding_window_view(samples, width)[0:count * hop:hop]
-    sums = windows.sum(axis=1)
+    sums = spectral.strided_windows(samples, width, hop, count).sum(axis=1)
     threshold = factor * float(np.median(sums))
     hits = np.nonzero(sums > threshold)[0]
     return int(hits[0]) if hits.size else None

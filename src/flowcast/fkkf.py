@@ -48,8 +48,12 @@ formed as kappa Z_t' Z_t where it is read, by Prediction.filtered_cov,
 and the next prior from Y_t = Z_t T' with one symmetric rank-k update.
 Gains never depend on observed values, so project steps them once per
 model ahead of filtering, as the tuple (Z_0, ..., Z_{k-1}).  The filter
-moves only the mean: run_filter takes innovation_update,
-prediction_update and reconstruct as its steps.  forecast_variance
+moves only the mean, in whole-array products: run_filter takes the
+responses O' k_y of all observed frames from one product of Obar with
+their stacked kernel vectors, steps each innovation on the mean alone
+(innovation_update is its one-frame case, on the same helpers), fills
+one row of coordinates T^j n per forecast step and reads every row out
+with one product through C.  forecast_variance
 computes the variance diagonal from factors L_P, L_V of the filtered
 posterior and V, stepping only the q x n rows A_k, never the n x n
 covariance.  Each variance is a sum of squares, non-negative by
@@ -944,24 +948,43 @@ def project(model: FkkfModel, steps: int) -> tuple:
     return tuple(roots)
 
 
+def _responses(model: FkkfModel, frames: np.ndarray) -> np.ndarray:
+    """O' k_y of each observation row, one column per frame.
+
+    Each frame's kernel responses k_y are one row of a k x c block, and
+    their products with Obar are one GEMM over it.
+    """
+    if frames.shape[1] != model.obs_dim:
+        raise BadDimension(f"observation dim {frames.shape[1]} != {model.obs_dim}")
+    k_y = np.empty((frames.shape[0], model.y_train.shape[0]))
+    for i, frame in enumerate(frames):
+        k_y[i] = kernel_vector(model.y_train, frame, model.obs_spec)
+    return model.o_sub.T @ k_y.T
+
+
+def _innovated(n_prior: np.ndarray, response: np.ndarray, z: np.ndarray,
+               model: FkkfModel) -> np.ndarray:
+    """The posterior mean n + Z'(Z (O' k_y - M n)) for the response O' k_y.
+
+    Z is the step's gain root, so the gain factor W = Z'Z is applied as
+    two products with Z and never formed.
+    """
+    return n_prior + z.T @ (z @ (response - model.ogo @ n_prior))
+
+
 def innovation_update(state: FilterState, y_frame: np.ndarray,
                       gains: tuple, model: FkkfModel) -> FilterState:
     """Fold one observation into the prior at state.step: n + Z'(Z (O' k_y - M n)).
 
-    Z is that step's gain root from project's `gains`, so the gain factor
-    W = Z'Z is applied as two products with Z and never formed.
+    Z is that step's gain root from project's `gains`.  This is run_filter's
+    innovation for a prefix of one frame, on the same arithmetic.
     """
     step = state.step
     if step >= len(gains):
         raise ValueError(f"no projected gain for step {step}")
     y_frame = np.asarray(y_frame, dtype=float).ravel()
-    if y_frame.size != model.obs_dim:
-        raise BadDimension(f"observation dim {y_frame.size} != {model.obs_dim}")
-    k_y = kernel_vector(model.y_train, y_frame, model.obs_spec)
-    n_t = state.n_t
-    z = gains[step]
-    n_post = n_t + z.T @ (z @ (model.o_sub.T @ k_y - model.ogo @ n_t))
-    return FilterState(n_t=n_post, step=step)
+    response = _responses(model, y_frame[None, :])[:, 0]
+    return FilterState(n_t=_innovated(state.n_t, response, gains[step], model), step=step)
 
 
 def prediction_update(state: FilterState, model: FkkfModel) -> FilterState:
@@ -1008,30 +1031,39 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
 
     Every observed frame triggers an innovation with its step's gain
     root from `gains` (project's tuple), which are projected here when
-    not given; given gains shorter than the prefix raise ValueError.  Each
-    forecast state is reconstructed; with a spectral frontend the
-    observation-horizon block is mapped back to a kbit series via inverse
-    PCA, de-standardization and inverse STFT with overlap-averaging.
+    not given; given gains shorter than the prefix raise ValueError.  The
+    responses of all observed frames are one product with their stacked
+    kernel vectors (_responses), and each innovation steps only the mean
+    (_innovated, the arithmetic of innovation_update).  The open-loop
+    rollout fills one row of coordinates per forecast step, T a each, and
+    all rows are read out with one product through C.  With a spectral
+    frontend the observation-horizon block is mapped back to a kbit series
+    via inverse PCA, de-standardization and inverse STFT with
+    overlap-averaging.
     """
     observed = np.atleast_2d(np.asarray(observed_frames, dtype=float))
     if observed.size == 0:
         raise ValueError("observed_frames must be non-empty")
     if gains is None:
         gains = project(model, observed.shape[0])
-    state = model.initial_state()
-    for i, frame in enumerate(observed):
-        if i:
-            state = prediction_update(state, model)
-        state = innovation_update(state, frame, gains, model)
+    if observed.shape[0] > len(gains):
+        raise ValueError(f"no projected gain for step {len(gains)}")
+    responses = _responses(model, observed)
+    n_t = model.n1_prior
+    for step in range(observed.shape[0]):
+        if step:
+            n_t = model.t_sub @ n_t
+        n_t = _innovated(n_t, responses[:, step], gains[step], model)
+    state = FilterState(n_t=n_t, step=observed.shape[0] - 1)
 
     # only the mean is rolled out; the variance is
     # forecast_variance(model, prediction.filtered_cov, steps)
     steps = max(predict_horizon_steps, 0)
-    mean_frames = np.empty((steps, model.obs_dim))
-    ahead = state
+    ahead = np.empty((steps, model.subspace_size))
     for i in range(steps):
-        ahead = prediction_update(ahead, model)
-        mean_frames[i] = reconstruct(ahead, model)
+        n_t = model.t_sub @ n_t
+        ahead[i] = n_t
+    mean_frames = ahead @ model.xo.T
     if model.frontend is not None and steps > 0:
         mean_kbit = model.frontend.frames_to_kbit(mean_frames, steps)
     else:

@@ -84,18 +84,31 @@ class ChunkConfig:
         return whole_multiple(self.chunk_length_s, self.sample_interval_s, "chunk_length_s")
 
 
+def strided_windows(series: np.ndarray, width: int, hop: int, count: int) -> np.ndarray:
+    """Read-only view of `count` windows of `width` samples, one every `hop`.
+
+    Row t is series[t*hop : t*hop + width]; every window must fit inside
+    the 1-D series.  The same view as sliding_window_view's every hop-th
+    row, built without its argument handling.
+    """
+    if series.ndim != 1 or (count and (count - 1) * hop + width > series.size):
+        raise ValueError(f"{count} windows of {width} every {hop} do not fit in "
+                         f"a series of shape {series.shape}")
+    step = series.strides[0]
+    return np.lib.stride_tricks.as_strided(series, (count, width), (hop * step, step),
+                                           writeable=False)
+
+
 def forward_frames(series: np.ndarray, width: int, hop: int, count: int) -> np.ndarray:
     """Interleaved DFT frames of `count` windows of `width` samples, one every `hop`.
 
     Row t holds the spectrum of series[t*hop : t*hop + width]; every
     window must fit inside the series.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(series, width)[0:count * hop:hop]
-    spec = np.fft.rfft(windows, axis=1)
-    frames = np.empty((spec.shape[0], 2 * spec.shape[1]))
-    frames[:, 0::2] = spec.real
-    frames[:, 1::2] = spec.imag
-    return frames
+    series = np.asarray(series, dtype=float)
+    windows = strided_windows(series, width, hop, count)
+    # rfft's rows are contiguous complex, i.e. (re0, im0, re1, im1, ...)
+    return np.fft.rfft(windows, axis=1).view(np.float64)
 
 
 def inverse_frames(frames: np.ndarray, width: int) -> np.ndarray:
@@ -129,16 +142,19 @@ def transform(series: np.ndarray, config: ChunkConfig) -> np.ndarray:
 
 
 def _overlap_sums(chunks: np.ndarray, hop: int):
-    """Sum of hop-spaced chunks per sample, and how many chunks cover it."""
+    """Sum of hop-spaced chunks per sample, and how many chunks cover it.
+
+    Chunk i's column j lands on sample i*hop + j.  bincount adds its
+    weights in input order, chunk by chunk, so each sample adds its
+    covering chunks in ascending chunk order, as a loop over the chunks
+    would.
+    """
     chunks = np.atleast_2d(np.asarray(chunks, dtype=float))
-    width = chunks.shape[1]
-    full = (chunks.shape[0] - 1) * hop + width
-    acc = np.zeros(full)
-    cover = np.zeros(full)
-    for i, c in enumerate(chunks):
-        acc[i * hop:i * hop + width] += c
-        cover[i * hop:i * hop + width] += 1.0
-    return acc, cover
+    count, width = chunks.shape
+    full = (count - 1) * hop + width
+    sample = (np.arange(count)[:, None] * hop + np.arange(width)).ravel()
+    return (np.bincount(sample, weights=chunks.ravel(), minlength=full),
+            np.bincount(sample, minlength=full).astype(float))
 
 
 def overlap_average(chunks: np.ndarray, hop: int, out_length: int) -> np.ndarray:

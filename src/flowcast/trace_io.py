@@ -101,7 +101,9 @@ def bin_packets(events, key: FlowKey, sample_interval_s: float,
     if n_bins > MAX_FLOW_BINS:
         raise MalformedEvent(f"flow {key} spans {last_ts - start_time} s, more than "
                              f"{MAX_FLOW_BINS} bins of {sample_interval_s} s")
-    ts, nbytes = np.array(events, dtype=float).T
+    # a column at a time, which costs half of np.array over the event
+    # tuples; strict, so events that are not all pairs raise ValueError
+    ts, nbytes = (np.array(column, dtype=float) for column in zip(*events, strict=True))
     idx = np.floor((ts - start_time) / sample_interval_s + 1e-9)
     # a non-finite time has a nan or infinite bin, which is out of range
     valid = np.isfinite(nbytes) & (nbytes >= 0) & (idx >= 0) & (idx < n_bins)
@@ -112,8 +114,8 @@ def bin_packets(events, key: FlowKey, sample_interval_s: float,
         if nbytes < 0:
             raise MalformedEvent(f"negative byte count {nbytes} at t={ts}")
         raise MalformedEvent(f"event at t={ts} outside [start, last] (unsorted input?)")
-    byte_bins = np.zeros(n_bins)
-    np.add.at(byte_bins, idx.astype(np.intp), nbytes)  # in event order
+    byte_bins = np.bincount(idx.astype(np.intp), weights=nbytes,
+                            minlength=n_bins)  # added in event order
     return FlowTrace(key=key, start_time=start_time,
                      sample_interval_s=sample_interval_s,
                      samples=byte_bins * KBIT_PER_BYTE)

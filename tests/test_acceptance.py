@@ -64,14 +64,17 @@ def test_criterion_2_subspace_equals_full_space():
     oracle = FullSpaceFilter(model, x_pred, x_succ, y, hyper)
     o_means, o_covs, o_gains, _ = oracle.run(observed, 0)
     # run_filter's steps: the means move, the gain roots Z are projected,
-    # each gain factor is W = Z'Z and each posterior kappa W
+    # each gain factor is W = Z'Z and each posterior kappa W; the responses
+    # O'k_y of all frames are run_filter's one block
     gains = fkkf.project(model, len(observed))
+    responses = fkkf._responses(model, observed)
     state = model.initial_state()
     worst = 0.0
-    for i, frame in enumerate(observed):
+    for i in range(len(observed)):
         if i:
             state = fkkf.prediction_update(state, model)
-        state = fkkf.innovation_update(state, frame, gains, model)
+        state = fkkf.FilterState(
+            n_t=fkkf._innovated(state.n_t, responses[:, i], gains[i], model), step=i)
         worst = max(worst,
                     float(np.max(np.abs(state.n_t - o_means[i]))),
                     float(np.max(np.abs(model.kappa * (gains[i].T @ gains[i])

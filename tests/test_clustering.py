@@ -3,7 +3,7 @@ import pytest
 
 from flowcast.clustering import assignment_rows, cluster, signature
 from flowcast.errors import FlowTooShort
-from flowcast.spectral import ChunkConfig
+from flowcast.spectral import ChunkConfig, transform
 from flowcast.synth import BurstTemplate, generate_group
 from flowcast.trace_io import FlowKey, FlowTrace, Protocol
 
@@ -52,6 +52,19 @@ class TestSignature:
     def test_too_short(self):
         with pytest.raises(FlowTooShort):
             signature(_flow(np.array([])), CFG)
+
+    @pytest.mark.parametrize("n", [1000, 100, 40])
+    def test_equals_mean_of_whole_flow_transform(self, n):
+        # oracle: the first frame_count rows of the whole active flow's
+        # frames; 100 and 40 samples give 18 and 6 windows, fewer than 20,
+        # so the zero-padded tail is averaged too
+        samples = np.abs(np.random.default_rng(n).normal(size=n))
+        samples[:12] = 0.0
+        start = 10  # the first active sample, 12, on the 5-sample grid
+        for frame_count in (20, 4):
+            expected = np.abs(transform(samples[start:], CFG)[:frame_count]).mean(axis=0)
+            got = signature(_flow(samples), CFG, frame_count).vector
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestCluster:

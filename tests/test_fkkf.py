@@ -963,33 +963,36 @@ class TestRunFilter:
         pred = run_filter(core_model, y[:3], 2)
         assert pred.mean_frames.shape == (2, core_model.obs_dim)
 
-    def test_stepping_filtered_state_reproduces_mean_frames(self, traffic_model):
-        # oracle: the open-loop rollout stepped by hand from the filtered state
+    def test_batched_readout_matches_stepped_readout(self, traffic_model):
+        # oracle: the open-loop rollout stepped by hand from the filtered
+        # state; run_filter reads all steps out with one product, so each
+        # frame matches the per-step readout to roundoff, and the stepped
+        # states read out in one product exactly
         flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
         raw = observation_frames(flows[0].samples, CHUNK, 0.2)
         observed = traffic_model.frontend.reduce_observations(raw[:4])
         pred = run_filter(traffic_model, observed, 6)
-        state = pred.filtered_state
+        state, stepped = pred.filtered_state, []
         for i in range(6):
             state = prediction_update(state, traffic_model)
-            np.testing.assert_array_equal(pred.mean_frames[i],
-                                          reconstruct(state, traffic_model))
+            stepped.append(state.n_t)
+            _assert_relative(pred.mean_frames[i], reconstruct(state, traffic_model), 1e-12)
+        np.testing.assert_array_equal(pred.mean_frames,
+                                      np.array(stepped) @ traffic_model.xo.T)
 
-    def test_steps_through_the_public_updates(self, traffic_model, monkeypatch):
-        # the step functions are the filter recursion: 4 innovations, 3
-        # predictions between them and 6 ahead, one readout per forecast step
+    def test_innovation_update_is_the_one_frame_filter(self, traffic_model):
+        # innovation_update and run_filter share one innovation arithmetic:
+        # from the prior, one frame gives the same mean bit for bit
         flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)
         observed = traffic_model.frontend.reduce_observations(
-            observation_frames(flows[0].samples, CHUNK, 0.2)[:4])
-        calls = []
-        for name in ("innovation_update", "prediction_update", "reconstruct"):
-            def counted(*args, _step=getattr(fkkf, name), _name=name):
-                calls.append(_name)
-                return _step(*args)
-            monkeypatch.setattr(fkkf, name, counted)
-        run_filter(traffic_model, observed, 6)
-        assert [calls.count(name) for name in
-                ("innovation_update", "prediction_update", "reconstruct")] == [4, 9, 6]
+            observation_frames(flows[0].samples, CHUNK, 0.2)[:8])
+        gains = project(traffic_model, 1)
+        for frame in observed:
+            stepped = innovation_update(traffic_model.initial_state(), frame, gains,
+                                        traffic_model)
+            filtered = run_filter(traffic_model, frame, 0, gains=gains).filtered_state
+            assert filtered.step == stepped.step == 0
+            np.testing.assert_array_equal(filtered.n_t, stepped.n_t)
 
     def test_shared_gains_give_fresh_forecast_variance(self, traffic_model):
         flows = generate_group(TEMPLATE, 2, 3.0, 0.01, seed=79)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcast.errors import EmptySeries, FrameDimMismatch
-from flowcast.spectral import (ChunkConfig, forward_frames, inverse_frames,
-                               overlap_average, reassemble, transform)
+from flowcast.spectral import (ChunkConfig, _overlap_sums, forward_frames,
+                               inverse_frames, overlap_average, reassemble,
+                               strided_windows, transform)
 from oracles import naive_dft
 
 CFG = ChunkConfig(sample_interval_s=0.01, chunk_interval_s=0.05, chunk_length_s=1.0)
@@ -206,3 +207,50 @@ def test_overlap_average_counts():
     chunks = np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
     out = overlap_average(chunks, hop=2, out_length=5)
     np.testing.assert_allclose(out, [1.0, 1.0, 2.0, 3.0, 3.0])
+
+
+@pytest.mark.parametrize("count, width, hop", [(20, 60, 5), (7, 12, 3), (1, 10, 5),
+                                               (20, 60, 7), (5, 7, 3), (3, 4, 9)])
+def test_overlap_sums_equal_the_chunk_loop(count, width, hop):
+    # oracle: each chunk added at its offset in chunk order, for widths of
+    # whole hops and not, and a hop longer than the width (uncovered gaps)
+    chunks = np.random.default_rng(width).normal(size=(count, width))
+    acc = np.zeros((count - 1) * hop + width)
+    cover = np.zeros_like(acc)
+    for i, c in enumerate(chunks):
+        acc[i * hop:i * hop + width] += c
+        cover[i * hop:i * hop + width] += 1.0
+    got_acc, got_cover = _overlap_sums(chunks, hop)
+    assert got_acc.tobytes() == acc.tobytes()
+    assert got_cover.tobytes() == cover.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_forward_frames_reads_the_series_as_float64(dtype):
+    # oracle: the same series cast to float64 first; a single-precision
+    # spectrum would not have the interleaved float64 layout
+    x = (np.random.default_rng(3).normal(size=40) * 100).astype(dtype)
+    got = forward_frames(x, 10, 5, 7)
+    assert got.shape == (7, 12) and got.dtype == np.float64
+    np.testing.assert_array_equal(got, forward_frames(x.astype(float), 10, 5, 7))
+
+
+@pytest.mark.parametrize("size, width, hop", [(900, 60, 5), (900, 100, 5), (37, 7, 3),
+                                              (10, 10, 4)])
+def test_strided_windows_equal_sliding_window_view(size, width, hop):
+    # oracle: numpy's sliding windows, every hop-th one, as many as fit
+    x = np.random.default_rng(size).normal(size=size)
+    count = (size - width) // hop + 1
+    expected = np.lib.stride_tricks.sliding_window_view(x, width)[::hop]
+    got = strided_windows(x, width, hop, count)
+    assert got.shape == expected.shape == (count, width)
+    np.testing.assert_array_equal(got, expected)
+    assert not got.flags.writeable
+
+
+def test_strided_windows_refuse_windows_past_the_end():
+    x = np.arange(11.0)
+    assert strided_windows(x, 5, 3, 3)[-1].tolist() == [6.0, 7.0, 8.0, 9.0, 10.0]
+    for series, count in ((x[:10], 3), (x, 4), (x.reshape(1, -1), 1)):
+        with pytest.raises(ValueError, match="do not fit"):
+            strided_windows(series, 5, 3, count)

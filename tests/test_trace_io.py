@@ -77,6 +77,38 @@ def test_bin_packets_matches_event_loop(bad):
     assert got == _outcome(lambda: _loop_bin_packets(events, 0.01, 0.0))
 
 
+def test_bin_packets_equals_add_at():
+    # oracle: np.add.at, which also adds each bin's events in event order
+    rng = np.random.default_rng(11)
+    ts = np.sort(rng.uniform(0.0, 5.0, size=5000))
+    nbytes = rng.exponential(700.0, 5000)
+    events = [(float(t), float(b)) for t, b in zip(ts, nbytes)]
+    expected = np.zeros(int(math.floor(ts[-1] / 0.01 + 1e-9)) + 1)
+    np.add.at(expected, np.floor(ts / 0.01 + 1e-9).astype(np.intp), nbytes)
+    got = bin_packets(events, KEY, 0.01, start_time=0.0).samples
+    assert got.tobytes() == (expected * KBIT_PER_BYTE).tobytes()
+
+
+def test_bin_packets_reads_events_of_any_numeric_type():
+    # oracle: the events converted as one float array, then added in order
+    events = [(np.int64(0), 1), (np.float64(0.001), 10), [0.002, np.int64(20)],
+              (np.float32(0.0135), 30.5), (0.02, np.float32(7.25))]
+    ts, nbytes = np.array(events, dtype=float).T
+    expected = np.zeros(3)
+    np.add.at(expected, np.floor(ts / 0.01 + 1e-9).astype(np.intp), nbytes)
+    got = bin_packets(events, KEY, 0.01, start_time=0.0).samples
+    assert got.tobytes() == (expected * KBIT_PER_BYTE).tobytes()
+
+
+@pytest.mark.parametrize("events", [[(0.0, 10.0), (0.01, 5.0, 1.0)],
+                                    [(0.0, 10.0, 1.0), (0.01, 5.0)],
+                                    [(0.0, 10.0, 1.0), (0.01, 5.0, 1.0)],
+                                    [(0.0,), (0.01,)]])
+def test_bin_packets_refuses_events_not_pairs(events):
+    with pytest.raises(ValueError):
+        bin_packets(events, KEY, 0.01, start_time=0.0)
+
+
 def test_bin_packets_span_beyond_the_bin_cap():
     with pytest.raises(MalformedEvent, match=f"more than {MAX_FLOW_BINS} bins"):
         bin_packets([(0.0, 10.0), (1e13, 10.0)], KEY, 0.01)
