@@ -11,6 +11,7 @@ prefix maximum as if it were the forecast.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -60,8 +61,7 @@ class ExperimentConfig:
             for horizon in self.window_config(length).horizons_s:
                 spectral.whole_multiple(horizon, self.sample_interval_s, "window horizon")
         spectral.whole_multiple(self.peak_window_s, self.sample_interval_s, "peak_window_s")
-        spectral.whole_multiple(self.predict_horizon_s, self.chunk_interval_s,
-                                "predict_horizon_s")
+        self.horizon_steps  # validated once here, then kept
 
     def chunk_config(self, chunk_length_s: float) -> ChunkConfig:
         return ChunkConfig(sample_interval_s=self.sample_interval_s,
@@ -71,7 +71,7 @@ class ExperimentConfig:
     def window_config(self, chunk_length_s: float) -> StateWindowConfig:
         return StateWindowConfig(horizons_s=self.window_horizons).scaled(chunk_length_s)
 
-    @property
+    @functools.cached_property
     def horizon_steps(self) -> int:
         return spectral.whole_multiple(self.predict_horizon_s, self.chunk_interval_s,
                                        "predict_horizon_s")

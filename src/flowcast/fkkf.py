@@ -78,39 +78,37 @@ times U', and each stage keeps U' times the Gram D(lam) is applied to.
 Learning runs in stages, each depending only on the hyperparameters
 named with it:
 
-    1. frontend      framing, standardize + PCA, the reduced training
-                     pairs and both median-heuristic bandwidths (no
-                     hyperparameter)
-    2. state kernel  two m x n Grams and the m x s Gram of the
+    1. frontend      framing, standardize + PCA and the reduced training
+                     pairs (no hyperparameter)
+    2. rows          both median-heuristic bandwidths, the inducing
+                     indices, the kernel centres and the distinct states
+                     (no hyperparameter)
+    3. state kernel  two m x n Grams and the m x s Gram of the
                      successors against the s distinct states, both
                      subspace SVDs and their U' products (state_bw_scale),
                      in two branches: the predecessors' and the successors'
-    3. obs kernel    G_cc over the c centres (obs_bw_scale)
-    4. ridge         T, V and the prior per lambda_t (n x n x s products
+    4. obs kernel    G_cc over the c centres (obs_bw_scale)
+    5. ridge         T, V and the prior per lambda_t (n x n x s products
                      and the mode clip); O, Obar, M and the readout rows C
                      per lambda_o (one m x n x n product)
-    5. gains         project (the gain roots Z_t) and run_filter (kappa)
+    6. gains         project (the gain roots Z_t) and run_filter (kappa)
 
-StagedLearner runs stage 1 once and keeps each later stage while its
-inputs stay the same, so a hyperparameter search over one training set
-rebuilds only what the changed hyperparameter invalidates; learn is one
-model() call on a new StagedLearner, learn_core stages 2-4 on given
+StagedLearner keeps each of stages 1-5 while its inputs stay the same,
+so a hyperparameter search over one training set rebuilds only what the
+changed hyperparameter invalidates; learn is one model() call on a new
+StagedLearner, learn_core one on a learner whose stage 1 is the given
 rows.
 
-Stages 2-4 run as one schedule of two lanes, set by what each stage
-reads.  A helper thread started for the build makes the predecessor
-branch, then T from it alone and T's mode clip; the calling thread makes
-the successor branch, G_cc, the observation ridge (which reads only the
-predecessor branch and G_cc), then the state coordinates and the prior.
-V reads the clipped T and the coordinates, so it follows the join.  A
-kept stage is read where the lane would have built it, so a kept state
-kernel with a new lambda_t runs only the clip on the helper, and a call
-whose stages are all kept starts no thread.  Stage 1 splits the same
-way: the longest horizon's reducer on the helper beside the shorter
-horizons', and the states' bandwidth beside the observations' and the
-distinct rows.  Each lane makes the calls of a one-thread build in the
-same order, so every array is bit-identical to one at a given BLAS
-thread count, and no helper thread outlives the build that started it.
+Stages 1-5 run as one schedule of two lanes, set by what each stage
+reads (StagedLearner lists them): one helper thread per build reduces
+the longest horizon, finds the states' bandwidth, then makes the
+predecessor branch, T from it alone and T's mode clip, while the calling
+thread makes the rest.  V reads the clipped T and the state coordinates,
+so it follows the join.  A kept stage is read where the lane would have
+built it, so a call whose stages are all kept starts no thread.  Each
+lane makes the calls of a one-thread build in the same order, so every
+array is bit-identical to one at a given BLAS thread count, and the
+helper thread does not outlive the build that started it.
 """
 
 from __future__ import annotations
@@ -250,9 +248,7 @@ class SpectralFrontend:
     def frames_to_kbit(self, reduced_frames: np.ndarray, n_steps: int) -> np.ndarray:
         """Inverse PCA -> de-standardize -> inverse STFT -> overlap-average."""
         raw = reduction.inverse_project(self.basis, self.standardizer, reduced_frames)
-        chunks = spectral.inverse_frames(raw, self.chunk_cfg.chunk_samples)
-        hop = self.chunk_cfg.hop_samples
-        return spectral.overlap_average(chunks, hop, n_steps * hop)
+        return spectral.reassemble(raw, self.chunk_cfg, n_steps * self.chunk_cfg.hop_samples)
 
     def kbit_variance(self, cov_diag: np.ndarray) -> np.ndarray:
         """Per-sample variance of frames_to_kbit for independent reduced frames.
@@ -342,6 +338,7 @@ def _clip_unstable_modes(t_sub: np.ndarray) -> np.ndarray:
         return t_sub / rho
 
 
+@dataclass
 class _SubspaceSolver:
     """Factors of the ridge operator shared by the transition and observation
     regressions.
@@ -356,24 +353,28 @@ class _SubspaceSolver:
     square of Kbar R's.  D(lam) itself (n x m) is never formed: callers
     keep U' times what it is applied to, an n-row product, so a new lam
     costs an n x n scaling and one product with it.
-
-    Construction takes two steps, so a caller can drop Kbar before the
-    SVD: whiten(kbar, knn) returns (Kbar R, R), and the constructor takes
-    the SVD of Kbar R and forms R W.
     """
 
-    def __init__(self, whitened: np.ndarray, root_inv: np.ndarray):
-        self.u, self.s, wt = np.linalg.svd(whitened, full_matrices=False)
-        self.rw = root_inv @ wt.T   # R W
+    u: np.ndarray | None    # (m, n) U; None once a caller has read what it needs
+    s: np.ndarray           # (n,) singular values of Kbar R
+    rw: np.ndarray          # (n, n) R W
 
-    @staticmethod
-    def whiten(kbar: np.ndarray, knn: np.ndarray) -> tuple:
-        """(Kbar R, R), R = K_nn^-1/2 with K_nn's eigenvalues floored."""
-        evals, evecs = np.linalg.eigh(_sym(knn))
+    @classmethod
+    def of_gram(cls, kbar: np.ndarray, idx: np.ndarray) -> "_SubspaceSolver":
+        """The solver of the m x n Gram Kbar, whose rows idx are K_nn.
+
+        K_nn's eigenvalues are floored before R is formed.  Kbar is let go
+        before the SVD, so a caller that passes it without keeping a
+        reference never holds it beside the SVD's workspace.
+        """
+        evals, evecs = np.linalg.eigh(_sym(kbar[idx]))
         floor = max(evals.max(), 0.0) * _EIG_FLOOR + 1e-300
         evals = np.maximum(evals, floor)
         root_inv = (evecs * (evals ** -0.5)) @ evecs.T
-        return kbar @ root_inv, root_inv
+        whitened = kbar @ root_inv
+        del kbar
+        u, s, wt = np.linalg.svd(whitened, full_matrices=False)
+        return cls(u=u, s=s, rw=root_inv @ wt.T)
 
     def filt(self, lam: float) -> np.ndarray:
         """The ridge filter s / (s^2 + lam) on the singular values."""
@@ -448,19 +449,6 @@ def _distinct_rows(rows: np.ndarray) -> tuple:
     return first[order], rank[inverse]
 
 
-def _beside(helper_task, caller_task) -> tuple:
-    """(helper_task(), caller_task()), the first run on a helper thread.
-
-    The thread lives as long as the call: leaving joins it, also when
-    either task raises.  When both raise, the caller's error is the one
-    that propagates.
-    """
-    with futures.ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(helper_task)
-        mine = caller_task()
-    return pending.result(), mine
-
-
 def _resolved(value) -> futures.Future:
     """A finished future holding a kept stage, read like one being built."""
     done = futures.Future()
@@ -513,7 +501,7 @@ class _StateKernel:
     products of their U' with these Grams are kept: every ridge solution
     per lambda is then an n-row product (see _SubspaceSolver).  The
     training coordinates of V and the prior are those of the s distinct
-    states, whose columns _CoreStages.pred_col and succ_col select.
+    states, whose columns StagedLearner.pred_col and succ_col select.
     """
 
     spec: KernelSpec
@@ -526,18 +514,18 @@ def _clipped_transition(pred: futures.Future, lam: float) -> np.ndarray:
     return _clip_unstable_modes(pred.result().transition(lam))
 
 
-class _CoreStages:
-    """learn_core's work, split by the hyperparameters each part depends on.
+class StagedLearner:
+    """learn() on one set of training flows for many hyperparameter sets.
 
-    Construction validates the training rows and computes what no
-    hyperparameter changes: both median-heuristic bandwidths, the
-    inducing indices, the kernel centres (the distinct observations)
-    with the map from each pair to its centre, and the distinct states
-    among the predecessors and successors with the column of each.  The
-    states' bandwidth is found on a helper thread beside the rest
-    (_beside).  The rest is built on first use and kept while its inputs
-    stay the same:
+    model(hyper) returns the model learn(train_flows, hyper, ...) returns,
+    array for array, but builds each stage only once for the inputs it
+    depends on and keeps it while they stay the same:
 
+        frontend       framing, standardize + PCA,       (none)
+                       pairs x_pred, x_succ, y_train
+        rows           both bandwidths, the inducing    (none)
+                       idx, the centres with centre_sum,
+                       the states with pred_col, succ_col
         state kernel   two m x n Grams, the m x s        state_bw_scale
                        K(x_succ, states), both subspace
                        SVDs, U' times the Grams
@@ -545,6 +533,13 @@ class _CoreStages:
         transition     T (mode-clipped), V, prior      state kernel, lambda_t
         observation    O, Obar (O summed per centre),  both kernels, lambda_o
                        M = Obar' G_cc Obar, (X O)[:q]
+
+    Nothing is computed before the first model() call, so a caller that
+    times model() sees every stage it triggers.  train_flows and settings
+    record what the learner was built from; left_out, filled with the
+    frontend stage, holds the training flows too short to frame, which no
+    stage sees.  learn_core's learner starts with its frontend stage kept:
+    the given rows and no frontend.
 
     Idle stretches repeat rows exactly, so c and s fall well short of m
     and 2m, and with n < m no stage holds an m x m array: M = O' G_yy O
@@ -555,24 +550,28 @@ class _CoreStages:
     model() builds what is missing as one schedule of two lanes, set by
     what each stage reads:
 
-        helper lane   predecessor branch -> T -> mode clip
-        caller lane   successor branch -> G_cc -> observation ridge
-                      (predecessor branch, G_cc) -> state coordinates,
-                      n1, P1
+        helper lane   longest horizon's reducer; states' bandwidth;
+                      predecessor branch -> T -> mode clip
+        caller lane   shorter horizons' reducers; observations'
+                      bandwidth and both distinct-row maps; successor
+                      branch -> G_cc -> observation ridge (predecessor
+                      branch, G_cc) -> state coordinates, n1, P1
         after join    V (clipped T, coordinates)
 
-    The helper is a one-worker executor opened for the call, which runs
-    its tasks in order and starts its thread on the first task.  A kept
-    stage enters the schedule as a finished future or value, so a kept
-    state kernel with a new lambda_t sends only the clip to the helper,
-    and a call that finds every stage kept (a new kappa) starts no
-    thread.  Each lane makes the calls of a one-thread build in the same
-    order, so every array is bit-identical to one at a given BLAS thread
-    count; each branch drops its m x n Gram before its SVD, so the two
-    SVDs overlap without both Grams held.  New stages are kept only once
-    both lanes have ended without error: an error in either reaches the
-    caller as raised, after the join, with no new stage kept and no
-    thread left running.
+    The helper is the one one-worker executor opened for the call, which
+    runs its tasks in order and starts its thread on the first task: a
+    fresh build starts one thread.  A kept stage enters the schedule as a
+    finished future or value, so a kept state kernel with a new lambda_t
+    sends only the clip to the helper, and a call that finds every stage
+    kept (a new kappa) starts no thread.  Each lane makes the calls of a
+    one-thread build in the same order, so every array is bit-identical
+    to one at a given BLAS thread count; each branch drops its m x n Gram
+    before its SVD, so the two SVDs overlap without both Grams held.  The
+    frontend and rows stages are kept once both their parts have ended;
+    kernels and ridge solutions only once both lanes have ended without
+    error.  An error in either lane reaches the caller as raised, after
+    the join, with no kernel or ridge solution kept and no thread left
+    running.
 
     One kernel of each kind is kept.  Asking for another bandwidth scale
     drops the kept kernel and every ridge solution built on it before the
@@ -583,66 +582,55 @@ class _CoreStages:
     m n^2 per lambda_o.
     """
 
-    def __init__(self, x_pred, x_succ, y_train, subspace_size: int,
-                 bandwidth_seed: int = 0, frontend: SpectralFrontend | None = None):
-        x_pred = np.atleast_2d(np.asarray(x_pred, dtype=float))
-        x_succ = np.atleast_2d(np.asarray(x_succ, dtype=float))
-        y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
-        m = x_pred.shape[0]
-        if x_succ.shape != x_pred.shape:
-            raise BadDimension("x_pred and x_succ must have identical shape")
-        if y_train.shape[0] != m:
-            raise BadDimension("y_train must align with x_pred rows")
-        if y_train.shape[1] > x_pred.shape[1]:
-            raise BadDimension("the observation block cannot be wider than the state")
-        if m < 2:
-            raise InsufficientData(f"need >= 2 training pairs, got {m}")
-        if subspace_size < 1:
-            raise ValueError("subspace_size must be >= 1")
-        self.x_pred, self.x_succ, self.y_train = x_pred, x_succ, y_train
-        # successors are mostly the next pair's predecessor, so the 2m rows
-        # hold about m + (number of flows) distinct states
-        stacked = np.vstack([x_pred, x_succ])
-        # the states' bandwidth, the larger median heuristic, on the helper
-        self.state_bw, (self.obs_bw, centres, states) = _beside(
-            lambda: median_heuristic(x_pred, DEFAULT_SUBSET_SIZE, bandwidth_seed),
-            lambda: (median_heuristic(y_train, DEFAULT_SUBSET_SIZE, bandwidth_seed),
-                     _distinct_rows(y_train), _distinct_rows(stacked)))
-        self.idx = _subspace_stride_indices(m, subspace_size)
-        first, centre_of = centres
-        self.centres = y_train[first]
-        # c x m membership matrix: row u has a one in each pair column whose
-        # observation is centre u, so Obar = S O sums each centre's rows in
-        # pair order (scipy's CSR product adds a row's entries in index order)
-        self.centre_sum = scipy.sparse.csr_array(
-            (np.ones(m), (centre_of, np.arange(m))), shape=(first.size, m))
-        first, state_of = states
-        self.states = stacked[first]
-        self.pred_col, self.succ_col = state_of[:m], state_of[m:]
-        self.frontend = frontend
+    def __init__(self, train_flows, subspace_size: int, chunk_cfg: ChunkConfig,
+                 window_cfg: StateWindowConfig, kept_dim: int = 80,
+                 bandwidth_seed: int = 0):
+        self.train_flows = tuple(train_flows)
+        self.settings = (subspace_size, chunk_cfg, window_cfg, kept_dim, bandwidth_seed)
+        self.left_out: tuple = ()
+        self.frontend: SpectralFrontend | None = None
+        # the frontend stage's pairs and the rows stage's idx: None until kept
+        self.x_pred = self.x_succ = self.y_train = None
+        self.idx: np.ndarray | None = None
         self._state: _StateKernel | None = None
         self._obs: tuple | None = None          # (obs KernelSpec, G_cc)
         self._transition: dict = {}             # lambda_t -> (T, V, n1, P1)
         self._observation: dict = {}            # lambda_o -> (Obar, M, X O)
 
+    @classmethod
+    def _on_rows(cls, x_pred, x_succ, y_train, subspace_size: int,
+                 bandwidth_seed: int = 0) -> "StagedLearner":
+        """learn_core's learner: the frontend stage kept as the given rows."""
+        learner = cls((), subspace_size, None, None, bandwidth_seed=bandwidth_seed)
+        learner.x_pred, learner.x_succ, learner.y_train = x_pred, x_succ, y_train
+        return learner
+
     def model(self, hyper: FkkfHyperparams) -> FkkfModel:
-        state_spec = KernelSpec(bandwidth=self.state_bw, scale_factor=hyper.state_bw_scale)
-        obs_spec = KernelSpec(bandwidth=self.obs_bw, scale_factor=hyper.obs_bw_scale)
         lam_t, lam_o = hyper.lambda_t, hyper.lambda_o
-        # a kernel at another scale goes, with every ridge solution on it,
-        # before anything new is built
-        if self._state is not None and self._state.spec != state_spec:
-            self._state = None
-            self._transition.clear()
-            self._observation.clear()
-        if self._obs is not None and self._obs[0] != obs_spec:
-            self._obs = None
-            self._observation.clear()
-        state, obs = self._state, self._obs
-        transition = self._transition.get(lam_t)
-        observation = self._observation.get(lam_o)
         # leaving the block joins the helper, also when the caller's lane raises
         with futures.ThreadPoolExecutor(max_workers=1) as helper:
+            if self.x_pred is None:
+                _, chunk_cfg, window_cfg, kept_dim, _ = self.settings
+                (self.frontend, self.x_pred, self.x_succ, self.y_train,
+                 self.left_out) = _fit_frontend(list(self.train_flows), chunk_cfg,
+                                                window_cfg, kept_dim, helper)
+            if self.idx is None:
+                self._fit_rows(helper)
+            state_spec = KernelSpec(bandwidth=self.state_bw,
+                                    scale_factor=hyper.state_bw_scale)
+            obs_spec = KernelSpec(bandwidth=self.obs_bw, scale_factor=hyper.obs_bw_scale)
+            # a kernel at another scale goes, with every ridge solution on it,
+            # before anything new is built
+            if self._state is not None and self._state.spec != state_spec:
+                self._state = None
+                self._transition.clear()
+                self._observation.clear()
+            if self._obs is not None and self._obs[0] != obs_spec:
+                self._obs = None
+                self._observation.clear()
+            state, obs = self._state, self._obs
+            transition = self._transition.get(lam_t)
+            observation = self._observation.get(lam_o)
             pred = (helper.submit(self._predecessor_branch, state_spec) if state is None
                     else _resolved(state.pred))
             if transition is None:
@@ -665,27 +653,61 @@ class _CoreStages:
                          v=v, n1_prior=n1, p1_prior=p1, obs_spec=obs_spec,
                          kappa=hyper.kappa, frontend=self.frontend)
 
+    def _fit_rows(self, helper: futures.Executor) -> None:
+        """The rows stage: check the training rows, then index them.
+
+        The states' bandwidth, the larger median heuristic, is found on
+        the helper beside the observations' bandwidth and the distinct-row
+        maps.
+        """
+        x_pred = np.atleast_2d(np.asarray(self.x_pred, dtype=float))
+        x_succ = np.atleast_2d(np.asarray(self.x_succ, dtype=float))
+        y_train = np.atleast_2d(np.asarray(self.y_train, dtype=float))
+        subspace_size, *_, bandwidth_seed = self.settings
+        m = x_pred.shape[0]
+        if x_succ.shape != x_pred.shape:
+            raise BadDimension("x_pred and x_succ must have identical shape")
+        if y_train.shape[0] != m:
+            raise BadDimension("y_train must align with x_pred rows")
+        if y_train.shape[1] > x_pred.shape[1]:
+            raise BadDimension("the observation block cannot be wider than the state")
+        if m < 2:
+            raise InsufficientData(f"need >= 2 training pairs, got {m}")
+        if subspace_size < 1:
+            raise ValueError("subspace_size must be >= 1")
+        state_bw = helper.submit(median_heuristic, x_pred, DEFAULT_SUBSET_SIZE,
+                                 bandwidth_seed)
+        obs_bw = median_heuristic(y_train, DEFAULT_SUBSET_SIZE, bandwidth_seed)
+        first, centre_of = _distinct_rows(y_train)
+        # successors are mostly the next pair's predecessor, so the 2m rows
+        # hold about m + (number of flows) distinct states
+        stacked = np.vstack([x_pred, x_succ])
+        state_first, state_of = _distinct_rows(stacked)
+        self.state_bw, self.obs_bw = state_bw.result(), obs_bw
+        self.x_pred, self.x_succ, self.y_train = x_pred, x_succ, y_train
+        self.centres = y_train[first]
+        # c x m membership matrix: row u has a one in each pair column whose
+        # observation is centre u, so Obar = S O sums each centre's rows in
+        # pair order (scipy's CSR product adds a row's entries in index order)
+        self.centre_sum = scipy.sparse.csr_array(
+            (np.ones(m), (centre_of, np.arange(m))), shape=(first.size, m))
+        self.states = stacked[state_first]
+        self.pred_col, self.succ_col = state_of[:m], state_of[m:]
+        self.idx = _subspace_stride_indices(m, subspace_size)
+
     def _predecessor_branch(self, spec: KernelSpec) -> _PredecessorBranch:
         x_pred, idx = self.x_pred, self.idx
         full = idx.size == x_pred.shape[0]
-        kbar = gram(x_pred, x_pred if full else x_pred[idx], spec)
-        whitened, root_inv = _SubspaceSolver.whiten(kbar, kbar[idx])
-        del kbar
-        solver = _SubspaceSolver(whitened, root_inv)
-        del whitened
+        solver = _SubspaceSolver.of_gram(
+            gram(x_pred, x_pred if full else x_pred[idx], spec), idx)
         kbar_prime = gram(x_pred, self.x_succ if full else self.x_succ[idx], spec)
         return _PredecessorBranch(solver=solver, u_kbar_prime=solver.u.T @ kbar_prime,
                                   rw_kbar_prime=solver.rw.T @ kbar_prime[idx])
 
     def _successor_branch(self, spec: KernelSpec) -> _SuccessorBranch:
-        idx = self.idx
         k_states = gram(self.x_succ, self.states, spec)
         # K(x_succ, inducing successors): each inducing successor is a state
-        k_succ = k_states[:, self.succ_col[idx]]
-        whitened, root_inv = _SubspaceSolver.whiten(k_succ, k_succ[idx])
-        del k_succ
-        solver = _SubspaceSolver(whitened, root_inv)
-        del whitened
+        solver = _SubspaceSolver.of_gram(k_states[:, self.succ_col[self.idx]], self.idx)
         u_states = solver.u.T @ k_states
         solver.u = None  # read only through u_states
         return _SuccessorBranch(solver=solver, u_states=u_states)
@@ -729,8 +751,8 @@ def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
     y_train in first-occurrence order, so it holds c <= m of them, with
     o_sub the rows of O summed per centre.
     """
-    return _CoreStages(x_pred, x_succ, y_train, subspace_size,
-                       bandwidth_seed=bandwidth_seed).model(hyper)
+    return StagedLearner._on_rows(x_pred, x_succ, y_train, subspace_size,
+                                  bandwidth_seed).model(hyper)
 
 
 def _pairs_from_chains(rows: list):
@@ -757,12 +779,13 @@ def _reduce_horizon(blocks: list, kept_dim: int) -> tuple:
 
 
 def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
-                  window_cfg: StateWindowConfig, kept_dim: int):
+                  window_cfg: StateWindowConfig, kept_dim: int,
+                  helper: futures.Executor):
     """Frame the flows, fit per-horizon reducers, reduce and pair the rows.
 
     Each horizon block is standardized and PCA-reduced on its own before
     the blocks are concatenated into a state; the longest horizon's, the
-    widest, is reduced on a helper thread beside the others (_beside).
+    widest, is reduced on the executor `helper` beside the others.
     The frontend keeps only the first block's reducer and the first
     horizon as its chunk length (a ValueError before any framing if that
     is shorter than the interval).
@@ -783,10 +806,9 @@ def _fit_frontend(train_flows: list, chunk_cfg: ChunkConfig,
     if not per_flow_blocks:
         raise FlowTooShort(f"no training flow can be framed: {too_short}")
     per_horizon = list(zip(*per_flow_blocks))
-    longest, shorter = _beside(
-        lambda: _reduce_horizon(per_horizon[-1], kept_dim),
-        lambda: [_reduce_horizon(blocks, kept_dim) for blocks in per_horizon[:-1]])
-    horizons = shorter + [longest]
+    longest = helper.submit(_reduce_horizon, per_horizon[-1], kept_dim)
+    horizons = [_reduce_horizon(blocks, kept_dim) for blocks in per_horizon[:-1]]
+    horizons.append(longest.result())
     rows = [(np.hstack(reduced), reduced[0])
             for reduced in zip(*(blocks for _, _, blocks in horizons))]
     std, basis, _ = horizons[0]
@@ -809,38 +831,6 @@ def learn(train_flows, hyper: FkkfHyperparams, subspace_size: int,
     """
     return StagedLearner(train_flows, subspace_size, chunk_cfg, window_cfg,
                          kept_dim=kept_dim, bandwidth_seed=bandwidth_seed).model(hyper)
-
-
-class StagedLearner:
-    """learn() on one set of training flows for many hyperparameter sets.
-
-    model(hyper) returns the model learn(train_flows, hyper, ...) returns,
-    array for array, but builds each stage only once for the inputs it
-    depends on: the frontend (framing, standardize + PCA, bandwidths) on
-    the first call, then the stages of _CoreStages.  Nothing is computed
-    before the first model() call, so a caller that times model() sees
-    every stage it triggers.  train_flows and settings record what the
-    learner was built from; left_out, filled by the first model() call,
-    holds the training flows too short to frame, which no stage sees.
-    """
-
-    def __init__(self, train_flows, subspace_size: int, chunk_cfg: ChunkConfig,
-                 window_cfg: StateWindowConfig, kept_dim: int = 80,
-                 bandwidth_seed: int = 0):
-        self.train_flows = tuple(train_flows)
-        self.settings = (subspace_size, chunk_cfg, window_cfg, kept_dim, bandwidth_seed)
-        self.left_out: tuple = ()
-        self._core: _CoreStages | None = None
-
-    def model(self, hyper: FkkfHyperparams) -> FkkfModel:
-        # the frontend and the _CoreStages on it are built on the first call
-        if self._core is None:
-            subspace_size, chunk_cfg, window_cfg, kept_dim, bandwidth_seed = self.settings
-            frontend, x_pred, x_succ, y_train, self.left_out = _fit_frontend(
-                list(self.train_flows), chunk_cfg, window_cfg, kept_dim)
-            self._core = _CoreStages(x_pred, x_succ, y_train, subspace_size,
-                                     bandwidth_seed=bandwidth_seed, frontend=frontend)
-        return self._core.model(hyper)
 
 
 # ---------------------------------------------------------------------------

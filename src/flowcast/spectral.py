@@ -30,6 +30,7 @@ artifacts); forward DFT unnormalized, inverse scaled by 1/L.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,16 +70,16 @@ class ChunkConfig:
             raise ValueError("chunk_interval_s must exceed sample_interval_s")
         if self.chunk_length_s < self.chunk_interval_s:
             raise ValueError("chunk_length_s must be >= chunk_interval_s")
-        whole_multiple(self.chunk_interval_s, self.sample_interval_s, "chunk_interval_s")
-        whole_multiple(self.chunk_length_s, self.sample_interval_s, "chunk_length_s")
+        # reading each count validates it once; later reads find it kept
+        self.hop_samples, self.chunk_samples
 
-    @property
+    @functools.cached_property
     def hop_samples(self) -> int:
         """Samples between consecutive chunk starts (T_C / T_S)."""
         return whole_multiple(self.chunk_interval_s, self.sample_interval_s,
                               "chunk_interval_s")
 
-    @property
+    @functools.cached_property
     def chunk_samples(self) -> int:
         """Samples per chunk (w / T_S)."""
         return whole_multiple(self.chunk_length_s, self.sample_interval_s, "chunk_length_s")

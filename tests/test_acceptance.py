@@ -46,12 +46,12 @@ def test_criterion_2_subspace_equals_full_space():
     hyper = fkkf.FkkfHyperparams(lambda_t=1e-2, lambda_o=1e-2,
                                  state_bw_scale=0.25, obs_bw_scale=0.5,
                                  kappa=1e-3)
-    model = fkkf.learn(flows, hyper, subspace_size=10 ** 6, chunk_cfg=chunk_cfg,
-                       window_cfg=window_cfg, kept_dim=30)
-    # the training pairs learn reduced the flows to; the model's kernel
-    # centres must be their distinct observations before the states are
-    # trusted
-    _, x_pred, x_succ, y, _ = fkkf._fit_frontend(flows, chunk_cfg, window_cfg, 30)
+    learner = fkkf.StagedLearner(flows, 10 ** 6, chunk_cfg, window_cfg, kept_dim=30)
+    model = learner.model(hyper)
+    # the training pairs the learner reduced the flows to; the model's
+    # kernel centres must be their distinct observations before the states
+    # are trusted
+    x_pred, x_succ, y = learner.x_pred, learner.x_succ, learner.y_train
     m = x_pred.shape[0]
     assert m <= 300
     assert model.subspace_size == m

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcast import evaluation, fkkf, synth
+from flowcast import evaluation, fkkf, spectral, synth
 from flowcast.errors import InsufficientGroup, NumericalFailure, UndefinedError
 from flowcast.evaluation import (ExperimentConfig, GroupReport, SplitResult,
                                  ar_baseline, build_group_report,
@@ -306,6 +306,17 @@ class TestForecastFlow:
         np.testing.assert_array_equal(prediction.filtered_state.n_t,
                                       expected.filtered_state.n_t)
         np.testing.assert_array_equal(prediction.filtered_cov, expected.filtered_cov)
+
+    def test_counts_of_kept_configs_not_converted_again(self, group_flows, group_model,
+                                                         monkeypatch):
+        # hop_samples, chunk_samples and horizon_steps are converted once, by
+        # their config's validation; a forecast converts only the durations
+        # passed to locate_peak_rise and observation_frames
+        calls, real = [], spectral.whole_multiple
+        monkeypatch.setattr(spectral, "whole_multiple",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        forecast_flow(group_model, group_flows[0].samples, CFG)
+        assert sorted(calls) == ["chunk_interval_s", "horizon_s", "window_s"]
 
     def test_negative_start_refused(self, group_flows, group_model):
         with pytest.raises(UndefinedError, match="start step -1 is negative"):

@@ -200,9 +200,10 @@ class TestLearnCore:
         flow = generate_group(TEMPLATE, 2, 10.0, 0.01, seed=13)[0]
         from flowcast.spectral import transform
         assert transform(flow.samples, cfg).shape[0] == 200
-        _, x_pred, _, y, _ = fkkf._fit_frontend([flow], cfg, window, 20)
-        assert x_pred.shape[0] == y.shape[0] == 139
-        model = learn([flow], HYPER, 50, cfg, window, kept_dim=20)
+        learner = fkkf.StagedLearner([flow], 50, cfg, window, kept_dim=20)
+        model = learner.model(HYPER)
+        y = learner.y_train
+        assert learner.x_pred.shape[0] == y.shape[0] == 139
         assert model.n_centres == len(distinct_rows(y)) <= 139
         assert model.o_sub.shape == (model.n_centres, model.subspace_size)
 
@@ -241,8 +242,9 @@ def centred_models():
     """(observations, model, model with one centre per pair) of bursty flows
     whose idle gaps repeat observation windows exactly."""
     flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
-    _, _, _, y, _ = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
-    model = learn(flows, HYPER, 40, CHUNK, WINDOW, kept_dim=30)
+    learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=30)
+    model = learner.model(HYPER)
+    y = learner.y_train
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fkkf, "_distinct_rows", _one_centre_per_pair)
         unmerged = learn(flows, HYPER, 40, CHUNK, WINDOW, kept_dim=30)
@@ -308,7 +310,7 @@ class TestKernelCentres:
                       dataclasses.replace(HYPER, obs_bw_scale=2.0),
                       dataclasses.replace(HYPER, state_bw_scale=2.0)):
             learner.model(hyper)
-        m = len(learner._core.x_pred)
+        m = len(learner.x_pred)
         assert calls == [m, 2 * m]
 
     def test_rows_compared_bit_for_bit(self):
@@ -344,7 +346,7 @@ def _mxm_reference(x_pred, x_succ, y, hyper, subspace_size):
     unmerged O, and the coordinates of K(x_succ, x_pred) and
     K(x_succ, x_succ).
     """
-    core = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
+    core = _rows_learner(x_pred, x_succ, y, subspace_size)
     spec = KernelSpec(bandwidth=core.state_bw, scale_factor=hyper.state_bw_scale)
     obs_spec = KernelSpec(bandwidth=core.obs_bw, scale_factor=hyper.obs_bw_scale)
     idx = core.idx
@@ -352,8 +354,8 @@ def _mxm_reference(x_pred, x_succ, y, hyper, subspace_size):
     kbar = gram(x_pred, x_pred[idx], spec)
     kbar_prime = gram(x_pred, x_succ[idx], spec)
     k_succ = gram(x_succ, core.states, spec)[:, core.succ_col[idx]]
-    solver = fkkf._SubspaceSolver(*fkkf._SubspaceSolver.whiten(kbar, kbar[idx]))
-    succ_solver = fkkf._SubspaceSolver(*fkkf._SubspaceSolver.whiten(k_succ, k_succ[idx]))
+    solver = fkkf._SubspaceSolver.of_gram(kbar, idx)
+    succ_solver = fkkf._SubspaceSolver.of_gram(k_succ, idx)
     t_sub = fkkf._clip_unstable_modes(_explicit_dual(solver, hyper.lambda_t) @ kbar_prime)
     coord_map = _explicit_dual(succ_solver, hyper.lambda_t)
     coords_pred = coord_map @ gram(x_succ, x_pred, spec)
@@ -377,8 +379,7 @@ def distinct_row_data(request):
     if request.param == "chain":
         x_pred, x_succ, y = _chain_data()
     else:
-        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
-        _, x_pred, x_succ, y, _ = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
+        x_pred, x_succ, y = _idle_gap_rows()
         assert len(distinct_rows(y)) < len(y)
     assert len(distinct_rows(np.vstack([x_pred, x_succ]))) < 2 * len(x_pred)
     model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
@@ -406,7 +407,7 @@ class TestDistinctRowGrams:
 
     def test_states_are_the_distinct_rows(self, distinct_row_data):
         x_pred, x_succ, y, _, _ = distinct_row_data
-        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        core = _rows_learner(x_pred, x_succ, y, 40)
         stacked = np.vstack([x_pred, x_succ])
         np.testing.assert_array_equal(core.states, distinct_rows(stacked))
         np.testing.assert_array_equal(core.states[core.pred_col], x_pred)
@@ -446,7 +447,7 @@ def ridge_stages(request):
         subspace_size = len(x_pred)
     else:
         (x_pred, x_succ, y), hyper, subspace_size = _chain_data(), HYPER, 40
-    core = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
+    core = fkkf.StagedLearner._on_rows(x_pred, x_succ, y, subspace_size)
     core.model(hyper)
     state = core._state
     o_bar, _, xo = core._observation[hyper.lambda_o]
@@ -503,8 +504,8 @@ class TestLearnerMemory:
         learner = fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=30)
         learner.model(HYPER)
         learner.model(dataclasses.replace(HYPER, lambda_t=1e-1, lambda_o=1e-1))
-        m = len(learner._core.x_pred)
-        held = _held_arrays(learner._core)
+        m = len(learner.x_pred)
+        held = _held_arrays(learner)
         assert len(held) > 10
         assert not [a.shape for a in held if a.shape == (m, m)]
 
@@ -1125,8 +1126,16 @@ class TestStagedLearner:
 def _idle_gap_rows(seed=11):
     """(x_pred, x_succ, y) of bursty flows whose idle gaps repeat rows."""
     flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=seed)
-    _, x_pred, x_succ, y, _ = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30)
+    _, x_pred, x_succ, y, _ = fkkf._fit_frontend(flows, CHUNK, WINDOW, 30,
+                                                 _InlineExecutor(1))
     return x_pred, x_succ, y
+
+
+def _rows_learner(x_pred, x_succ, y, subspace_size):
+    """A learner on given rows with its rows stage built on this thread."""
+    learner = fkkf.StagedLearner._on_rows(x_pred, x_succ, y, subspace_size)
+    learner._fit_rows(_InlineExecutor(1))
+    return learner
 
 
 def _kernel_arrays(pred, succ):
@@ -1152,7 +1161,7 @@ def _frontend_arrays(frontend):
 
 
 def _init_arrays(core):
-    """Everything _CoreStages' construction computes."""
+    """Everything StagedLearner's rows stage computes."""
     return {"state_bw": core.state_bw, "obs_bw": core.obs_bw, "idx": core.idx,
             "centres": core.centres, "states": core.states, "pred_col": core.pred_col,
             "succ_col": core.succ_col, "centre_sum": core.centre_sum.toarray()}
@@ -1186,12 +1195,12 @@ class TestConcurrentStateKernel:
     def test_bit_identical_to_a_sequential_build(self, subspace_size):
         x_pred, x_succ, y = _idle_gap_rows()
         assert len(distinct_rows(y)) < len(y)
-        core = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
-        assert (core.idx.size < len(x_pred)) == (subspace_size == 40)
+        core = fkkf.StagedLearner._on_rows(x_pred, x_succ, y, subspace_size)
         core.model(HYPER)
+        assert (core.idx.size < len(x_pred)) == (subspace_size == 40)
         state = core._state
         # both branches on this thread, one after the other
-        sequential = fkkf._CoreStages(x_pred, x_succ, y, subspace_size)
+        sequential = _rows_learner(x_pred, x_succ, y, subspace_size)
         expected = _kernel_arrays(sequential._predecessor_branch(state.spec),
                                   sequential._successor_branch(state.spec))
         _assert_same_bytes(_kernel_arrays(state.pred, state.succ), expected)
@@ -1208,35 +1217,34 @@ class TestConcurrentStateKernel:
                     dataclasses.replace(HYPER, kappa=1e-2)]      # every stage kept
 
         def build():
-            frontend_out = fkkf._fit_frontend(flows, CHUNK, WINDOW, 20)
             learner = fkkf.StagedLearner(flows, subspace_size, CHUNK, WINDOW, kept_dim=20)
-            return frontend_out, learner, [learner.model(hyper) for hyper in sequence]
+            return learner, [learner.model(hyper) for hyper in sequence]
 
-        frontend_out, learner, models = build()
+        learner, models = build()
         with monkeypatch.context() as one_thread:
             one_thread.setattr(fkkf.futures, "ThreadPoolExecutor", _InlineExecutor)
-            expected_out, expected_learner, expected = build()
-        assert (learner._core.idx.size < len(learner._core.x_pred)) == (subspace_size == 40)
+            expected_learner, expected = build()
+        assert (learner.idx.size < len(learner.x_pred)) == (subspace_size == 40)
         for got, want in zip(models, expected):
             _assert_same_models(got, want)
             assert (got.obs_spec, got.kappa) == (want.obs_spec, want.kappa)
-        _assert_same_bytes(_frontend_arrays(frontend_out[0]),
-                           _frontend_arrays(expected_out[0]))
-        for got, want in zip(frontend_out[1:4], expected_out[1:4]):
-            assert got.tobytes() == want.tobytes()
-        _assert_same_bytes(_init_arrays(learner._core), _init_arrays(expected_learner._core))
+        _assert_same_bytes(_frontend_arrays(learner.frontend),
+                           _frontend_arrays(expected_learner.frontend))
+        for name in ("x_pred", "x_succ", "y_train"):
+            assert getattr(learner, name).tobytes() == getattr(expected_learner, name).tobytes()
+        _assert_same_bytes(_init_arrays(learner), _init_arrays(expected_learner))
 
     def test_helper_used_once_per_state_scale(self, monkeypatch):
         # a kept state kernel (new kappa, lambdas or obs_bw_scale) builds no
         # predecessor branch
-        real = fkkf._CoreStages._predecessor_branch
+        real = fkkf.StagedLearner._predecessor_branch
         built = []
 
         def counting(self, spec):
             built.append((spec.scale_factor, threading.get_ident()))
             return real(self, spec)
 
-        monkeypatch.setattr(fkkf._CoreStages, "_predecessor_branch", counting)
+        monkeypatch.setattr(fkkf.StagedLearner, "_predecessor_branch", counting)
         space = SearchSpace(lambda_t=(1e-2, 1e-1), lambda_o=(1e-2, 1e-1),
                             state_bw_scale=(0.5, 1.0), obs_bw_scale=(0.5, 1.0),
                             kappa=(1e-3, 1e-2))
@@ -1247,9 +1255,23 @@ class TestConcurrentStateKernel:
         assert [scale for scale, _ in built] == [0.5, 1.0]
         assert all(ident != threading.get_ident() for _, ident in built)
 
+    @pytest.mark.parametrize("from_rows", [False, True], ids=["learn", "learn_core"])
+    def test_fresh_build_starts_one_thread(self, monkeypatch, from_rows):
+        # the frontend, rows and state-kernel stages share one helper lane
+        x_pred, x_succ, y = _idle_gap_rows()
+        flows = generate_group(TEMPLATE, 4, 3.0, 0.01, seed=11)
+        learner = (fkkf.StagedLearner._on_rows(x_pred, x_succ, y, 40) if from_rows
+                   else fkkf.StagedLearner(flows, 40, CHUNK, WINDOW, kept_dim=30))
+        started, real_start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or real_start(thread))
+        learner.model(HYPER)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+
     def test_kept_stages_start_no_thread(self, monkeypatch):
         x_pred, x_succ, y = _idle_gap_rows()
-        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        core = fkkf.StagedLearner._on_rows(x_pred, x_succ, y, 40)
         core.model(HYPER)
         started, clipped = [], []
         real_start, real_clip = threading.Thread.start, fkkf._clip_unstable_modes
@@ -1265,7 +1287,7 @@ class TestConcurrentStateKernel:
             core.model(hyper)
         assert started == [] and clipped == []
         # a new lambda_t on the kept state kernel: the clip alone on the helper
-        monkeypatch.setattr(fkkf._CoreStages, "_predecessor_branch", None)
+        monkeypatch.setattr(fkkf.StagedLearner, "_predecessor_branch", None)
         core.model(dataclasses.replace(HYPER, lambda_t=1e-1))
         assert len(started) == 1 and len(clipped) == 1
         assert clipped[0] != threading.get_ident()
@@ -1273,10 +1295,10 @@ class TestConcurrentStateKernel:
     @pytest.mark.parametrize(
         "holder, name, lane",
         [(None, None, None),
-         ("_CoreStages", "_predecessor_branch", "helper"),
-         ("_CoreStages", "_successor_branch", "caller"),
+         ("StagedLearner", "_predecessor_branch", "helper"),
+         ("StagedLearner", "_successor_branch", "caller"),
          ("fkkf", "_clip_unstable_modes", "helper"),
-         ("_CoreStages", "_observation_ridge", "caller"),
+         ("StagedLearner", "_observation_ridge", "caller"),
          ("fkkf", "median_heuristic", "helper"),
          ("fkkf", "_distinct_rows", "caller"),
          ("fkkf", "_reduce_horizon", "helper"),
@@ -1291,7 +1313,7 @@ class TestConcurrentStateKernel:
         if name is None:
             learner.model(HYPER)
         else:
-            owner = fkkf if holder == "fkkf" else fkkf._CoreStages
+            owner = fkkf if holder == "fkkf" else fkkf.StagedLearner
             real, caller = getattr(owner, name), threading.get_ident()
 
             def fail_on_lane(*args):
@@ -1311,7 +1333,7 @@ class TestConcurrentStateKernel:
         rows = [_idle_gap_rows(seed) for seed in (11, 12, 13)]
 
         def models(x_pred, x_succ, y):
-            core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+            core = fkkf.StagedLearner._on_rows(x_pred, x_succ, y, 40)
             return [core.model(dataclasses.replace(HYPER, state_bw_scale=scale))
                     for scale in scales]
 
@@ -1341,14 +1363,14 @@ class TestConcurrentStateKernel:
 
     def test_worker_error_reaches_the_caller_and_keeps_no_stage(self, monkeypatch):
         x_pred, x_succ, y = _idle_gap_rows()
-        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        core = fkkf.StagedLearner._on_rows(x_pred, x_succ, y, 40)
         before = core.model(HYPER)
         error = FloatingPointError("worker branch")
 
         def fail(self, spec):
             raise error
 
-        monkeypatch.setattr(fkkf._CoreStages, "_predecessor_branch", fail)
+        monkeypatch.setattr(fkkf.StagedLearner, "_predecessor_branch", fail)
         with pytest.raises(FloatingPointError) as caught:
             core.model(dataclasses.replace(HYPER, state_bw_scale=1.0))
         assert caught.value is error
@@ -1360,12 +1382,12 @@ class TestConcurrentStateKernel:
     def test_clip_error_reaches_the_caller_after_both_lanes_and_keeps_no_stage(
             self, monkeypatch):
         x_pred, x_succ, y = _idle_gap_rows()
-        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        core = fkkf.StagedLearner._on_rows(x_pred, x_succ, y, 40)
         before = core.model(HYPER)
         kept = (core._state, core._obs)
         error = FloatingPointError("clip task")
         events = []
-        real_ridge = fkkf._CoreStages._observation_ridge
+        real_ridge = fkkf.StagedLearner._observation_ridge
 
         def ridge(self, *args):
             result = real_ridge(self, *args)
@@ -1377,7 +1399,7 @@ class TestConcurrentStateKernel:
             events.append("clip raises")
             raise error
 
-        monkeypatch.setattr(fkkf._CoreStages, "_observation_ridge", ridge)
+        monkeypatch.setattr(fkkf.StagedLearner, "_observation_ridge", ridge)
         monkeypatch.setattr(fkkf, "_clip_unstable_modes", fail)
         threads = threading.active_count()
         changed = dataclasses.replace(HYPER, lambda_t=1e-1, lambda_o=1e-1)
@@ -1391,7 +1413,7 @@ class TestConcurrentStateKernel:
         assert list(core._observation) == [HYPER.lambda_o]
         assert core._state is kept[0] and core._obs is kept[1]
         # on a fresh learner nothing at all is kept
-        fresh = fkkf._CoreStages(x_pred, x_succ, y, 40)
+        fresh = fkkf.StagedLearner._on_rows(x_pred, x_succ, y, 40)
         with pytest.raises(FloatingPointError) as caught:
             fresh.model(changed)
         assert caught.value is error
@@ -1403,8 +1425,8 @@ class TestConcurrentStateKernel:
 
     def test_caller_error_raised_after_the_worker_branch_ends(self, monkeypatch):
         x_pred, x_succ, y = _idle_gap_rows()
-        core = fkkf._CoreStages(x_pred, x_succ, y, 40)
-        real = fkkf._CoreStages._predecessor_branch
+        core = fkkf.StagedLearner._on_rows(x_pred, x_succ, y, 40)
+        real = fkkf.StagedLearner._predecessor_branch
         ended = threading.Event()
 
         def slow(self, spec):
@@ -1416,8 +1438,8 @@ class TestConcurrentStateKernel:
         def fail(self, spec):
             raise FloatingPointError("caller branch")
 
-        monkeypatch.setattr(fkkf._CoreStages, "_predecessor_branch", slow)
-        monkeypatch.setattr(fkkf._CoreStages, "_successor_branch", fail)
+        monkeypatch.setattr(fkkf.StagedLearner, "_predecessor_branch", slow)
+        monkeypatch.setattr(fkkf.StagedLearner, "_successor_branch", fail)
         with pytest.raises(FloatingPointError, match="caller branch"):
             core.model(HYPER)
         assert ended.is_set()
