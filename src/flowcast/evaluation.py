@@ -60,8 +60,8 @@ class ExperimentConfig:
             self.chunk_config(length)
             for horizon in self.window_config(length).horizons_s:
                 spectral.whole_multiple(horizon, self.sample_interval_s, "window horizon")
-        spectral.whole_multiple(self.peak_window_s, self.sample_interval_s, "peak_window_s")
-        self.horizon_steps  # validated once here, then kept
+        # validated once here, then kept
+        self.peak_window_samples, self.horizon_steps
 
     def chunk_config(self, chunk_length_s: float) -> ChunkConfig:
         return ChunkConfig(sample_interval_s=self.sample_interval_s,
@@ -70,6 +70,11 @@ class ExperimentConfig:
 
     def window_config(self, chunk_length_s: float) -> StateWindowConfig:
         return StateWindowConfig(horizons_s=self.window_horizons).scaled(chunk_length_s)
+
+    @functools.cached_property
+    def peak_window_samples(self) -> int:
+        return spectral.whole_multiple(self.peak_window_s, self.sample_interval_s,
+                                       "peak_window_s")
 
     @functools.cached_property
     def horizon_steps(self) -> int:
@@ -184,9 +189,15 @@ def locate_peak_rise(samples: np.ndarray, chunk_interval_s: float,
                      sample_interval_s: float, window_s: float = 1.0,
                      factor: float = DEFAULT_PEAK_FACTOR) -> int | None:
     """First chunk index whose forward kbit sum exceeds factor x the median sum."""
-    samples = np.asarray(samples, dtype=float).ravel()
     hop = spectral.whole_multiple(chunk_interval_s, sample_interval_s, "chunk_interval_s")
     width = spectral.whole_multiple(window_s, sample_interval_s, "window_s")
+    return peak_rise_index(samples, hop, width, factor)
+
+
+def peak_rise_index(samples: np.ndarray, hop: int, width: int,
+                    factor: float = DEFAULT_PEAK_FACTOR) -> int | None:
+    """locate_peak_rise with the chunk interval and the window counted in samples."""
+    samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < width:
         return None
     count = (samples.size - width) // hop + 1
@@ -262,23 +273,21 @@ def forecast_flow(model: fkkf.FkkfModel, samples: np.ndarray, cfg: ExperimentCon
     frames run past the end of the flow.
     """
     fe = model.frontend
+    hop = fe.chunk_cfg.hop_samples
     if start is None:
-        start = locate_peak_rise(samples, fe.chunk_cfg.chunk_interval_s,
-                                 fe.chunk_cfg.sample_interval_s, cfg.peak_window_s,
-                                 cfg.peak_factor)
+        start = peak_rise_index(samples, hop, cfg.peak_window_samples, cfg.peak_factor)
         if start is None:
             raise UndefinedError("no peak rise found in flow")
     if start < 0:
         raise UndefinedError(f"start step {start} is negative")
     try:
-        raw = fkkf.observation_frames(samples, fe.chunk_cfg, fe.chunk_cfg.chunk_length_s)
+        raw = fkkf.observation_windows(samples, hop, fe.chunk_cfg.chunk_samples)
     except FlowTooShort as exc:
         raise UndefinedError(str(exc)) from None
     end = start + cfg.observe_steps
     if raw.shape[0] < end:
         raise UndefinedError("observed prefix extends past the flow end")
     observed = fe.reduce_observations(raw[start:end])
-    hop = fe.chunk_cfg.hop_samples
     horizon = slice(end * hop, (end + cfg.horizon_steps) * hop)
     return start, horizon, fkkf.run_filter(model, observed, cfg.horizon_steps)
 

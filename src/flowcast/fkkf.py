@@ -30,20 +30,24 @@ them, O' k_y = sum_i O[i] k(y_i, y) = sum_u Obar[u] k(u, y), where
 Obar[u] sums the rows of O whose observation is u; the model keeps the
 c centres and the c x n Obar.  M is formed over them too: G_yy[i, j] =
 G_cc[u(i), u(j)] for the c x c Gram G_cc of the centres, so
-M = Obar' G_cc Obar exactly.  T and C come from the full m-row O, and V
+M = Obar' G_cc Obar exactly.  The model file holds the centres and Obar
+but not M, which load_model forms again with learning's arithmetic
+(_observation_metric).  T and C come from the full m-row O, and V
 and the prior from the coordinates of the training states, computed once
 per distinct state.  The Kalman gain of the m-dimensional
 innovation, Q_t = P-_t O' (G_yy O P-_t O' + kappa I_m)^-1, equals W_t O'
 by the push-through identity, so every per-step quantity is n x n and
 G_yy enters only through M, formed once at learning time.
 The gain is kept in square-root form (Bierman's factored Kalman filter):
-from a factor P-_t = L L' (Cholesky, or an eigendecomposition with
-negative roundoff eigenvalues clamped to zero where Cholesky fails) and
-the Cholesky factor C of L' M L + kappa I_n, the gain root is
-Z_t = C^-1 L', and W_t = Z_t' Z_t.  W_t, the posterior kappa W_t and the
-next prior kappa Y_t' Y_t + V are Gram matrices plus V, positive
-semi-definite by construction; kappa W_t is the textbook posterior
-without its cancelling subtraction.  Only Z_t is kept: the posterior is
+from a lower-triangular factor P-_t = L L' (Cholesky, or where Cholesky
+fails the R' of a QR of an eigendecomposition's factor, with negative
+roundoff eigenvalues clamped to zero) and the Cholesky factor C of
+L' M L + kappa I_n, the gain root is Z_t = C^-1 L', and W_t = Z_t' Z_t.
+Both factors are triangles, so L' M L is two triangular products and
+Z_t' = L C^-T one right-side triangular solve.  W_t, the posterior
+kappa W_t and the next prior kappa Y_t' Y_t + V are Gram matrices plus
+V, positive semi-definite by construction; kappa W_t is the textbook
+posterior without its cancelling subtraction.  Only Z_t is kept: the posterior is
 formed as kappa Z_t' Z_t where it is read, by Prediction.filtered_cov,
 and the next prior from Y_t = Z_t T' with one symmetric rank-k update.
 Gains never depend on observed values, so project steps them once per
@@ -133,7 +137,7 @@ from .kernelcore import (DEFAULT_SUBSET_SIZE, KernelSpec, gram, kernel_vector,
 from .reduction import PcaBasis, Standardizer
 from .spectral import ChunkConfig
 
-MODEL_FORMAT_VERSION = 6
+MODEL_FORMAT_VERSION = 7
 
 _COV_JITTER = 1e-8
 _EIG_FLOOR = 1e-14  # relative floor when whitening the inducing Gram
@@ -294,9 +298,13 @@ def window_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
 def observation_frames(series: np.ndarray, chunk_cfg: ChunkConfig,
                        horizon_s: float) -> np.ndarray:
     """Raw observation spectra at every chunk index whose window fits."""
-    series = np.asarray(series, dtype=float).ravel()
-    hop = chunk_cfg.hop_samples
     width = spectral.whole_multiple(horizon_s, chunk_cfg.sample_interval_s, "horizon_s")
+    return observation_windows(series, chunk_cfg.hop_samples, width)
+
+
+def observation_windows(series: np.ndarray, hop: int, width: int) -> np.ndarray:
+    """observation_frames of `width`-sample windows, one every `hop` samples."""
+    series = np.asarray(series, dtype=float).ravel()
     if series.size < width:
         raise FlowTooShort(f"series of {series.size} samples shorter than one window")
     count = (series.size - width) // hop + 1
@@ -397,7 +405,7 @@ class FkkfModel:
     y_train: np.ndarray   # (c, q) distinct training observations, the centres of k_y
     t_sub: np.ndarray     # (n, n) transition model
     o_sub: np.ndarray     # (c, n) observation model rows summed per centre (Obar)
-    ogo: np.ndarray       # (n, n) cached O' G_yy O
+    ogo: np.ndarray       # (n, n) M = O' G_yy O; not saved, load_model forms it
     xo: np.ndarray        # (q, n) readout rows (X O)[:q] of the observation block
     v: np.ndarray         # (n, n) transition noise covariance
     n1_prior: np.ndarray  # (n,) initial a-priori mean coordinates
@@ -731,9 +739,17 @@ class StagedLearner:
         """(Obar, M, (X O)[:q])."""
         o_full = pred.observation(lam)
         o_bar = self.centre_sum @ o_full
-        ogo = _sym(o_bar.T @ (g_cc @ o_bar))
         xo = self.x_pred[:, :self.y_train.shape[1]].T @ o_full
-        return o_bar, ogo, xo
+        return o_bar, _observation_metric(o_bar, g_cc), xo
+
+
+def _observation_metric(o_bar: np.ndarray, g_cc: np.ndarray) -> np.ndarray:
+    """M = Obar' G_cc Obar, exactly symmetric, for the c x c Gram G_cc of the centres.
+
+    Learning and load_model both form M here, so a loaded model's M is
+    the learned one bit for bit.
+    """
+    return _sym(o_bar.T @ (g_cc @ o_bar))
 
 
 def learn_core(x_pred: np.ndarray, x_succ: np.ndarray, y_train: np.ndarray,
@@ -846,7 +862,8 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     keeps both pools busy-waiting, and on a two-core machine each call then
     waits about a scheduler tick: the 200 gain steps of criterion 3 (n = 180)
     took 12 s that way and 1 s with every product here.  project's loop
-    uses it; run_filter calls no scipy and stays on numpy.
+    uses it for Y = Z T', and its triangular products call scipy's BLAS
+    too; run_filter calls no scipy and stays on numpy.
     The result is in Fortran order; a C-ordered operand goes in as its
     transpose, no copy.
     """
@@ -856,54 +873,73 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                    trans_a=trans_a, trans_b=trans_b)
 
 
-# (lower Cholesky factor, symmetric eigendecomposition) from one library,
-# each reading only the lower triangle: project factorizes with scipy's,
-# forecast_variance with numpy's (see _matmul).  scipy's upper factor of
-# the transposed view reads the same triangle and is L' in Fortran order,
-# the operand _gain_root's triangular solve overwrites without a copy.
-_SCIPY_FACTORS = (lambda a: scipy.linalg.cholesky(a.T).T,
-                  lambda a: scipy.linalg.eigh(a, driver="evd"))
-_NUMPY_FACTORS = (np.linalg.cholesky, np.linalg.eigh)
+def _potrf_lower(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a's lower triangle, in Fortran order.
+
+    A NaN or an infinity raises ValueError, as scipy.linalg.cholesky does; a
+    matrix that is not numerically positive definite raises LinAlgError.
+    """
+    root, info = scipy.linalg.lapack.dpotrf(np.asarray_chkfinite(a), lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    return root
+
+
+# (lower Cholesky factor, symmetric eigendecomposition, R of a QR) from one
+# library, the first two reading only the lower triangle: project factorizes
+# with scipy's, forecast_variance with numpy's (see _matmul).  The Cholesky
+# factor is in Fortran order, the operand _gain_root's triangular products
+# read and its triangular solve overwrites without a copy.
+_SCIPY_FACTORS = (_potrf_lower, lambda a: scipy.linalg.eigh(a, driver="evd"),
+                  lambda a: scipy.linalg.qr(a, mode="r")[0])
+_NUMPY_FACTORS = (np.linalg.cholesky, np.linalg.eigh, lambda a: np.linalg.qr(a, mode="r"))
 
 
 def _covariance_root(cov: np.ndarray, factors=_SCIPY_FACTORS) -> np.ndarray:
-    """A factor L with L L' = cov, read from cov's lower triangle only.
+    """A lower-triangular L with L L' = cov, read from cov's lower triangle only.
 
     Cholesky when cov is numerically positive definite, the usual case for
-    a prior (the prediction adds V >= jitter I); otherwise U sqrt(Lambda)
+    a prior (the prediction adds V >= jitter I).  Otherwise G = U sqrt(Lambda)
     from an eigendecomposition with negative roundoff eigenvalues clamped
-    to zero.  Neither the gain nor the forecast variance depends on which
-    factor is used.
+    to zero, made triangular by the QR of its transpose: G' = Q R gives
+    G = R' Q', so L = R' and L L' = G G'.  Neither the gain nor the
+    forecast variance depends on which factor is used, but _gain_root
+    multiplies and solves with L as a triangle.
     """
-    cholesky, eigh = factors
+    cholesky, eigh, qr_r = factors
     try:
         return cholesky(cov)
     except np.linalg.LinAlgError:  # scipy.linalg raises the same class
         evals, evecs = eigh(cov)
-        return evecs * np.sqrt(np.maximum(evals, 0.0))
+        return qr_r((evecs * np.sqrt(np.maximum(evals, 0.0))).T).T
 
 
 def _gain_root(model: FkkfModel, p_prior: np.ndarray) -> np.ndarray:
     """Gain root Z = C^-1 L', so that W = Z' Z = L (L' M L + kappa I)^-1 L'.
 
-    P- = L L' (see _covariance_root, which reads P-'s lower triangle).
-    B = L' M L + kappa I >= kappa I, so its Cholesky factor C exists (read
-    from B's lower triangle), and W = Z'Z is a Gram matrix: W and the
-    posterior kappa W are positive semi-definite however ill-conditioned
-    P- is.  kappa W is the textbook posterior of P- written without its
-    subtraction, which cancels catastrophically when P- spans many
-    decades.  The Cholesky of B is the one step of project that can fail
-    (NumericalFailure "innovation_gain").
+    P- = L L' with L lower triangular (see _covariance_root, which reads
+    P-'s lower triangle).  B = L' (M L) + kappa I is two triangular
+    products (dtrmm), and B >= kappa I, so its Cholesky factor C exists
+    (read from B's lower triangle).  Z' = L C^-T is one right-side
+    triangular solve (dtrsm) into L's storage; Z is its transpose, a view.
+    W = Z'Z is a Gram matrix: W and the posterior kappa W are positive
+    semi-definite however ill-conditioned P- is.  kappa W is the textbook
+    posterior of P- written without its subtraction, which cancels
+    catastrophically when P- spans many decades.  A NaN or an infinity in
+    P- or B raises ValueError; the Cholesky of B is the one step of project
+    that can fail otherwise (NumericalFailure "innovation_gain").
     """
+    blas = scipy.linalg.blas
     root = _covariance_root(p_prior)
-    inner = _matmul(root.T, _matmul(model.ogo, root))
+    inner = blas.dtrmm(1.0, root, model.ogo, side=1, lower=1)
+    inner = blas.dtrmm(1.0, root, inner, lower=1, trans_a=1, overwrite_b=1)
     inner.flat[::inner.shape[0] + 1] += model.kappa
-    try:
-        chol = scipy.linalg.cholesky(inner, lower=True, overwrite_a=True)
-    except scipy.linalg.LinAlgError:
+    chol, info = scipy.linalg.lapack.dpotrf(np.asarray_chkfinite(inner), lower=1,
+                                            overwrite_a=1)
+    if info:
         raise NumericalFailure("innovation_gain",
-                               "L' M L + kappa I is not positive definite") from None
-    return scipy.linalg.solve_triangular(chol, root.T, lower=True, overwrite_b=True)
+                               "L' M L + kappa I is not positive definite")
+    return blas.dtrsm(1.0, chol, root, side=1, lower=1, trans_a=1, overwrite_b=1).T
 
 
 def _prediction_cov(model: FkkfModel, z: np.ndarray) -> np.ndarray:
@@ -1070,11 +1106,12 @@ def run_filter(model: FkkfModel, observed_frames: np.ndarray,
 # (distinct training observations), n inducing pairs and q observation
 # dimensions.  The file holds each symmetric n x n matrix as its upper
 # triangle, n(n+1)/2 entries in np.triu_indices order; t_sub comes first,
-# so n is known when the triangles are checked.
-_ARRAY_SHAPES = {"y_train": "cq", "t_sub": "nn", "o_sub": "cn", "ogo": "nn",
+# so n is known when the triangles are checked.  M (ogo) is not stored:
+# load_model forms it again from o_sub and the centres' Gram.
+_ARRAY_SHAPES = {"y_train": "cq", "t_sub": "nn", "o_sub": "cn",
                  "xo": "qn", "v": "nn", "n1_prior": "n", "p1_prior": "nn"}
 _ARRAY_FIELDS = tuple(_ARRAY_SHAPES)
-_SYMMETRIC_FIELDS = ("ogo", "v", "p1_prior")
+_SYMMETRIC_FIELDS = ("v", "p1_prior")
 
 
 def save_model(model: FkkfModel, path) -> None:
@@ -1085,9 +1122,10 @@ def save_model(model: FkkfModel, path) -> None:
     together with a format-version integer.  Of the frontend, only the
     observation block's standardizer and PCA basis are stored, as the
     block0_* arrays.
-    ogo, v and p1_prior are stored as one triangle each; a model in which
-    one of them is not exactly symmetric raises ValueError, so no file
-    loses a bit.
+    v and p1_prior are stored as one triangle each; a model in which one
+    of them is not exactly symmetric raises ValueError, so no file loses
+    a bit.  M (ogo) is not stored: it is Obar' G_cc Obar of the stored
+    o_sub and centres, which load_model forms again.
     """
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -1131,11 +1169,15 @@ def _mirrored(triangle: np.ndarray, n: int) -> np.ndarray:
 def load_model(path) -> FkkfModel:
     """Read a model written by save_model.
 
-    A missing file raises FileNotFoundError.  Anything else that is not a
-    readable model of this format version -- an older version, a file
-    that is not a flowcast archive, arrays whose shapes disagree, an array
-    holding a NaN or an infinity, a kappa that is not positive and finite
-    -- raises ModelFileError with a one-line message.
+    M (ogo) is formed from o_sub and the Gram of the centres y_train
+    under the stored observation kernel, the arithmetic learning used, so
+    every array of the loaded model is the saved model's bit for bit at
+    the same BLAS thread count.  A missing file raises FileNotFoundError.
+    Anything else that is not a readable model of this format version --
+    an older version, a file that is not a flowcast archive, arrays whose
+    shapes disagree, an array (the formed M included) holding a NaN or an
+    infinity, a kappa that is not positive and finite -- raises
+    ModelFileError with a one-line message.
     """
     try:
         data = np.load(path)
@@ -1195,6 +1237,12 @@ def _model_from_archive(data, path) -> FkkfModel:
     _check_shapes(arrays, path)
     for name in _SYMMETRIC_FIELDS:
         arrays[name] = _mirrored(arrays[name], arrays["t_sub"].shape[0])
+    obs_spec = KernelSpec(bandwidth=meta["obs_spec"][0], scale_factor=meta["obs_spec"][1])
+    centres = arrays["y_train"]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        ogo = _observation_metric(arrays["o_sub"], gram(centres, centres, obs_spec))
+    if not np.isfinite(ogo).all():
+        raise ModelFileError(f"{path}: array ogo holds a non-finite value")
     frontend = None
     if meta["has_frontend"]:
         t_s, t_c, w = meta["chunk_cfg"]
@@ -1214,6 +1262,4 @@ def _model_from_archive(data, path) -> FkkfModel:
             chunk_cfg=chunk_cfg, standardizer=Standardizer(means=means, stds=stds),
             basis=PcaBasis(components=comp, explained_variance_ratio=evr,
                            original_dim=comp.shape[0], kept_dim=comp.shape[1]))
-    return FkkfModel(obs_spec=KernelSpec(bandwidth=meta["obs_spec"][0],
-                                         scale_factor=meta["obs_spec"][1]),
-                     kappa=kappa, frontend=frontend, **arrays)
+    return FkkfModel(ogo=ogo, obs_spec=obs_spec, kappa=kappa, frontend=frontend, **arrays)

@@ -441,7 +441,8 @@ def _assert_one_line_exit_1(result, text):
     assert lines[-1].startswith("error: ") and text in lines[-1]
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5], ids=["v1", "v2", "v3", "v4", "v5"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6],
+                         ids=["v1", "v2", "v3", "v4", "v5", "v6"])
 def test_predict_old_format_model_exit_1(workspace, runner, tmp_path, version):
     cfg, out = workspace
     model_path = tmp_path / f"model_v{version}.npz"

@@ -309,14 +309,14 @@ class TestForecastFlow:
 
     def test_counts_of_kept_configs_not_converted_again(self, group_flows, group_model,
                                                          monkeypatch):
-        # hop_samples, chunk_samples and horizon_steps are converted once, by
-        # their config's validation; a forecast converts only the durations
-        # passed to locate_peak_rise and observation_frames
+        # hop_samples, chunk_samples, peak_window_samples and horizon_steps
+        # are converted once, by their config's validation; a forecast
+        # passes the counts and converts no duration
         calls, real = [], spectral.whole_multiple
         monkeypatch.setattr(spectral, "whole_multiple",
                             lambda *args: calls.append(args[2]) or real(*args))
         forecast_flow(group_model, group_flows[0].samples, CFG)
-        assert sorted(calls) == ["chunk_interval_s", "horizon_s", "window_s"]
+        assert calls == []
 
     def test_negative_start_refused(self, group_flows, group_model):
         with pytest.raises(UndefinedError, match="start step -1 is negative"):

@@ -647,16 +647,56 @@ class TestProject:
         t_sub = core_model.t_sub
         with_t = [(a, b) for a, b in products
                   if any(x is t_sub or x.base is t_sub for x in (a, b))]
-        assert len(with_t) == 4
+        # the gain steps multiply by triangles (dtrmm), never by _matmul
+        assert len(with_t) == len(products) == 4
         for (a, b), z in zip(with_t, gains):
             assert a is z
             assert b.base is t_sub and np.array_equal(b, t_sub.T)
+
+    @pytest.mark.parametrize("factors", ["_SCIPY_FACTORS", "_NUMPY_FACTORS"])
+    @pytest.mark.parametrize("singular", [False, True], ids=["cholesky", "eigh"])
+    def test_covariance_root_lower_triangular(self, core_model, factors, singular):
+        # _gain_root multiplies and solves with the root as a triangle, so
+        # the eigendecomposition fallback must be triangular too
+        factors = getattr(fkkf, factors)
+        cov = _singular_prior(core_model) if singular else core_model.p1_prior
+        if singular:
+            with pytest.raises(np.linalg.LinAlgError):
+                factors[0](cov)
+        root = fkkf._covariance_root(cov, factors)
+        assert not np.triu(root, 1).any()
+        assert np.abs(root @ root.T - cov).max() <= 1e-12 * np.abs(cov).max()
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["cholesky", "eigh"])
+    def test_gain_root_matches_two_product_left_solve_form(self, core_model, singular):
+        # oracle: B = L' (M L) + kappa I by two GEMMs and Z = C^-1 L' by a
+        # left-side solve, on the same triangular root L of each prior; the
+        # roots differ at roundoff (4.4e-16 of max |Z| on these priors at one
+        # and at two BLAS threads)
+        model = core_model
+        if singular:
+            model = dataclasses.replace(model, p1_prior=_singular_prior(model))
+        prior = model.p1_prior
+        for step in range(4):
+            root = fkkf._covariance_root(prior)
+            inner = root.T @ (model.ogo @ root) + model.kappa * np.eye(len(root))
+            expected = scipy.linalg.solve_triangular(
+                scipy.linalg.cholesky(inner, lower=True), root.T, lower=True)
+            z = fkkf._gain_root(model, prior)
+            assert np.abs(z - expected).max() <= 1e-13 * np.abs(expected).max(), step
+            prior = fkkf._prediction_cov(model, z)
 
     def test_covariances_stay_psd(self, core_model):
         gains = project(core_model, 25)
         for p in _posteriors(core_model, gains) + _priors(core_model, gains):
             assert np.linalg.eigvalsh(p)[0] >= -1e-8
             np.testing.assert_allclose(p, p.T, atol=1e-8)
+
+
+def _singular_prior(model):
+    """A rank-5 prior of model's size, which has no Cholesky factor."""
+    factor = np.random.default_rng(3).normal(size=(model.subspace_size, 5))
+    return factor @ factor.T
 
 
 def _criterion6_fold(seed):
@@ -764,9 +804,10 @@ class TestForecastVariance:
 
 
 # max |(P-_t M + kappa I) W_t - P-_t| / max |P-_t| over the 4 steps of the
-# seed-107 and seed-238 folds: <= 2.8e-5 with W_t = Z_t' Z_t; the gain
-# factors W_t formed from T P T' products and symmetrized copies reached
-# 5.5e-4 and 0.14
+# seed-107 and seed-238 folds: <= 5.6e-5 with W_t = Z_t' Z_t from triangular
+# products and a right-side solve, 2.8e-5 from dense products and a
+# left-side solve (one BLAS thread); the gain factors W_t formed from
+# T P T' products and symmetrized copies reached 5.5e-4 and 0.14
 RICCATI_RTOL = 1e-4
 
 
@@ -838,8 +879,7 @@ class TestPsdByConstruction:
         # factor stands in and the gain keeps the m x m form
         x_pred, x_succ, y = _chain_data()
         model = learn_core(x_pred, x_succ, y, HYPER, subspace_size=40)
-        factor = np.random.default_rng(3).normal(size=(40, 5))
-        model = dataclasses.replace(model, p1_prior=factor @ factor.T)
+        model = dataclasses.replace(model, p1_prior=_singular_prior(model))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(model.p1_prior)
         gains = project(model, 2)
@@ -1465,12 +1505,20 @@ class TestConcurrentStateKernel:
         assert queue.get() == parent.t_sub.tobytes()
 
 
+# the value test_non_finite_array_refused writes into each stored array
+_NON_FINITE = {"y_train": np.nan, "t_sub": -np.inf, "o_sub": np.nan, "xo": np.nan,
+               "v": -np.inf, "n1_prior": np.nan, "p1_prior": -np.inf,
+               "block0_means": np.nan, "block0_stds": -np.inf,
+               "block0_components": np.nan, "block0_evr": -np.inf}
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, traffic_model, tmp_path):
         path = tmp_path / "model.npz"
         save_model(traffic_model, path)
         loaded = load_model(path)
-        for name in fkkf._ARRAY_FIELDS:
+        # ogo is not stored: load_model forms it as learning did
+        for name in fkkf._ARRAY_FIELDS + ("ogo",):
             a, b = getattr(loaded, name), getattr(traffic_model, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             assert a.flags.c_contiguous == b.flags.c_contiguous, name
@@ -1493,11 +1541,13 @@ class TestSerialization:
             meta = json.loads(data["meta_json"].tobytes())
         blocks = tuple(f"block0_{part}" for part in ("means", "stds", "components", "evr"))
         assert names == sorted(fkkf._ARRAY_FIELDS + blocks + ("meta_json",))
-        # what filtering reads: no state kernel, no hyperparameter but
-        # kappa, the observation window only as the chunk length
+        # what filtering reads, less M, which o_sub and the centres give:
+        # no state kernel, no hyperparameter but kappa, the observation
+        # window only as the chunk length
+        assert "ogo" not in names
         assert sorted(meta) == ["chunk_cfg", "format_version", "has_frontend",
                                 "kappa", "obs_spec"]
-        assert meta["format_version"] == 6
+        assert meta["format_version"] == 7
         assert meta["kappa"] == HYPER.kappa
         assert meta["chunk_cfg"] == [0.01, 0.05, WINDOW.horizons_s[0]]
 
@@ -1507,7 +1557,8 @@ class TestSerialization:
         n = traffic_model.subspace_size
         upper = np.triu_indices(n)
         with np.load(path) as data:
-            for name in ("ogo", "v", "p1_prior"):
+            assert "ogo" not in data.files
+            for name in ("v", "p1_prior"):
                 assert data[name].shape == (n * (n + 1) // 2,), name
                 np.testing.assert_array_equal(data[name],
                                               getattr(traffic_model, name)[upper])
@@ -1563,11 +1614,15 @@ class TestSerialization:
          "format version 4"),
         (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 5)),
          "format version 5"),
+        (lambda arrays: arrays.update(meta_json=_meta_with_version(arrays, 6)),
+         "format version 6"),
         *((lambda arrays, k=kappa: arrays.update(meta_json=_edited_meta(arrays, kappa=k)),
            f"kappa {kappa!r} is not positive and finite")
           for kappa in (0.0, -1.0, np.nan, np.inf)),
         (lambda arrays: arrays.update(o_sub=arrays["o_sub"][:-1]), "array o_sub"),
-        (lambda arrays: arrays.update(ogo=arrays["ogo"][:-1]), "array ogo"),
+        # finite stored arrays whose M = Obar' G_cc Obar overflows
+        (lambda arrays: arrays.update(o_sub=np.full_like(arrays["o_sub"], 1e200)),
+         "ogo holds a non-finite"),
         (lambda arrays: arrays.update(p1_prior=np.eye(arrays["t_sub"].shape[0])),
          "array p1_prior"),
         (lambda arrays: arrays.update(xo=arrays["xo"].T), "array xo"),
@@ -1586,8 +1641,8 @@ class TestSerialization:
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("name, value", [
-        (name, (np.nan, -np.inf)[i % 2]) for i, name in enumerate(fkkf._ARRAY_FIELDS + (
-            "block0_means", "block0_stds", "block0_components", "block0_evr"))])
+        (name, _NON_FINITE[name]) for name in fkkf._ARRAY_FIELDS + (
+            "block0_means", "block0_stds", "block0_components", "block0_evr")])
     def test_non_finite_array_refused(self, traffic_model, tmp_path, name, value):
         # a NaN once crashed inside the kernel code or gave a NaN forecast
         path = tmp_path / "model.npz"
